@@ -24,7 +24,6 @@ from .schedules import (
     arithmetic_gap_schedule,
     classify_tuple,
     cluster_partition,
-    enumerate_classes,
     exponential_gap_schedule,
     linear_schedule,
     logpow_cutoff,
@@ -70,14 +69,12 @@ from .subshift import (
     full_shift,
     gibbs_constant,
     golden_mean_shift,
-    hitting_time,
     hitting_time_batch,
     make_target,
     psi_mixing_check,
     sample_clear_word,
     sample_point,
     short_return_check,
-    simulate_nonconventional,
     simulate_nonconventional_batch,
     uniform_measure,
 )

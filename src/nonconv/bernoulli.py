@@ -198,10 +198,14 @@ def chen_stein_terms(scheme: BernoulliScheme) -> ChenSteinTerms:
             I3 += p ** len(tup | tuples[k])
     lam_n = scheme.lambda_n
     bound = min(1.0, 1.0 / lam_n) * (I1 + I2 + I3)
-    # Closed-form identity and envelopes; violations mean an implementation bug.
-    assert math.isclose(I1, n * p ** (2 * ell), rel_tol=1e-12)
-    assert I2 <= n * ell * ell * p ** (2 * ell) * (1.0 + 1e-12)
-    assert I3 <= n * ell * ell * p ** (ell + 1) * (1.0 + 1e-12)
+    # Closed-form identity and envelopes; violations mean an implementation
+    # bug.  Checked explicitly so they also hold under python -O.
+    if not math.isclose(I1, n * p ** (2 * ell), rel_tol=1e-12):
+        raise RuntimeError(f"I1={I1} differs from n p^(2 ell)")
+    if I2 > n * ell * ell * p ** (2 * ell) * (1.0 + 1e-12):
+        raise RuntimeError(f"I2={I2} exceeds n ell^2 p^(2 ell)")
+    if I3 > n * ell * ell * p ** (ell + 1) * (1.0 + 1e-12):
+        raise RuntimeError(f"I3={I3} exceeds n ell^2 p^(ell + 1)")
     return ChenSteinTerms(I1=I1, I2=I2, I3=I3, bound=bound)
 
 

@@ -74,6 +74,15 @@ def load_config(path) -> dict:
     return doc
 
 
+def _is_int(v) -> bool:
+    # bool subclasses int, but True is not a count
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def validate_config(cfg: dict) -> list[str]:
     """Return every fault found (empty list = valid)."""
     faults = []
@@ -82,18 +91,18 @@ def validate_config(cfg: dict) -> list[str]:
         faults.append(f"model must be bernoulli, markov or subshift, got {model!r}")
     if "seed" not in cfg:
         faults.append("seed is mandatory (no wall-clock default)")
-    elif not isinstance(cfg["seed"], int):
+    elif not _is_int(cfg["seed"]):
         faults.append(f"seed must be an integer, got {cfg['seed']!r}")
     lam = cfg.get("lambda", 1.0)
-    if not isinstance(lam, (int, float)) or lam <= 0:
+    if not _is_number(lam) or lam <= 0:
         faults.append(f"lambda must be positive, got {lam!r}")
     grid = cfg.get("n_grid")
     if not isinstance(grid, list) or not grid or not all(
-        isinstance(v, int) and v >= 1 for v in grid
+        _is_int(v) and v >= 1 for v in grid
     ):
         faults.append("n_grid must be a nonempty list of positive integers")
     reps = cfg.get("replicates", 0)
-    if not isinstance(reps, int) or reps < 0:
+    if not _is_int(reps) or reps < 0:
         faults.append(f"replicates must be an integer >= 0, got {reps!r}")
     outputs = cfg.get("outputs")
     if not isinstance(outputs, list) or not outputs:
@@ -113,15 +122,15 @@ def validate_config(cfg: dict) -> list[str]:
             faults.append(f"unknown schedule family {fam!r}")
         if fam == "table" and "rows" not in sched:
             faults.append("table schedule requires rows")
-        if fam in ("linear", "polynomial", "exponential_gap", "arithmetic_gap") and not isinstance(
-            sched.get("ell"), int
+        if fam in ("linear", "polynomial", "exponential_gap", "arithmetic_gap") and not _is_int(
+            sched.get("ell")
         ):
             faults.append("schedule.ell must be an integer")
         if fam == "arithmetic_gap" and not all(
-            isinstance(sched.get(k), (int, float)) for k in ("c", "gamma")
+            _is_number(sched.get(k)) for k in ("c", "gamma")
         ):
             faults.append("arithmetic_gap schedule requires numeric c and gamma")
-        if fam == "polynomial" and not isinstance(sched.get("degree"), int):
+        if fam == "polynomial" and not _is_int(sched.get("degree")):
             faults.append("polynomial schedule requires integer degree")
     budgets = cfg.get("budgets", {})
     if not isinstance(budgets, dict):
@@ -130,7 +139,7 @@ def validate_config(cfg: dict) -> list[str]:
         for key, val in budgets.items():
             if key not in _DEFAULT_BUDGETS:
                 faults.append(f"unknown budget {key!r}")
-            elif not isinstance(val, int) or val <= 0:
+            elif not _is_int(val) or val <= 0:
                 faults.append(f"budget {key} must be a positive integer, got {val!r}")
     mp = cfg.get("model_params", {}) or {}
     if model == "markov" and "transition" not in mp:

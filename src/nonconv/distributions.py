@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,10 +93,6 @@ class PoissonLaw:
         pmf = {k: self.pmf(k) for k in range(kmax + 1)}
         tail = max(0.0, 1.0 - sum(pmf.values()))
         return CountDistribution(pmf=pmf, tail_mass=tail, kind="exact")
-
-
-def poisson_pmf(law: PoissonLaw, k: int) -> float:
-    return law.pmf(k)
 
 
 def tv_distance(d1: CountDistribution, d2: CountDistribution) -> float:

@@ -232,7 +232,7 @@ def exact_b(chain, schedule, gamma, indices, index_budget: int = 4096) -> float:
     if any(g < 0 or g >= chain.M for g in gamma):
         raise ValidationError("gamma contains out-of-range states")
     times = sorted({t for i in idx for t in schedule.evaluate(i)})
-    if len(times) * chain.M > index_budget * chain.M:
+    if len(times) > index_budget:
         raise ResourceError(f"{len(times)} restriction times exceed budget {index_budget}")
     mask = np.zeros(chain.M)
     mask[gamma] = 1.0
@@ -296,8 +296,19 @@ class TargetSetSequence:
     ell: int
     entries: dict[int, TargetSet]
 
-    def mu_mass(self, n: int) -> float:
-        return self.entries[n].mass
+
+def lex_words(adjacency, starts, length: int):
+    """Yield, in lexicographic order, the words of ``length`` symbols that
+    begin with a symbol in ``starts`` and step only along nonzero entries
+    of ``adjacency``."""
+    succ = [np.flatnonzero(row).tolist() for row in np.asarray(adjacency)]
+    stack = [(int(a),) for a in reversed(starts)]
+    while stack:
+        w = stack.pop()
+        if len(w) == length:
+            yield w
+            continue
+        stack.extend(w + (a,) for a in reversed(succ[w[-1]]))
 
 
 def word_lift(chain: FiniteMarkovChain, k: int):
@@ -312,17 +323,7 @@ def word_lift(chain: FiniteMarkovChain, k: int):
         raise ValidationError("lift order must be >= 1")
     if k == 1:
         return chain, [(s,) for s in range(chain.M)]
-    words: list[tuple[int, ...]] = []
-    stack = [(s,) for s in range(chain.M) if chain.mu[s] > 0]
-    while stack:
-        w = stack.pop()
-        if len(w) == k:
-            words.append(w)
-            continue
-        for s in range(chain.M):
-            if chain.P[w[-1], s] > 0:
-                stack.append(w + (s,))
-    words.sort()
+    words = list(lex_words(chain.P > 0, np.flatnonzero(chain.mu > 0), k))
     pos = {w: i for i, w in enumerate(words)}
     S = len(words)
     P = np.zeros((S, S))

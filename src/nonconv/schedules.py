@@ -10,14 +10,11 @@ used by the Poisson-factorization checker.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Mapping
 
-from .errors import ResourceError, ScheduleError, ValidationError
-
-DEFAULT_ENUMERATION_BUDGET = 10**7
+from .errors import ScheduleError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -270,47 +267,9 @@ def classify_tuple(schedule: QSchedule, indices, threshold: int, cutoff: int):
     return RareSetClass(part.k, l_flag, int(cutoff)), rare
 
 
-def enumerate_classes(
-    schedule: QSchedule,
-    r: int,
-    n: int,
-    threshold: int,
-    cutoff: int,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> dict[RareSetClass, list[tuple[int, ...]]]:
-    """Group all unordered r-subsets of 1..n by their rare-set class.
-
-    Tuples are enumerated as sorted index sets; ordered-tuple counts from
-    cardinality bounds must be rescaled by r! when compared against this
-    partition.
-    """
-    if r > n:
-        raise ValidationError(f"need r <= n, got r={r}, n={n}")
-    total = math.comb(n, r)
-    if total > budget:
-        raise ResourceError(
-            f"enumerating C({n},{r})={total} tuples exceeds budget {budget}; shrink n or r"
-        )
-    out: dict[RareSetClass, list[tuple[int, ...]]] = {}
-    for tup in combinations(range(1, n + 1), r):
-        cls, _ = classify_tuple(schedule, tup, threshold, cutoff)
-        out.setdefault(cls, []).append(tup)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Cluster radii / cutoffs used by the arrival-statistics experiments
+# Cutoffs used by the arrival-statistics experiments
 # ---------------------------------------------------------------------------
-
-def loggap_cluster_radius(schedule: QSchedule, n: int) -> int:
-    """Radius a(n) = min(ln n, smallest q-gap at n), floored to an integer."""
-    vals = schedule.evaluate(n)
-    gaps = [vals[j + 1] - vals[j] for j in range(schedule.ell - 1)]
-    bound = math.log(n) if n > 1 else 0.0
-    if gaps:
-        bound = min(bound, min(gaps))
-    return max(0, int(bound))
-
 
 def logpow_cutoff(n: int, eps: float) -> int:
     """Cutoff floor((ln n)^(1+eps))."""
@@ -333,46 +292,3 @@ def ratio_cutoff_index(c: float, gamma: float, bound: float) -> int:
     while c * math.log(k) ** (1.0 + gamma) <= bound:
         k += 1
     return k
-
-
-def cluster_partner_indices(schedule: QSchedule, l: int, threshold: int, n: int) -> list[int]:
-    """All m in 1..n, m != l, with rho(l, m) <= threshold.
-
-    Uses monotonicity of each q_j to invert windows instead of scanning
-    all of 1..n, so it stays cheap for large n.
-    """
-    vals = schedule.evaluate(l)
-    partners: set[int] = set()
-    for qa in vals:
-        lo_t, hi_t = qa - threshold, qa + threshold
-        for j in range(1, schedule.ell + 1):
-            lo = _invert_lower(schedule, j, lo_t, n)
-            m = lo
-            while m <= n:
-                qjm = schedule.q_fn(j, m)
-                if qjm > hi_t:
-                    break
-                if qjm >= lo_t and m != l:
-                    partners.add(m)
-                m += 1
-    return sorted(partners)
-
-
-def _invert_lower(schedule: QSchedule, j: int, target: int, n: int) -> int:
-    """Smallest m in 1..n with q_j(m) >= target (n+1 if none)."""
-    lo, hi = 1, n + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if schedule.q_fn(j, mid) >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def invert_first(schedule: QSchedule, position: int, n: int) -> int | None:
-    """The l <= n with q_1(l) == position, or None."""
-    m = _invert_lower(schedule, 1, position, n)
-    if m <= n and schedule.q_fn(1, m) == position:
-        return m
-    return None

@@ -15,20 +15,21 @@ are never skipped) and reports its coverage.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable
 
 import numpy as np
 
 from .errors import ResourceError, ValidationError
 from .rng import derive_rng
-from .schedules import QSchedule, _UnionFind
+from .schedules import QSchedule
 
 DEFAULT_ENUMERATION_BUDGET = 200_000
 _STREAM_SEVASTYANOV = 7
 _MAX_DIRECT_SINGLES = 200_000
+_CHUNK = 65_536  # tuple rows per vectorized block
 
 
 @dataclass(frozen=True)
@@ -112,95 +113,143 @@ def _positions(schedule: QSchedule, N: int) -> np.ndarray:
     )
 
 
-def _signature(q: np.ndarray, tup) -> tuple:
-    pos = np.sort(np.concatenate([q[i - 1] for i in tup]))
-    return tuple(int(v) for v in pos - pos[0])
+def _group_rows(rows: np.ndarray):
+    """(first, inverse) over the distinct rows of a nonnegative int array.
+
+    Groups come in lexicographic row order; ``first`` holds the first row of
+    each group and ``inverse`` the group of each row.  Rows are packed into
+    scalar keys when they fit in 62 bits.
+    """
+    span = int(rows.max()) + 1 if rows.size else 1
+    if span ** rows.shape[1] >= 2**62:
+        _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        return first, inverse.reshape(-1)
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for col in rows.T:
+        keys = keys * span + col
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 class _BCache:
-    """Oracle front end with optional translation-signature memoization."""
+    """Oracle front end over arrays of index tuples.
+
+    A translation-invariant oracle is evaluated once per distinct signature
+    (a tuple's sorted positions minus their minimum), on the first row that
+    carries it, and memoized for the stage; any other oracle once per row.
+    """
 
     def __init__(self, stage: StageOracle, q: np.ndarray):
         self.stage = stage
         self.q = q
         self._memo: dict[tuple, float] = {}
-        self.calls = 0
 
-    def __call__(self, tup) -> float:
+    def __call__(self, tups: np.ndarray) -> np.ndarray:
+        """b for each row of a (K, r) array of 1-based index tuples."""
         if not self.stage.translation_invariant:
-            self.calls += 1
-            return float(self.stage.b(tup))
-        key = _signature(self.q, tup)
-        if key not in self._memo:
-            self.calls += 1
-            self._memo[key] = float(self.stage.b(tup))
-        return self._memo[key]
+            return np.array([self.stage.b(tuple(t)) for t in tups.tolist()], dtype=float)
+        pos = self.q[tups - 1].reshape(len(tups), tups.shape[1] * self.q.shape[1])
+        pos.sort(axis=1)
+        pos -= pos[:, [0]]
+        first, inverse = _group_rows(pos)
+        vals = []
+        for tup, key in zip(tups[first].tolist(), pos[first].tolist()):
+            key = tuple(key)
+            if key not in self._memo:
+                self._memo[key] = float(self.stage.b(tuple(tup)))
+            vals.append(self._memo[key])
+        return np.array(vals, dtype=float)[inverse]
+
+
+def _pairs(i: int, js) -> np.ndarray:
+    """The pairs (i, j) for j in js, as a (K, 2) array."""
+    js = np.asarray(js, dtype=np.int64)
+    return np.column_stack([np.full(js.size, i, dtype=np.int64), js])
 
 
 def _singles(cache: _BCache, N: int) -> np.ndarray:
-    if cache.stage.translation_invariant:
-        sigs = cache.q - cache.q[:, :1]
-        uniq, first, inv = np.unique(
-            sigs, axis=0, return_index=True, return_inverse=True
-        )
-        vals = np.array([cache((int(i) + 1,)) for i in first])
-        return vals[inv]
-    if N > _MAX_DIRECT_SINGLES:
+    if not cache.stage.translation_invariant and N > _MAX_DIRECT_SINGLES:
         raise ResourceError(
             f"{N} single-index oracle calls exceed the direct cap "
             f"{_MAX_DIRECT_SINGLES}; the oracle must declare translation invariance"
         )
-    return np.array([cache((i,)) for i in range(1, N + 1)])
+    return cache(np.arange(1, N + 1, dtype=np.int64)[:, None])
 
 
-def _tuple_is_rare(q: np.ndarray, tup, threshold: int, cutoff: int) -> bool:
-    """Rare = some proximity cluster has > 1 element, or min index <= cutoff."""
-    if min(tup) <= cutoff:
-        return True
-    for a, b in combinations(tup, 2):
-        d = np.abs(q[a - 1][:, None] - q[b - 1][None, :]).min()
-        if d <= threshold:
-            return True
-    return False
+def _rare_mask(q: np.ndarray, tups: np.ndarray, threshold: int, cutoff: int) -> np.ndarray:
+    """Rare rows of a (K, r) array of 1-based index tuples.
+
+    A tuple is rare when its smallest index is at most the cutoff or two of
+    its indices have positions within the threshold of each other; this is
+    ``schedules.classify_tuple``'s rule over arrays.
+    """
+    rare = tups.min(axis=1) <= cutoff
+    pos = q[tups - 1]  # (K, r, ell)
+    for a, b in itertools.combinations(range(tups.shape[1]), 2):
+        gap = np.abs(pos[:, a, :, None] - pos[:, b, None, :]).min(axis=(1, 2))
+        rare |= gap <= threshold
+    return rare
 
 
-def _cluster_count(q: np.ndarray, tup, threshold: int) -> int:
-    uf = _UnionFind()
-    for i in tup:
-        uf.find(i)
-    for a, b in combinations(tup, 2):
-        if np.abs(q[a - 1][:, None] - q[b - 1][None, :]).min() <= threshold:
-            uf.union(a, b)
-    return len({uf.find(i) for i in tup})
+def _tuple_terms(cache: _BCache, b1, tups: np.ndarray, rare: np.ndarray):
+    """Stage terms over the rows of a (K, r) tuple array.
+
+    Returns the sums of b and of prod(b1) over the rare rows, the ratios
+    b / prod(b1) over the other rows, and how many of those other rows have
+    prod(b1) = 0; such rows get no ratio and no oracle call.
+    """
+    den = b1[tups - 1].prod(axis=1)
+    ratio_rows = ~rare & (den != 0.0)
+    need = rare | ratio_rows
+    b = np.zeros(len(tups))
+    b[need] = cache(tups[need])
+    zero_den = int(np.count_nonzero(~rare)) - int(np.count_nonzero(ratio_rows))
+    ratios = b[ratio_rows] / den[ratio_rows]
+    return float(b[rare].sum()), float(den[rare].sum()), ratios, zero_den
 
 
 # ---------------------------------------------------------------------------
 # Exact mode
 # ---------------------------------------------------------------------------
 
+def _tuple_chunks(N: int, r: int):
+    """Every r-subset of 1..N in lexicographic order, as (K, r) arrays.
+
+    Each block extends a batch of (r-1)-prefixes by all their larger last
+    indices, so a block holds at most max(_CHUNK, N) rows.
+    """
+    heads = itertools.combinations(range(1, N + 1), r - 1)
+    batch = max(1, _CHUNK // N)
+    while True:
+        flat = itertools.chain.from_iterable(itertools.islice(heads, batch))
+        head = np.fromiter(flat, dtype=np.int64).reshape(-1, r - 1)
+        if not head.size:
+            return
+        counts = N - head[:, -1]
+        last = np.repeat(head[:, -1], counts) + _ranges(counts) + 1
+        yield np.column_stack([np.repeat(head, counts, axis=0), last])
+
+
 def _stage_exact(cache, q, n, N, r, threshold, cutoff, b1) -> StageResult:
     joint = 0.0
     product = 0.0
-    lo = hi = None
+    lo, hi = math.inf, -math.inf
     zero_den = 0
-    for tup in combinations(range(1, N + 1), r):
-        if _tuple_is_rare(q, tup, threshold, cutoff):
-            joint += cache(tup)
-            product += math.prod(b1[i - 1] for i in tup)
-        else:
-            den = math.prod(b1[i - 1] for i in tup)
-            if den == 0.0:
-                zero_den += 1
-                continue
-            ratio = cache(tup) / den
-            lo = ratio if lo is None else min(lo, ratio)
-            hi = ratio if hi is None else max(hi, ratio)
-    band = None if lo is None else (lo, hi)
+    for tups in _tuple_chunks(N, r):
+        rare = _rare_mask(q, tups, threshold, cutoff)
+        j, p, ratios, z = _tuple_terms(cache, b1, tups, rare)
+        joint += j
+        product += p
+        zero_den += z
+        if ratios.size:
+            lo = min(lo, float(ratios.min()))
+            hi = max(hi, float(ratios.max()))
     return StageResult(
         n=n, term_count=N, threshold=threshold, cutoff=cutoff,
         max_b=float(b1.max()), sum_b=float(b1.sum()),
         rare_sum_joint=joint, rare_sum_product=product,
-        ratio_band=band, zero_denominators=zero_den, mode="exact",
+        ratio_band=None if lo > hi else (lo, hi),
+        zero_denominators=zero_den, mode="exact",
         coverage={"rare": 1.0, "ratio": 1.0},
     )
 
@@ -248,22 +297,6 @@ def _ranges(counts: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
 
 
-def _group_rows(rows: np.ndarray):
-    """(first_index, count) per distinct row, via scalar keys when they fit."""
-    span = int(rows.max()) + 1 if rows.size else 1
-    ncols = rows.shape[1]
-    if span**ncols < 2**62:
-        keys = np.zeros(rows.shape[0], dtype=np.int64)
-        for c in range(ncols):
-            keys = keys * span + rows[:, c]
-        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-        return first, counts
-    uniq, first, counts = np.unique(
-        rows, axis=0, return_index=True, return_counts=True
-    )
-    return first, counts
-
-
 def _stage_sampled(
     cache, q, n, N, threshold, cutoff, b1, rng, pair_samples, ratio_samples
 ) -> StageResult:
@@ -278,33 +311,26 @@ def _stage_sampled(
     for i in range(1, min(cutoff, N) + 1):
         product += b1[i - 1] * suffix[i - 1]
         _, pj = _clustered_partners(q, np.array([i], dtype=np.int64), threshold)
-        partners = sorted(set(int(v) for v in pj))
-        pset = set(partners) | set(range(1, i + 1))
-        for j in partners:
-            if j > i:
-                joint += cache((i, j))
-                count_a += 1
-        rest = N - i - sum(1 for j in pset if j > i)
-        count_a += rest
+        partners = pj[pj > i]
+        joint += float(cache(_pairs(i, partners)).sum())
+        rest = N - i - partners.size
+        count_a += partners.size + rest
         if rest > 0:
             k = min(rest, max(8, pair_samples // max(1, cutoff)))
-            draws = 0
-            acc = 0.0
-            while draws < k:
+            skip = set(partners.tolist())
+            js = []
+            while len(js) < k:
                 j = int(rng.integers(i + 1, N + 1))
-                if j in pset:
-                    continue
-                acc += cache((i, j))
-                draws += 1
-            joint += rest * acc / k
+                if j not in skip:
+                    js.append(j)
+            joint += rest * float(cache(_pairs(i, js)).sum()) / k
             sampled_a += k
     coverage["low_index"] = 1.0 if count_a == 0 else min(1.0, sampled_a / count_a)
     # stratum B: clustered pairs with both indices above the cutoff; the
     # pair list is enumerated exactly, b summed via the signature cache.
     count_b = 0
-    chunk = 65_536
-    for start in range(cutoff + 1, N + 1, chunk):
-        i_arr = np.arange(start, min(start + chunk - 1, N) + 1, dtype=np.int64)
+    for start in range(cutoff + 1, N + 1, _CHUNK):
+        i_arr = np.arange(start, min(start + _CHUNK - 1, N) + 1, dtype=np.int64)
         pi, pj = _clustered_partners(q, i_arr, threshold)
         # each unordered pair is kept once, from its smaller endpoint's chunk
         mask = (pj > pi) & (pj > cutoff)
@@ -312,32 +338,26 @@ def _stage_sampled(
         count_b += int(pi.size)
         product += float((b1[pi - 1] * b1[pj - 1]).sum())
         if cache.stage.translation_invariant and pi.size:
-            sigs = np.sort(
-                np.concatenate([q[pi - 1], q[pj - 1]], axis=1), axis=1
-            )
-            sigs = sigs - sigs[:, :1]
-            first, counts = _group_rows(sigs)
-            for rep, cnt in zip(first, counts):
-                joint += cnt * cache((int(pi[rep]), int(pj[rep])))
+            joint += float(cache(np.stack([pi, pj], axis=1)).sum())
             coverage["cluster"] = 1.0
         elif pi.size:
             k = min(int(pi.size), pair_samples)
             sel = rng.choice(pi.size, size=k, replace=False)
-            vals = [cache((int(pi[s]), int(pj[s]))) for s in sel]
-            joint += pi.size * float(np.mean(vals))
+            joint += pi.size * float(np.mean(cache(np.stack([pi[sel], pj[sel]], axis=1))))
             coverage["cluster"] = min(1.0, k / pi.size)
         else:
             coverage.setdefault("cluster", 1.0)
     # ratio band over non-rare pairs: uniform draws plus, for a probe set of
     # indices, the nearest non-rare partner (where the ratio is most extreme)
-    lo = hi = None
-    zero_den = 0
+    def is_rare(i, j):
+        return _rare_mask(q, np.array([(i, j)]), threshold, cutoff)[0]
+
     checked = 0
     probes = np.unique(rng.integers(cutoff + 1, N, size=min(64, max(1, N - cutoff - 1))))
     pairs = []
     for i in probes:
         j = int(i) + 1
-        while j <= N and _tuple_is_rare(q, (int(i), j), threshold, cutoff):
+        while j <= N and is_rare(int(i), j):
             j += 1
         if j <= N:
             pairs.append((int(i), j))
@@ -349,25 +369,19 @@ def _stage_sampled(
         if i == j:
             continue
         tup = (min(i, j), max(i, j))
-        if _tuple_is_rare(q, tup, threshold, cutoff):
+        if is_rare(*tup):
             continue
         pairs.append(tup)
         checked += 1
-    for tup in pairs:
-        den = b1[tup[0] - 1] * b1[tup[1] - 1]
-        if den == 0.0:
-            zero_den += 1
-            continue
-        ratio = cache(tup) / den
-        lo = ratio if lo is None else min(lo, ratio)
-        hi = ratio if hi is None else max(hi, ratio)
+    tups = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    _, _, ratios, zero_den = _tuple_terms(cache, b1, tups, np.zeros(len(tups), bool))
     total_pairs = N * (N - 1) // 2
     coverage["ratio"] = len(pairs) / max(1, total_pairs - count_a - count_b)
     return StageResult(
         n=n, term_count=N, threshold=threshold, cutoff=cutoff,
         max_b=float(b1.max()), sum_b=float(b1.sum()),
         rare_sum_joint=joint, rare_sum_product=product,
-        ratio_band=None if lo is None else (lo, hi),
+        ratio_band=(float(ratios.min()), float(ratios.max())) if ratios.size else None,
         zero_denominators=zero_den, mode="sampled", coverage=coverage,
     )
 
@@ -535,14 +549,12 @@ def subshift_model_oracle(measure, schedule: QSchedule, lam: float, target_fn):
     constructed once per stage, and the number of summands is the N with
     N * P(B_n)^ell closest to lam.
     """
-    from .markov import exact_b, word_lift
-    from .subshift import replicate_count
+    from .markov import exact_b
+    from .subshift import lift_target, replicate_count
 
     def factory(n: int) -> StageOracle:
         target = target_fn(n)
-        chain, words = word_lift(target.measure.to_chain(), target.m)
-        pos = {w: i for i, w in enumerate(words)}
-        gamma = [pos[b] for b in target.blocks]
+        chain, gamma = lift_target(target.measure, target)
         N = replicate_count(target, schedule.ell, lam)
         return StageOracle(
             b=lambda idx: exact_b(chain, schedule, gamma, idx),

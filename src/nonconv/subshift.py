@@ -23,7 +23,7 @@ import numpy as np
 
 from .distributions import CountDistribution
 from .errors import CertificationError, ResourceError, ValidationError
-from .markov import FiniteMarkovChain, word_lift
+from .markov import FiniteMarkovChain, lex_words, word_lift
 from .rng import (
     STREAM_HITTING,
     STREAM_SAMPLE_POINT,
@@ -77,18 +77,10 @@ class SubshiftSFT:
         return all(self._A[a, b] == 1 for a, b in zip(w, w[1:]))
 
     def words(self, length: int):
-        """Yield all admissible words of the given length, lexicographically."""
+        """Iterate over all admissible words of the given length, lexicographically."""
         if length < 1:
             raise ValidationError("word length must be >= 1")
-        stack = [(a,) for a in reversed(range(self.iota))]
-        while stack:
-            w = stack.pop()
-            if len(w) == length:
-                yield w
-                continue
-            for a in reversed(range(self.iota)):
-                if self._A[w[-1], a]:
-                    stack.append(w + (a,))
+        return lex_words(self._A, range(self.iota), length)
 
     def bridge_exists(self, a: int, b: int, steps: int) -> bool:
         """Is there an admissible path of exactly ``steps`` edges from a to b?"""
@@ -138,9 +130,6 @@ class MarkovGibbsMeasure:
 
     def to_chain(self) -> FiniteMarkovChain:
         return FiniteMarkovChain(self.Q, nu=self.pi)
-
-    def is_uniform_full_shift(self) -> bool:
-        return bool(np.allclose(self.Q, 1.0 / self.sft.iota))
 
 
 def uniform_measure(sft: SubshiftSFT) -> MarkovGibbsMeasure:
@@ -376,7 +365,11 @@ def make_target(
     if m == n:
         blocks = [prefix]
     else:
-        blocks = [prefix + ext[1:] for ext in _extensions(measure.sft, prefix[-1], m - n)]
+        blocks = [
+            prefix + ext[1:]
+            for ext in measure.sft.words(m - n + 1)
+            if ext[0] == prefix[-1]
+        ]
         if keep_fraction < 1.0:
             if refine_seed is None:
                 raise ValidationError("keep_fraction < 1 requires refine_seed")
@@ -392,24 +385,23 @@ def make_target(
     )
 
 
-def _extensions(sft: SubshiftSFT, last: int, length: int):
-    """All admissible words of the given length starting from ``last``."""
-    stack = [(last,)]
-    out = []
-    while stack:
-        w = stack.pop()
-        if len(w) == length + 1:
-            out.append(w)
-            continue
-        for a in range(sft.iota):
-            if sft._A[w[-1], a]:
-                stack.append(w + (a,))
-    return sorted(out)
-
-
 def replicate_count(target: CylinderTarget, ell: int, lam: float) -> int:
     """N with N * P(B_n)^ell closest to lam (at least 1)."""
     return max(1, int(round(lam / target.prob**ell)))
+
+
+def lift_target(measure: MarkovGibbsMeasure, target: CylinderTarget):
+    """Lift the measure to the chain of sliding m-blocks.
+
+    Returns the lifted chain and the lifted states of ``target.blocks``; a
+    target block the lift does not contain is rejected.
+    """
+    chain, words = word_lift(measure.to_chain(), target.m)
+    pos = {w: i for i, w in enumerate(words)}
+    missing = [b for b in target.blocks if b not in pos]
+    if missing:
+        raise ValidationError(f"target blocks not admissible: {missing[:3]}")
+    return chain, [pos[b] for b in target.blocks]
 
 
 # ---------------------------------------------------------------------------
@@ -427,37 +419,17 @@ class _HitEngine:
 
     def __init__(self, target: CylinderTarget, horizon: int):
         self.horizon = horizon
-        chain, words = word_lift(target.measure.to_chain(), target.m)
-        pos = {w: i for i, w in enumerate(words)}
-        missing = [b for b in target.blocks if b not in pos]
-        if missing:
-            raise ValidationError(f"target blocks not admissible: {missing[:3]}")
-        self.block_states = np.array([pos[b] for b in target.blocks], dtype=np.int64)
-        S = chain.M
-        iota = target.measure.sft.iota
-        succ = np.full((S, iota), -1, dtype=np.int64)
-        pr = np.zeros((S, iota))
-        for i, w in enumerate(words):
-            for a in range(iota):
-                nxt = w[1:] + (a,)
-                j = pos.get(nxt)
-                if j is not None and chain.P[i, j] > 0:
-                    succ[i, a] = j
-                    pr[i, a] = chain.P[i, j]
-        valid = succ >= 0
-        self._succ_flat = succ[valid]
-        self._pr_flat = pr[valid]
-        self._src_flat = np.repeat(np.arange(S), valid.sum(axis=1))
-        # reorder so weights can be gathered as u[src] * pr
-        self.S = S
-        hit_mask = np.zeros(S, dtype=bool)
-        hit_mask[self.block_states] = True
-        self._hit_mask = hit_mask
+        chain, states = lift_target(target.measure, target)
+        self.block_states = np.array(states, dtype=np.int64)
+        self.S = chain.M
+        # sparse transitions, so weights can be gathered as u[src] * pr
+        self._src_flat, self._succ_flat = np.nonzero(chain.P)
+        self._pr_flat = chain.P[self._src_flat, self._succ_flat]
         start = chain.nu.copy()
         self.init_times, self.init_blocks, self.init_cdf = self._first_passage(start, t0=0)
         self.gap_tables = []
         for b in self.block_states:
-            e = np.zeros(S)
+            e = np.zeros(self.S)
             e[b] = 1.0
             self.gap_tables.append(self._first_passage(e, t0=1))
 
@@ -574,7 +546,7 @@ def _check_preconditions(schedule: QSchedule, target: CylinderTarget):
             "target fails short_return_check: the reference word self-overlaps "
             f"within a(n)={target.a_n}; pick a different omega_star"
         )
-    if schedule.ell >= 2 and target.measure is not None and schedule.gap_params is None:
+    if schedule.ell >= 2 and schedule.gap_params is None:
         raise ValidationError(
             "schedules with ell >= 2 must declare gap_params (c, gamma) growth"
         )
@@ -608,12 +580,6 @@ def simulate_nonconventional_batch(
         out[done : done + r] = counts
         done += r
     return out, N, float(N * target.prob**schedule.ell)
-
-
-def simulate_nonconventional(measure, schedule, target, lam, seed):
-    """One draw; returns (S, N)."""
-    samples, N, _ = simulate_nonconventional_batch(measure, schedule, target, lam, seed, 1)
-    return int(samples[0]), N
 
 
 def hitting_time_batch(
@@ -653,12 +619,6 @@ def hitting_time_batch(
     return scaled, censored
 
 
-def hitting_time(measure, schedule, target, seed, lam_cap: float = 8.0):
-    """One scaled hitting time; returns (value, censored)."""
-    scaled, censored = hitting_time_batch(measure, schedule, target, seed, 1, lam_cap)
-    return float(scaled[0]), bool(censored[0])
-
-
 # ---------------------------------------------------------------------------
 # Exact oracles
 # ---------------------------------------------------------------------------
@@ -682,9 +642,7 @@ def exact_b_subshift(
         )
     from .markov import exact_b
 
-    chain, words = word_lift(measure.to_chain(), target.m)
-    pos = {w: i for i, w in enumerate(words)}
-    gamma = [pos[b] for b in target.blocks]
+    chain, gamma = lift_target(measure, target)
     return exact_b(chain, schedule, gamma, indices)
 
 

@@ -82,6 +82,38 @@ outputs: [nosuchtable]
     assert "nosuchtable" in joined and "mystery" in joined
 
 
+def test_validate_rejects_booleans_as_numbers():
+    # bool subclasses int; YAML true/false must not pass as a count or a rate
+    base = {
+        "model": "bernoulli",
+        "seed": True,
+        "lambda": True,
+        "n_grid": [8, True],
+        "replicates": False,
+        "outputs": ["tv_and_bounds"],
+        "budgets": {"enumeration": True, "paths": 10, "component_cap": False},
+    }
+    gap = {**base, "schedule": {"family": "arithmetic_gap", "ell": True, "c": True, "gamma": 0.5}}
+    poly = {**base, "schedule": {"family": "polynomial", "ell": 2, "degree": True}}
+    shared = [
+        "seed must be an integer, got True",
+        "lambda must be positive, got True",
+        "n_grid must be a nonempty list of positive integers",
+        "replicates must be an integer >= 0, got False",
+    ]
+    budgets = [
+        "budget enumeration must be a positive integer, got True",
+        "budget component_cap must be a positive integer, got False",
+    ]
+    assert validate_config(gap) == shared + [
+        "schedule.ell must be an integer",
+        "arithmetic_gap schedule requires numeric c and gamma",
+    ] + budgets
+    assert validate_config(poly) == shared + [
+        "polynomial schedule requires integer degree",
+    ] + budgets
+
+
 def test_validate_model_table_compatibility(tmp_path):
     text = BERNOULLI_CFG.replace(
         "outputs: [pmf_vs_poisson, tv_and_bounds, chen_stein_terms]",

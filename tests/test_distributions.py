@@ -17,14 +17,13 @@ from nonconv import (
     poisson_shift_bound,
     tv_distance,
 )
-from nonconv.distributions import poisson_pmf
 from nonconv.rng import derive_rng
 
 
 def test_poisson_pmf_values():
-    assert poisson_pmf(PoissonLaw(1.0), 0) == pytest.approx(math.exp(-1), rel=1e-12)
-    assert poisson_pmf(PoissonLaw(2.0), 2) == pytest.approx(2 * math.exp(-2), rel=1e-12)
-    assert poisson_pmf(PoissonLaw(0.5), 0) == pytest.approx(math.exp(-0.5), rel=1e-12)
+    assert PoissonLaw(1.0).pmf(0) == pytest.approx(math.exp(-1), rel=1e-12)
+    assert PoissonLaw(2.0).pmf(2) == pytest.approx(2 * math.exp(-2), rel=1e-12)
+    assert PoissonLaw(0.5).pmf(0) == pytest.approx(math.exp(-0.5), rel=1e-12)
 
 
 def test_poisson_law_normalization():

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,6 @@ from nonconv import (
     arithmetic_gap_schedule,
     classify_tuple,
     cluster_partition,
-    enumerate_classes,
     exponential_gap_schedule,
     linear_schedule,
     logpow_cutoff,
@@ -22,12 +22,7 @@ from nonconv import (
     rho,
     table_schedule,
 )
-from nonconv.errors import ResourceError
-from nonconv.schedules import (
-    cluster_partner_indices,
-    invert_first,
-    loggap_cluster_radius,
-)
+from nonconv.sevastyanov import _clustered_partners
 
 
 def test_evaluate_linear():
@@ -95,56 +90,17 @@ def test_classify_tuple_examples():
     assert rare
 
 
-def test_enumerate_classes_small_grid():
-    sched = linear_schedule(2)
-    classes = enumerate_classes(sched, r=2, n=3, threshold=0, cutoff=0)
-    all_tuples = sorted(t for lst in classes.values() for t in lst)
-    assert all_tuples == [(1, 2), (1, 3), (2, 3)]
-    rare = {
-        t
-        for cls, lst in classes.items()
-        for t in lst
-        if classify_tuple(sched, t, 0, 0)[1]
-    }
-    assert (1, 2) in rare and (2, 3) not in rare
-
-
-def test_enumerate_classes_r1_and_count():
-    sched = linear_schedule(2)
-    classes = enumerate_classes(sched, r=1, n=6, threshold=0, cutoff=2)
-    total = sum(len(v) for v in classes.values())
-    assert total == 6
-    for cls, lst in classes.items():
-        assert cls.k == 1
-        for (l,) in lst:
-            _, rare = classify_tuple(sched, (l,), 0, 2)
-            assert rare == (l <= 2)
-
-
-def test_enumerate_classes_counts_partition():
-    sched = linear_schedule(2)
-    classes = enumerate_classes(sched, r=3, n=8, threshold=0, cutoff=1)
-    assert sum(len(v) for v in classes.values()) == math.comb(8, 3)
-
-
-def test_enumerate_classes_budget():
-    with pytest.raises(ResourceError):
-        enumerate_classes(linear_schedule(2), r=2, n=100, threshold=0, cutoff=0, budget=10)
-
-
 def test_zero_distance_partner_count_bound():
     # for q_j(l) = j*l the number of m with rho(l, m) = 0 is at most ell^2
     for ell in (2, 3):
         sched = linear_schedule(ell)
-        for l in (1, 4, 9, 30):
-            partners = cluster_partner_indices(sched, l, threshold=0, n=200)
-            assert len(partners) <= ell * ell
-
-
-def test_invert_first():
-    sched = linear_schedule(2)
-    assert invert_first(sched, 7, 20) == 7
-    assert invert_first(sched, 7, 5) is None
+        q = np.array([sched.evaluate(m) for m in range(1, 201)], dtype=np.int64)
+        ls = np.array([1, 4, 9, 30], dtype=np.int64)
+        pi, pj = _clustered_partners(q, ls, threshold=0)
+        for l in ls:
+            partners = pj[pi == l].tolist()
+            assert len(partners) == len(set(partners)) <= ell * ell
+            assert partners == [m for m in range(1, 201) if m != l and rho(sched, l, m) == 0]
 
 
 def test_logpow_cutoff_values():
@@ -158,12 +114,6 @@ def test_ratio_cutoff_index_is_minimal():
     k = ratio_cutoff_index(c, gamma, bound)
     assert c * math.log(k) ** (1 + gamma) > bound
     assert k == 1 or c * math.log(k - 1) ** (1 + gamma) <= bound
-
-
-def test_loggap_cluster_radius_linear():
-    sched = linear_schedule(2)
-    # gaps equal l, so the radius is floor(min(ln n, n)) = floor(ln n)
-    assert loggap_cluster_radius(sched, 10) == int(math.log(10))
 
 
 def test_table_schedule_roundtrip():

@@ -1,8 +1,10 @@
 """Factorization condition checks along n-grids and the limit verdict."""
 
 import math
+import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,12 +18,15 @@ from nonconv import (
     choose_target_sets,
     linear_schedule,
     poisson_limit_verdict,
+    table_schedule,
     uniform_measure,
 )
 from nonconv.bernoulli import exact_b as bern_exact_b
 from nonconv.errors import ResourceError, ValidationError
 from nonconv.schedules import classify_tuple
 from nonconv.sevastyanov import (
+    _group_rows,
+    _rare_mask,
     bernoulli_model_oracle,
     markov_model_oracle,
     rare_sum_envelope_iid,
@@ -61,6 +66,105 @@ def test_exact_stage_values_against_direct_enumeration():
     assert stage.rare_sum_joint == pytest.approx(joint, rel=1e-12)
     assert stage.rare_sum_product == pytest.approx(product, rel=1e-12)
     assert stage.ratio_band == pytest.approx((lo, hi), rel=1e-12)
+
+
+@pytest.mark.parametrize("invariant", [True, False])
+def test_exact_stage_r3_against_direct_enumeration(invariant):
+    sched = linear_schedule(2)
+    n, threshold, cutoff = 14, 1, 2
+    scheme = BernoulliScheme.from_lambda(n, 2, 1.0, sched)
+    calls = []
+
+    def b(idx):
+        calls.append(idx)
+        return bern_exact_b(scheme, idx)
+
+    stage_oracle = StageOracle(b=b, term_count=n, translation_invariant=invariant)
+    report = check_conditions(
+        lambda _: stage_oracle, sched, r=3, n_grid=[n], rare_params=(threshold, cutoff)
+    )
+    stage = report.stage(n)
+    b1 = [bern_exact_b(scheme, (l,)) for l in range(1, n + 1)]
+    joint = product = 0.0
+    ratios = []
+    for tup in combinations(range(1, n + 1), 3):
+        _, rare = classify_tuple(sched, tup, threshold, cutoff)
+        bj = bern_exact_b(scheme, tup)
+        bp = math.prod(b1[i - 1] for i in tup)
+        if rare:
+            joint += bj
+            product += bp
+        else:
+            ratios.append(bj / bp)
+    assert stage.mode == "exact"
+    assert stage.zero_denominators == 0
+    assert stage.rare_sum_joint == pytest.approx(joint, rel=1e-12)
+    assert stage.rare_sum_product == pytest.approx(product, rel=1e-12)
+    assert stage.ratio_band == pytest.approx((min(ratios), max(ratios)), rel=1e-12)
+    # without invariance every single and every triple costs one call
+    assert invariant or len(calls) == n + math.comb(n, 3)
+
+
+def test_exact_stage_memory_is_chunked():
+    # C(3000, 2) ~ 4.5M pairs: one (K, 2) int64 array of them is 72 MB
+    N = 3000
+    sched = linear_schedule(1)
+    stage = StageOracle(
+        b=lambda idx: 1e-4 ** len(idx), term_count=N, translation_invariant=True
+    )
+    full_bytes = math.comb(N, 2) * 2 * 8
+    tracemalloc.start()
+    try:
+        report = check_conditions(
+            lambda n: stage, sched, r=2, n_grid=[N], rare_params=(0, 0), budget=10**7
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.stage(N).mode == "exact"
+    assert report.stage(N).ratio_band == pytest.approx((1.0, 1.0), rel=1e-12)
+    assert peak < full_bytes / 4, (peak, full_bytes)
+
+
+@st.composite
+def _small_schedules(draw, horizon=40):
+    """Random table schedule: q_1 climbs by steps >= 1, each further column
+    sits above the previous one by a nondecreasing gap >= 1."""
+    ell = draw(st.integers(1, 3))
+    steps = st.lists(st.integers(1, 4), min_size=horizon, max_size=horizon)
+    cols = [np.cumsum(draw(steps))]
+    for _ in range(ell - 1):
+        growth = draw(st.lists(st.integers(0, 3), min_size=horizon, max_size=horizon))
+        cols.append(cols[-1] + 1 + np.cumsum(growth))
+    return table_schedule(np.column_stack(cols).tolist())
+
+
+_tuple_rows = st.integers(2, 4).flatmap(
+    lambda r: st.lists(
+        st.lists(st.integers(1, 40), min_size=r, max_size=r, unique=True),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+@given(_small_schedules(), _tuple_rows, st.integers(0, 6), st.integers(0, 10))
+@settings(max_examples=150, deadline=None)
+def test_rare_mask_matches_classify_tuple(sched, rows, threshold, cutoff):
+    q = np.array([sched.evaluate(l) for l in range(1, 41)], dtype=np.int64)
+    mask = _rare_mask(q, np.array(rows, dtype=np.int64), threshold, cutoff)
+    assert mask.tolist() == [
+        classify_tuple(sched, tup, threshold, cutoff)[1] for tup in rows
+    ]
+
+
+@pytest.mark.parametrize("big", [7, 2**40])
+def test_group_rows_first_rows_and_inverse(big):
+    # 2**40 is too wide for packed scalar keys and takes the row-sort path
+    rows = np.array([[0, 5, big], [0, 1, 2], [0, 5, big], [0, 1, 2]])
+    first, inverse = _group_rows(rows)
+    assert first.tolist() == [1, 0]
+    assert inverse.tolist() == [1, 0, 1, 0]
 
 
 def test_disjoint_positions_factorize_exactly():
