@@ -52,17 +52,16 @@ class BernoulliScheme:
         return self.n * self.p**self.ell
 
     @cached_property
-    def term_indices(self) -> list[tuple[int, ...]]:
-        """The xi-index tuple of each term l = 1..n."""
-        return [self.schedule.evaluate(l) for l in range(1, self.n + 1)]
+    def term_indices(self) -> np.ndarray:
+        """The (n, ell) xi-indices of the terms l = 1..n, one row per term (read-only)."""
+        cols = self.schedule.columns(self.n)
+        cols.flags.writeable = False
+        return cols
 
     @cached_property
     def needed_indices(self) -> np.ndarray:
         """Sorted union of all xi-indices any term touches."""
-        s = set()
-        for tup in self.term_indices:
-            s.update(tup)
-        return np.array(sorted(s), dtype=np.int64)
+        return np.unique(self.term_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +80,7 @@ def simulate_batch(scheme: BernoulliScheme, seed: int, replicates: int) -> np.nd
     rank in ``needed_indices``, so q_ell(n) >> n costs nothing extra.
     """
     idx = scheme.needed_indices
-    pos = {int(v): i for i, v in enumerate(idx)}
-    cols = np.array(
-        [[pos[q] for q in tup] for tup in scheme.term_indices], dtype=np.int64
-    )  # (n, ell)
+    cols = np.searchsorted(idx, scheme.term_indices)  # (n, ell) ranks in idx
     rng = derive_rng(seed, STREAM_BERNOULLI)
     out = np.empty(replicates, dtype=np.int64)
     chunk = max(1, int(4e6 // max(1, idx.size)))
@@ -106,7 +102,7 @@ def _components(scheme: BernoulliScheme) -> list[list[int]]:
     """Group term numbers 1..n into components linked by shared xi-indices."""
     uf = _UnionFind()
     owner: dict[int, int] = {}
-    for l, tup in enumerate(scheme.term_indices, start=1):
+    for l, tup in enumerate(scheme.term_indices.tolist(), start=1):
         uf.find(l)
         for q in tup:
             if q in owner:
@@ -121,7 +117,7 @@ def _components(scheme: BernoulliScheme) -> list[list[int]]:
 
 def _component_pmf(scheme: BernoulliScheme, terms: list[int], cap: int) -> np.ndarray:
     """Exact count law of one component by enumerating its xi assignments."""
-    tuples = [scheme.term_indices[l - 1] for l in terms]
+    tuples = scheme.term_indices[np.array(terms) - 1].tolist()
     sites = sorted({q for tup in tuples for q in tup})
     m = len(sites)
     if m > cap:
@@ -180,7 +176,7 @@ def chen_stein_terms(scheme: BernoulliScheme) -> ChenSteinTerms:
     approximation bound is min(1, 1/lambda_n)(I1 + I2 + I3).
     """
     n, ell, p = scheme.n, scheme.ell, scheme.p
-    tuples = [frozenset(t) for t in scheme.term_indices]
+    tuples = [frozenset(t) for t in scheme.term_indices.tolist()]
     by_site: dict[int, list[int]] = {}
     for l, tup in enumerate(tuples):
         for q in tup:

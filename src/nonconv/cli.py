@@ -41,6 +41,7 @@ import yaml
 from . import __version__
 from .distributions import PoissonLaw, empirical_distribution, tv_distance
 from .errors import ConfigError, NonconvError, ValidationError
+from .rng import STREAM_HITTING, derive_seed
 from .schedules import (
     QSchedule,
     SCHEDULE_FAMILIES,
@@ -433,10 +434,10 @@ def table_hitting_time_survival(ctx: _RunContext):
         raise ValidationError("hitting_time_survival requires replicates > 0")
     for n in ctx.n_grid:
         target = ctx.subshift_target(n)
-        for lam in lambdas:
+        for k, lam in enumerate(lambdas):
             samples, _, _ = simulate_nonconventional_batch(
                 ctx.subshift_measure(), ctx.schedule, target, lam,
-                ctx.seed + int(1000 * lam), ctx.replicates,
+                derive_seed(ctx.seed, STREAM_HITTING, k), ctx.replicates,
             )
             surv = float((samples == 0).mean())
             limit = math.exp(-lam)

@@ -21,6 +21,7 @@ from .schedules import QSchedule
 
 ROW_SUM_TOL = 1e-12
 DEFAULT_PATH_BUDGET = 10**7
+LIFT_STATE_BUDGET = 1 << 12  # most lifted states: a dense S-by-S P of 128 MiB
 _PROJECTION_TOL = 1e-15
 
 
@@ -191,7 +192,7 @@ def simulate_arrival_batch(chain, schedule, gamma, n, seed, replicates) -> np.nd
     if any(g < 0 or g >= chain.M for g in gamma):
         raise ValidationError("gamma contains out-of-range states")
     horizon = schedule.max_index(n)
-    times = np.array([schedule.evaluate(l) for l in range(1, n + 1)], dtype=np.int64)
+    times = schedule.columns(n)
     in_gamma = np.zeros(chain.M, dtype=bool)
     for g in gamma:
         in_gamma[g] = True
@@ -259,7 +260,7 @@ def exact_sum_distribution(
         raise ResourceError(
             f"{chain.M}^{horizon + 1} = {n_paths} paths exceed budget {path_budget}"
         )
-    times = [schedule.evaluate(l) for l in range(1, n + 1)]
+    times = schedule.columns(n).tolist()
     pmf = np.zeros(n + 1)
     for path in iter_product(range(chain.M), repeat=horizon + 1):
         w = chain.nu[path[0]]
@@ -317,12 +318,24 @@ def word_lift(chain: FiniteMarkovChain, k: int):
     States are admissible words (w_0..w_{k-1}) with positive path weight;
     transitions shift by one symbol.  Returns (lifted chain, word list).
     The lifted initial distribution is the stationary word law, matching a
-    base chain started from its invariant measure.
+    base chain started from its invariant measure.  Raises ``ResourceError``
+    before enumerating when there are more than ``LIFT_STATE_BUDGET`` words,
+    which bounds the dense lifted matrix at ``8 * LIFT_STATE_BUDGET**2`` bytes.
     """
     if k < 1:
         raise ValidationError("lift order must be >= 1")
     if k == 1:
         return chain, [(s,) for s in range(chain.M)]
+    # words ending in each state, from the adjacency's powers; saturating
+    # at budget + 1 keeps the counts in int64 and the verdict unchanged
+    adjacency = (chain.P > 0).astype(np.int64)
+    ending = (chain.mu > 0).astype(np.int64)
+    for _ in range(k - 1):
+        ending = np.minimum(ending @ adjacency, LIFT_STATE_BUDGET + 1)
+    if ending.sum() > LIFT_STATE_BUDGET:
+        raise ResourceError(
+            f"lift of order {k} has more than {LIFT_STATE_BUDGET} admissible words"
+        )
     words = list(lex_words(chain.P > 0, np.flatnonzero(chain.mu > 0), k))
     pos = {w: i for i, w in enumerate(words)}
     S = len(words)

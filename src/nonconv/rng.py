@@ -24,6 +24,16 @@ STREAM_SAMPLE_POINT = 5
 STREAM_TARGET_REFINE = 6
 
 
+def _seed_sequence(seed: int, keys) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in keys))
+
+
 def derive_rng(seed: int, *keys: int) -> np.random.Generator:
     """Return a Generator for the stream identified by (seed, *keys)."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in keys)))
+    return np.random.default_rng(_seed_sequence(seed, keys))
+
+
+def derive_seed(seed: int, *keys: int) -> int:
+    """A 64-bit integer seed for the stream identified by (seed, *keys),
+    for entry points that take an integer seed."""
+    return int(_seed_sequence(seed, keys).generate_state(1, np.uint64)[0])

@@ -10,11 +10,18 @@ used by the Poisson-factorization checker.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Mapping
 
-from .errors import ScheduleError, ValidationError
+import numpy as np
+
+from .errors import ResourceError, ScheduleError, ValidationError
+
+_INT64_MAX = np.iinfo(np.int64).max
+# Vectorized checks flag a row for the scalar check within this margin of the
+# gap bound, so that np.log and math.log rounding apart cannot change a verdict.
+_GAP_SCREEN_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -25,6 +32,9 @@ class QSchedule:
     ``gap_params = (c, gamma)``, when present, declares the lower bound
     q_{j+1}(l) - q_j(l) >= c * (ln l)^(1+gamma); it is verified on
     construction up to ``validation_horizon``.
+
+    ``_columns(N)``, set by the built-in family constructors, is a
+    vectorized form of ``q_fn`` over l = 1..N; see ``columns``.
     """
 
     ell: int
@@ -32,6 +42,9 @@ class QSchedule:
     name: str = "custom"
     gap_params: tuple[float, float] | None = None
     validation_horizon: int = 128
+    _columns: Callable[[int], np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.ell < 1:
@@ -82,10 +95,50 @@ class QSchedule:
         """Largest position any term l <= n looks at, i.e. q_ell(n)."""
         return self.evaluate(n)[-1]
 
+    def columns(self, N: int) -> np.ndarray:
+        """(N, ell) int64 array whose row l - 1 is ``evaluate(l)``, l = 1..N.
+
+        Built-in families are computed in closed form and checked like
+        ``evaluate`` checks rows past ``validation_horizon``; other
+        schedules evaluate row by row.  Raises ``ResourceError`` when
+        q_ell(N) does not fit in int64.
+        """
+        top = self.evaluate(N)[-1]
+        if top > _INT64_MAX:
+            raise ResourceError(
+                f"schedule {self.name!r}: q_{self.ell}({N})={top} does not fit in int64"
+            )
+        if self._columns is None:
+            return np.array([self.evaluate(l) for l in range(1, N + 1)], dtype=np.int64)
+        q = self._columns(N)
+        self._check_columns(q)
+        return q
+
+    def _check_columns(self, q: np.ndarray):
+        # Vectorized screen for the rows evaluate() would check; each flagged
+        # row goes through the scalar check, which raises with its message.
+        l = np.arange(1, len(q) + 1)
+        suspect = q[:, 0] < l
+        if self.ell > 1:
+            gaps = np.diff(q, axis=1).min(axis=1)
+            suspect |= gaps <= 0
+            if self.gap_params is not None:
+                c, gamma = self.gap_params
+                need = c * np.log(l) ** (1.0 + gamma)
+                suspect |= gaps < need - 1e-9 + _GAP_SCREEN_SLACK
+        suspect[: self.validation_horizon] = False
+        for row in np.flatnonzero(suspect):
+            self._check_row(int(row) + 1, tuple(q[row].tolist()), None)
+
 
 # ---------------------------------------------------------------------------
 # Built-in schedule families
 # ---------------------------------------------------------------------------
+
+def _terms(N: int) -> np.ndarray:
+    """The column l = 1..N as an (N, 1) int64 array."""
+    return np.arange(1, N + 1, dtype=np.int64)[:, None]
+
 
 def linear_schedule(ell: int) -> QSchedule:
     """q_j(l) = j * l.
@@ -93,7 +146,13 @@ def linear_schedule(ell: int) -> QSchedule:
     Gaps equal l, which dominates (ln l)^1.5 for every l >= 1, so the
     log-power growth condition holds with (c, gamma) = (1, 0.5).
     """
-    return QSchedule(ell, lambda j, l: j * l, name=f"linear(ell={ell})", gap_params=(1.0, 0.5))
+    return QSchedule(
+        ell,
+        lambda j, l: j * l,
+        name=f"linear(ell={ell})",
+        gap_params=(1.0, 0.5),
+        _columns=lambda N: _terms(N) * np.arange(1, ell + 1, dtype=np.int64),
+    )
 
 
 def _loggap(l: int, c: float, gamma: float) -> int:
@@ -102,13 +161,42 @@ def _loggap(l: int, c: float, gamma: float) -> int:
     return max(1, math.ceil(c * math.log(l) ** (1.0 + gamma)))
 
 
+def _loggap_runs(N: int, c: float, gamma: float) -> np.ndarray:
+    """g(l) = _loggap(l, c, gamma) for l = 1..N, as an int64 array.
+
+    g is nondecreasing in l, so it is constant on O(g(N)) runs; each run's
+    first l is found by bisection on the scalar ``_loggap``, which makes
+    every value equal to the scalar one.
+    """
+    starts, values = [1], [_loggap(1, c, gamma)]
+    last = _loggap(N, c, gamma)
+    while values[-1] != last:
+        lo, hi = starts[-1], N  # g(lo) == values[-1] < g(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _loggap(mid, c, gamma) == values[-1]:
+                lo = mid
+            else:
+                hi = mid
+        starts.append(hi)
+        values.append(_loggap(hi, c, gamma))
+    lengths = np.diff(np.array(starts + [N + 1], dtype=np.int64))
+    return np.repeat(np.array(values, dtype=np.int64), lengths)
+
+
 def arithmetic_gap_schedule(ell: int, c: float, gamma: float) -> QSchedule:
     """q_j(l) = l + (j-1) * g(l) with g(l) = max(1, ceil(c (ln l)^(1+gamma)))."""
+
+    def columns(N: int) -> np.ndarray:
+        g = _loggap_runs(N, c, gamma)[:, None]
+        return _terms(N) + g * np.arange(ell, dtype=np.int64)
+
     return QSchedule(
         ell,
         lambda j, l: l + (j - 1) * _loggap(l, c, gamma),
         name=f"arithmetic_gap(ell={ell},c={c},gamma={gamma})",
         gap_params=(c, gamma),
+        _columns=columns,
     )
 
 
@@ -121,6 +209,7 @@ def polynomial_schedule(ell: int, degree: int) -> QSchedule:
         lambda j, l: j * l**degree,
         name=f"polynomial(ell={ell},degree={degree})",
         gap_params=(1.0, 0.5),
+        _columns=lambda N: _terms(N) ** degree * np.arange(1, ell + 1, dtype=np.int64),
     )
 
 
@@ -131,6 +220,7 @@ def exponential_gap_schedule(ell: int) -> QSchedule:
         lambda j, l: l * 2 ** (j - 1),
         name=f"exponential_gap(ell={ell})",
         gap_params=(1.0, 0.5),
+        _columns=lambda N: _terms(N) << np.arange(ell, dtype=np.int64),
     )
 
 

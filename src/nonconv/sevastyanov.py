@@ -107,12 +107,6 @@ def _resolve_rare_params(rare_params, n: int) -> tuple[int, int]:
     return int(thr), int(cut)
 
 
-def _positions(schedule: QSchedule, N: int) -> np.ndarray:
-    return np.array(
-        [schedule.evaluate(l) for l in range(1, N + 1)], dtype=np.int64
-    )
-
-
 def _group_rows(rows: np.ndarray):
     """(first, inverse) over the distinct rows of a nonnegative int array.
 
@@ -421,7 +415,7 @@ def check_conditions(
         if N < r:
             raise ValidationError(f"stage n={n} has {N} terms, fewer than r={r}")
         threshold, cutoff = _resolve_rare_params(rare_params, n)
-        q = _positions(schedule, N)
+        q = schedule.columns(N)
         cache = _BCache(stage, q)
         b1 = _singles(cache, N)
         if math.comb(N, r) <= budget:

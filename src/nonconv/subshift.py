@@ -23,7 +23,7 @@ import numpy as np
 
 from .distributions import CountDistribution
 from .errors import CertificationError, ResourceError, ValidationError
-from .markov import FiniteMarkovChain, lex_words, word_lift
+from .markov import LIFT_STATE_BUDGET, FiniteMarkovChain, lex_words, word_lift
 from .rng import (
     STREAM_HITTING,
     STREAM_SAMPLE_POINT,
@@ -504,39 +504,33 @@ class _HitEngine:
         return np.concatenate(rep_chunks), np.concatenate(pos_chunks)
 
 
-def _schedule_columns(schedule, N: int) -> np.ndarray:
-    return np.array([schedule.evaluate(l) for l in range(1, N + 1)], dtype=np.int64)
+def _counts_and_first(q_cols, rep_ids, positions, replicates):
+    """Per-replicate arrival count and first arriving term l (0 = none).
 
-
-def _counts_and_first(q_cols, horizon, rep_ids, positions, replicates):
-    """Per-replicate arrival count and first arriving term l (0 = none)."""
+    The hits are sorted once by (position, replicate), so the search of
+    q_1 for the hits that start a term runs over sorted positions.  The
+    needles (q_j(l), replicate) then come out sorted as well, since q_j
+    increases in l, and each replicate's first arriving term is its first
+    surviving candidate.  Memory is O(hits + N), whatever the horizon.
+    """
     N, ell = q_cols.shape
     q1 = q_cols[:, 0]
-    if rep_ids.size == 0:
-        return (
-            np.zeros(replicates, dtype=np.int64),
-            np.zeros(replicates, dtype=np.int64),
-        )
-    stride = horizon + 2
-    key = rep_ids * stride + positions
+    key = positions * replicates + rep_ids
     key.sort()
-    li = np.searchsorted(q1, positions)
-    cand = (li < N) & (q1[np.minimum(li, N - 1)] == positions)
-    l_val = li[cand] + 1
-    reps = rep_ids[cand]
+    pos, reps = np.divmod(key, replicates)
+    li = np.minimum(np.searchsorted(q1, pos), N - 1)
+    cand = q1[li] == pos
+    reps, l_val = reps[cand], li[cand] + 1
     ok = np.ones(l_val.size, dtype=bool)
     for j in range(1, ell):
-        tq = q_cols[l_val - 1, j]
-        k = np.searchsorted(key, reps * stride + tq)
-        ok &= (k < key.size) & (key[np.minimum(k, max(0, key.size - 1))] == reps * stride + tq)
-    counts = np.bincount(reps[ok], minlength=replicates)
+        needle = q_cols[l_val - 1, j] * replicates + reps
+        k = np.minimum(np.searchsorted(key, needle), key.size - 1)
+        ok &= key[k] == needle
+    reps, l_val = reps[ok], l_val[ok]
+    counts = np.bincount(reps, minlength=replicates)
     first = np.zeros(replicates, dtype=np.int64)
-    if ok.any():
-        sel_r, sel_l = reps[ok], l_val[ok]
-        big = N + 1
-        firsts = np.full(replicates, big, dtype=np.int64)
-        np.minimum.at(firsts, sel_r, sel_l)
-        first = np.where(firsts <= N, firsts, 0)
+    arrived, lead = np.unique(reps, return_index=True)
+    first[arrived] = l_val[lead]
     return counts, first
 
 
@@ -566,7 +560,7 @@ def simulate_nonconventional_batch(
     N = replicate_count(target, schedule.ell, lam)
     horizon = schedule.max_index(N)
     engine = _HitEngine(target, horizon)
-    q_cols = _schedule_columns(schedule, N)
+    q_cols = schedule.columns(N)
     rng = derive_rng(seed, STREAM_SUBSHIFT)
     expected_hits = max(1.0, horizon * target.prob)
     if batch is None:
@@ -576,7 +570,7 @@ def simulate_nonconventional_batch(
     while done < replicates:
         r = min(batch, replicates - done)
         rep_ids, positions = engine.sample_hits(rng, r)
-        counts, _ = _counts_and_first(q_cols, horizon, rep_ids, positions, r)
+        counts, _ = _counts_and_first(q_cols, rep_ids, positions, r)
         out[done : done + r] = counts
         done += r
     return out, N, float(N * target.prob**schedule.ell)
@@ -600,7 +594,7 @@ def hitting_time_batch(
     N_cap = replicate_count(target, schedule.ell, lam_cap)
     horizon = schedule.max_index(N_cap)
     engine = _HitEngine(target, horizon)
-    q_cols = _schedule_columns(schedule, N_cap)
+    q_cols = schedule.columns(N_cap)
     rng = derive_rng(seed, STREAM_HITTING)
     expected_hits = max(1.0, horizon * target.prob)
     batch = max(64, min(replicates, int(2e7 / expected_hits)))
@@ -611,7 +605,7 @@ def hitting_time_batch(
     while done < replicates:
         r = min(batch, replicates - done)
         rep_ids, positions = engine.sample_hits(rng, r)
-        _, first = _counts_and_first(q_cols, horizon, rep_ids, positions, r)
+        _, first = _counts_and_first(q_cols, rep_ids, positions, r)
         cen = first == 0
         scaled[done : done + r] = np.where(cen, lam_cap, first * scale)
         censored[done : done + r] = cen
@@ -628,7 +622,7 @@ def exact_b_subshift(
     schedule: QSchedule,
     target: CylinderTarget,
     indices,
-    state_budget: int = 1 << 16,
+    state_budget: int = LIFT_STATE_BUDGET,
 ) -> float:
     """Joint arrival probability for the given term indices, exact.
 
@@ -664,7 +658,7 @@ def exact_sum_distribution_subshift(
         raise ResourceError(
             f"{measure.sft.iota}^{length} words exceed budget {path_budget}"
         )
-    times = [schedule.evaluate(l) for l in range(1, N + 1)]
+    times = schedule.columns(N).tolist()
     blocks = set(target.blocks)
     m = target.m
     pmf = np.zeros(N + 1)

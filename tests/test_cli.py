@@ -5,6 +5,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nonconv.cli import TABLES, load_config, main, run, validate_config
@@ -194,6 +195,36 @@ def test_run_subshift_tables(tmp_path):
     assert len(surv) >= 3  # header + one row per lambda
     mix = (out / "mixing_certificates.csv").read_text()
     assert "psi_beta" in mix and "gibbs_constant" in mix
+
+
+def test_hitting_seeds_do_not_collide(tmp_path, monkeypatch):
+    # the former seed + int(1000 * lambda) gave 1005 for both seed 5 at
+    # lambda 1.0 and seed 505 at lambda 0.5
+    import nonconv.subshift
+
+    real = nonconv.subshift.simulate_nonconventional_batch
+    drawn = {}
+
+    def recording(measure, schedule, target, lam, seed, replicates):
+        samples, N, lam_n = real(measure, schedule, target, lam, seed, replicates)
+        drawn[(cfg_seed, lam)] = (seed, samples)
+        return samples, N, lam_n
+
+    monkeypatch.setattr(nonconv.subshift, "simulate_nonconventional_batch", recording)
+    for cfg_seed in (5, 505):
+        text = SUBSHIFT_CFG.replace("seed: 5", f"seed: {cfg_seed}").replace(
+            "outputs: [pmf_vs_poisson, mixing_certificates, hitting_time_survival]",
+            "outputs: [hitting_time_survival]",
+        )
+        run(_write(tmp_path, text, f"c{cfg_seed}.yaml"), tmp_path / f"out{cfg_seed}")
+    assert 5 + int(1000 * 1.0) == 505 + int(1000 * 0.5)
+    seed_a, samples_a = drawn[(5, 1.0)]
+    seed_b, samples_b = drawn[(505, 0.5)]
+    assert seed_a != seed_b
+    assert len({seed for seed, _ in drawn.values()}) == len(drawn) == 4
+    # lambda = 0.5 counts arrivals over half the terms of lambda = 1.0; one
+    # shared stream would make those counts never exceed the other's
+    assert np.any(samples_b > samples_a)
 
 
 def test_csv_uses_crlf(tmp_path):

@@ -174,6 +174,19 @@ def test_word_lift_marginals():
         assert lifted.mu[s] == pytest.approx(expect, rel=1e-9)
 
 
+@pytest.mark.parametrize("M, k", [(3, 10), (3, 12), (2, 13)])
+def test_word_lift_refuses_before_enumerating(monkeypatch, M, k):
+    # 3^10 words would make a 28 GB dense matrix; all three cases are over
+    # the 2^12-state budget, 2^13 only just
+    def no_enumeration(*args):
+        raise AssertionError("word_lift enumerated words past its budget")
+
+    monkeypatch.setattr("nonconv.markov.lex_words", no_enumeration)
+    chain = FiniteMarkovChain(np.full((M, M), 1.0 / M))
+    with pytest.raises(ResourceError):
+        word_lift(chain, k)
+
+
 def test_choose_target_sets_exact_split():
     chain = FiniteMarkovChain([[0.5, 0.5], [0.5, 0.5]])
     seq = choose_target_sets(chain, ell=1, lam=1.0, n_grid=[4])

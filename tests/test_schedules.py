@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nonconv import (
     QSchedule,
+    ResourceError,
     ScheduleError,
     ValidationError,
     arithmetic_gap_schedule,
@@ -22,6 +23,7 @@ from nonconv import (
     rho,
     table_schedule,
 )
+from nonconv.schedules import _loggap
 from nonconv.sevastyanov import _clustered_partners
 
 
@@ -170,3 +172,93 @@ def test_not_rare_iff_all_pairwise_rho_positive(sched, tup):
         rho(sched, a, b) for i, a in enumerate(tup) for b in tup[i + 1 :]
     ]
     assert (not rare) == all(d > 0 for d in pairwise)
+
+
+def _scalar_columns(sched, N):
+    return np.array([sched.evaluate(l) for l in range(1, N + 1)], dtype=np.int64)
+
+
+@st.composite
+def _table_schedules(draw):
+    """Tables with q_1(l) >= l and strictly increasing rows and columns."""
+    ell = draw(st.integers(1, 3))
+    rows = draw(st.integers(1, 40))
+    q1 = np.cumsum(draw(st.lists(st.integers(1, 4), min_size=rows, max_size=rows)))
+    cols = [q1]
+    for _ in range(ell - 1):
+        gaps = np.cumsum(draw(st.lists(st.integers(0, 3), min_size=rows, max_size=rows)))
+        cols.append(cols[-1] + 1 + gaps)
+    return table_schedule(np.column_stack(cols).tolist())
+
+
+_family_schedules = st.one_of(
+    st.builds(linear_schedule, st.integers(1, 4)),
+    st.builds(polynomial_schedule, st.integers(1, 3), st.integers(1, 3)),
+    st.builds(exponential_gap_schedule, st.integers(1, 5)),
+    st.builds(
+        arithmetic_gap_schedule,
+        st.integers(1, 4),
+        st.floats(0.05, 8.0),
+        st.floats(0.0, 1.5),
+    ),
+)
+
+
+@given(_family_schedules, st.integers(1, 3000))
+@settings(max_examples=120, deadline=None)
+def test_columns_match_evaluate_property(sched, N):
+    got = sched.columns(N)
+    assert got.dtype == np.int64 and got.shape == (N, sched.ell)
+    assert np.array_equal(got, _scalar_columns(sched, N))
+
+
+@given(_table_schedules())
+@settings(max_examples=60, deadline=None)
+def test_columns_match_evaluate_on_tables(sched):
+    N = sched.validation_horizon
+    assert np.array_equal(sched.columns(N), _scalar_columns(sched, N))
+
+
+@pytest.mark.parametrize("c, gamma", [(4.0, 0.5), (1.0, 0.5), (2.5, 0.25)])
+def test_arithmetic_gap_columns_exact_to_a_million(c, gamma):
+    # the gap is ceil(c (ln l)^(1+gamma)); its run boundaries are where
+    # np.log and math.log could round apart
+    N = 10**6
+    q = arithmetic_gap_schedule(2, c, gamma).columns(N)
+    assert np.array_equal(q[:, 0], np.arange(1, N + 1))
+    scalar = np.fromiter((_loggap(l, c, gamma) for l in range(1, N + 1)), np.int64, N)
+    assert np.array_equal(q[:, 1] - q[:, 0], scalar)
+
+
+def test_columns_raise_instead_of_wrapping():
+    with pytest.raises(ResourceError):
+        polynomial_schedule(2, 4).columns(50_000)  # q_2(50000) = 1.25e19
+
+
+def _broken_gap(j, l):
+    # the gap drops below the declared c (ln l)^(1+gamma) for 200 < l <= 220
+    return l + (j - 1) * (1 if 200 < l <= 220 else _loggap(l, 1.0, 0.5))
+
+
+def _broken_lead(j, l):
+    # q_1(l) = l - 1 for 150 <= l <= 160
+    return l - (150 <= l <= 160) + 2 * (j - 1) * l
+
+
+@pytest.mark.parametrize("q_fn, bad_l", [(_broken_gap, 201), (_broken_lead, 150)])
+@pytest.mark.parametrize("vectorized", [False, True])
+def test_columns_reject_rows_evaluate_rejects(q_fn, bad_l, vectorized):
+    def vector_form(N):
+        l = np.arange(1, N + 1)
+        return np.array([[q_fn(j, int(v)) for j in (1, 2)] for v in l], dtype=np.int64)
+
+    sched = QSchedule(
+        2, q_fn, name="broken", gap_params=(1.0, 0.5),
+        _columns=vector_form if vectorized else None,
+    )
+    with pytest.raises(ScheduleError) as scalar:
+        sched.evaluate(bad_l)
+    sched.columns(bad_l - 1)
+    with pytest.raises(ScheduleError) as rejected:
+        sched.columns(300)  # row 300 is valid; the fault is inside
+    assert str(rejected.value) == str(scalar.value)

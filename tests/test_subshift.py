@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,9 @@ from nonconv import (
     uniform_measure,
 )
 from nonconv.errors import ResourceError
+from nonconv.schedules import arithmetic_gap_schedule, polynomial_schedule, table_schedule
 from nonconv.subshift import (
+    _counts_and_first,
     exact_b_subshift,
     exact_sum_distribution_subshift,
     replicate_count,
@@ -287,3 +290,60 @@ def test_exact_b_gap_factorization_bound():
         gap = l - target.m + 1  # separation between the two windows
         tol = cert.C * math.exp(-cert.beta * max(gap, 1)) if gap >= 1 else cert.C
         assert abs(b - p * p) <= (tol + 1e-12) * p * p + 1e-12
+
+
+_counter_schedules = st.sampled_from([
+    linear_schedule(1),
+    linear_schedule(2),
+    linear_schedule(3),
+    arithmetic_gap_schedule(2, 4.0, 0.5),
+    polynomial_schedule(2, 2),  # q_1(l) = l^2 != l
+    table_schedule([(2, 5), (3, 9), (7, 10), (8, 14), (11, 20), (12, 30)]),
+])
+
+
+@given(_counter_schedules, st.data())
+@settings(max_examples=150, deadline=None)
+def test_counts_and_first_match_brute_force(sched, data):
+    N = data.draw(st.integers(1, min(30, sched.validation_horizon)), label="N")
+    q = sched.columns(N)
+    horizon = int(q[-1, -1])
+    # hits fall on schedule positions often enough to complete terms
+    candidates = sorted(set(q.ravel().tolist()) | set(range(min(horizon, 12) + 1)))
+    replicates = data.draw(st.integers(1, 6), label="replicates")
+    hit_sets = [
+        sorted(data.draw(st.sets(st.sampled_from(candidates)), label=f"hits[{r}]"))
+        for r in range(replicates)
+    ]
+    # emitted as sample_hits does: round k holds the k-th hit of every
+    # replicate that has one, replicate ids sorted within the round
+    rep_ids, positions = [], []
+    for k in range(max(map(len, hit_sets))):
+        for r, hits in enumerate(hit_sets):
+            if k < len(hits):
+                rep_ids.append(r)
+                positions.append(hits[k])
+    counts, first = _counts_and_first(
+        q, np.array(rep_ids, dtype=np.int64),
+        np.array(positions, dtype=np.int64), replicates,
+    )
+    for r, hits in enumerate(hit_sets):
+        arrived = [l for l in range(1, N + 1) if set(q[l - 1].tolist()) <= set(hits)]
+        assert counts[r] == len(arrived)
+        assert first[r] == (arrived[0] if arrived else 0)
+
+
+def test_counts_and_first_memory_is_free_of_the_horizon():
+    # q_1(l) = l^3 is sparse: horizon 2^30 for N = 1024, where any array
+    # indexed by position would take gigabytes
+    q = polynomial_schedule(1, 3).columns(1024)
+    horizon = int(q[-1, -1])
+    rep_ids = np.array([0, 1, 0, 1, 1], dtype=np.int64)
+    positions = np.array([8, 27, 9, 1000, horizon], dtype=np.int64)
+    tracemalloc.start()
+    counts, first = _counts_and_first(q, rep_ids, positions, 2)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert counts.tolist() == [1, 3]
+    assert first.tolist() == [2, 3]
+    assert peak < 1 << 20
