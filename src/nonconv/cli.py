@@ -142,11 +142,44 @@ def validate_config(cfg: dict) -> list[str]:
                 faults.append(f"unknown budget {key!r}")
             elif not _is_int(val) or val <= 0:
                 faults.append(f"budget {key} must be a positive integer, got {val!r}")
-    mp = cfg.get("model_params", {}) or {}
-    if model == "markov" and "transition" not in mp:
-        faults.append("markov model requires model_params.transition")
-    if model == "subshift" and "omega_star" not in mp and "omega_seed" not in mp:
-        faults.append("subshift model requires model_params.omega_star or omega_seed")
+    mp = cfg.get("model_params")
+    if mp is not None and not isinstance(mp, dict):
+        faults.append(f"model_params must be a mapping, got {mp!r}")
+    else:
+        mp = mp or {}
+        if model == "markov" and "transition" not in mp:
+            faults.append("markov model requires model_params.transition")
+        if model == "subshift" and "omega_star" not in mp and "omega_seed" not in mp:
+            faults.append("subshift model requires model_params.omega_star or omega_seed")
+    sv = cfg.get("sevastyanov")
+    if sv is not None and not isinstance(sv, dict):
+        faults.append(f"sevastyanov must be a mapping, got {sv!r}")
+    elif sv:
+        r = sv.get("r", 2)
+        if not _is_int(r) or r < 2:
+            faults.append(f"sevastyanov.r must be an integer >= 2, got {r!r}")
+        rp = sv.get("rare_params", "auto")
+        if rp != "auto" and not (
+            isinstance(rp, (list, tuple)) and len(rp) == 2
+            and all(_is_int(v) and v >= 0 for v in rp)
+        ):
+            faults.append(
+                "sevastyanov.rare_params must be auto or [threshold, cutoff] "
+                f"of integers >= 0, got {rp!r}"
+            )
+        for key in ("pair_samples", "ratio_samples"):
+            val = sv.get(key, 512)
+            if not _is_int(val) or val <= 0:
+                faults.append(f"sevastyanov.{key} must be a positive integer, got {val!r}")
+    hitting = cfg.get("hitting")
+    if hitting is not None and not isinstance(hitting, dict):
+        faults.append(f"hitting must be a mapping, got {hitting!r}")
+    elif hitting and "lambdas" in hitting:
+        lams = hitting["lambdas"]
+        if not isinstance(lams, list) or not lams or not all(
+            _is_number(v) and v > 0 for v in lams
+        ):
+            faults.append(f"hitting.lambdas must be a nonempty list of positive numbers, got {lams!r}")
     return faults
 
 

@@ -53,6 +53,7 @@ class FiniteMarkovChain:
         self.mu = invariant_measure(self)
         self._pow_cache: dict[int, np.ndarray] = {1: P}
         self._projection_level: int | None = None
+        self._blocks: dict[tuple[int, ...], dict[int, np.ndarray]] = {}
         self._cdf = np.cumsum(P, axis=1)
 
     # -- exact linear algebra ------------------------------------------------
@@ -78,11 +79,12 @@ class FiniteMarkovChain:
         return self._proj_mat
 
     def propagate(self, v: np.ndarray, steps: int) -> np.ndarray:
-        """Row vector v P^steps using cached binary powers."""
+        """Row vector v P^steps, or each row of a (k, M) block, using cached
+        binary powers."""
         if steps < 0:
             raise ValidationError("steps must be >= 0")
         if self._projection_level is not None and steps >= self._projection_level:
-            return v.sum() * self.mu
+            return v.sum(axis=-1, keepdims=True) * self.mu
         proj = self._proj()
         bit = 0
         while (1 << bit) <= steps:
@@ -94,6 +96,26 @@ class FiniteMarkovChain:
                     break
             bit += 1
         return v
+
+    def restricted_block(self, gamma: tuple[int, ...], steps: int) -> np.ndarray:
+        """P^steps[gamma, gamma] for sorted distinct states gamma, memoized.
+
+        One |gamma|-row propagate builds a block; every step count at or
+        past the projection level shares one block.
+        """
+        memo = self._blocks.setdefault(gamma, {})
+        block = memo.get(self._block_key(steps))
+        if block is None:
+            rows = np.zeros((len(gamma), self.M))
+            rows[np.arange(len(gamma)), gamma] = 1.0
+            block = self.propagate(rows, steps)[:, gamma]
+            # keyed after propagating, which may have found the level
+            memo[self._block_key(steps)] = block
+        return block
+
+    def _block_key(self, steps: int) -> int:
+        lvl = self._projection_level
+        return steps if lvl is None or steps < lvl else lvl
 
 
 def doeblin_certificate(P, n0_max: int = 64) -> tuple[int, float]:
@@ -199,7 +221,9 @@ def simulate_arrival_batch(chain, schedule, gamma, n, seed, replicates) -> np.nd
     rng = derive_rng(seed, STREAM_MARKOV)
     nu_cdf = np.cumsum(chain.nu)
     out = np.empty(replicates, dtype=np.int64)
-    chunk = max(1, int(4e6 // (horizon + 1)))
+    # a chunk's hit array is chunk x (horizon + 1) and each step's
+    # inverse-CDF compare is chunk x M: both stay within 4e6 cells
+    chunk = max(1, int(4e6 // max(horizon + 1, chain.M)))
     done = 0
     while done < replicates:
         m = min(chunk, replicates - done)
@@ -223,26 +247,25 @@ def simulate_arrival_batch(chain, schedule, gamma, n, seed, replicates) -> np.nd
 def exact_b(chain, schedule, gamma, indices, index_budget: int = 4096) -> float:
     """P(X in gamma at every position q_j(i), i in indices), exact.
 
-    Sorts the merged positions and alternates propagation with restriction
-    to gamma: nu P^{t1} D P^{t2-t1} D ... 1.
+    Sorts the merged positions t1 < ... < tk; between two restriction times
+    only the gamma-by-gamma block of P^d matters, so
+    b = (nu P^{t1})[gamma] B(t2 - t1) ... B(tk - t(k-1)) 1 with the memoized
+    blocks B(d) = P^d[gamma, gamma] of ``chain.restricted_block``.
     """
     idx = tuple(int(i) for i in indices)
     if len(set(idx)) != len(idx):
         raise ValidationError(f"duplicate entries in {idx}")
-    gamma = sorted(int(g) for g in gamma)
+    gamma = tuple(sorted({int(g) for g in gamma}))
     if any(g < 0 or g >= chain.M for g in gamma):
         raise ValidationError("gamma contains out-of-range states")
     times = sorted({t for i in idx for t in schedule.evaluate(i)})
     if len(times) > index_budget:
         raise ResourceError(f"{len(times)} restriction times exceed budget {index_budget}")
-    mask = np.zeros(chain.M)
-    mask[gamma] = 1.0
-    v = chain.nu.copy()
-    prev = 0
-    for t in times:
-        v = chain.propagate(v, t - prev)
-        v = v * mask
-        prev = t
+    if not times:
+        return float(chain.nu.sum())
+    v = chain.propagate(chain.nu, times[0])[list(gamma)]
+    for prev, t in zip(times, times[1:]):
+        v = v @ chain.restricted_block(gamma, t - prev)
     return float(v.sum())
 
 

@@ -129,7 +129,7 @@ class _BCache:
     """Oracle front end over arrays of index tuples.
 
     A translation-invariant oracle is evaluated once per distinct signature
-    (a tuple's sorted positions minus their minimum), on the first row that
+    (a tuple's sorted positions minus their minimum), on one row that
     carries it, and memoized for the stage; any other oracle once per row.
     """
 
@@ -142,12 +142,18 @@ class _BCache:
         """b for each row of a (K, r) array of 1-based index tuples."""
         if not self.stage.translation_invariant:
             return np.array([self.stage.b(tuple(t)) for t in tups.tolist()], dtype=float)
-        pos = self.q[tups - 1].reshape(len(tups), tups.shape[1] * self.q.shape[1])
-        pos.sort(axis=1)
-        pos -= pos[:, [0]]
-        first, inverse = _group_rows(pos)
+        # positions column by column, minus each row's minimum; rows with
+        # equal unsorted relative positions share a signature, so only each
+        # group's first row is sorted into the memo key
+        ell = self.q.shape[1]
+        pos = np.empty((tups.shape[1] * ell, len(tups)), dtype=np.int64)
+        for c, col in enumerate(tups.T - 1):
+            for a in range(ell):
+                pos[c * ell + a] = self.q[col, a]
+        pos -= np.minimum.reduce(pos)
+        first, inverse = _group_rows(pos.T)
         vals = []
-        for tup, key in zip(tups[first].tolist(), pos[first].tolist()):
+        for tup, key in zip(tups[first].tolist(), np.sort(pos[:, first].T, axis=1).tolist()):
             key = tuple(key)
             if key not in self._memo:
                 self._memo[key] = float(self.stage.b(tuple(tup)))
@@ -291,6 +297,38 @@ def _ranges(counts: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
 
 
+def _ratio_pairs(q, N, threshold, cutoff, rng, ratio_samples) -> list[tuple[int, int]]:
+    """Non-rare pairs for the ratio band: for a probe set of indices above
+    the cutoff, the nearest non-rare partner (where the ratio is most
+    extreme), then uniform draws.  Needs a non-rare pair to exist, so
+    cutoff < N - 1."""
+    def is_rare(i, j):
+        return _rare_mask(q, np.array([(i, j)]), threshold, cutoff)[0]
+
+    checked = 0
+    probes = np.unique(rng.integers(cutoff + 1, N, size=min(64, max(1, N - cutoff - 1))))
+    pairs = []
+    for i in probes:
+        j = int(i) + 1
+        while j <= N and is_rare(int(i), j):
+            j += 1
+        if j <= N:
+            pairs.append((int(i), j))
+    tries = 0
+    while checked + len(pairs) < ratio_samples and tries < 20 * ratio_samples:
+        tries += 1
+        i = int(rng.integers(1, N + 1))
+        j = int(rng.integers(1, N + 1))
+        if i == j:
+            continue
+        tup = (min(i, j), max(i, j))
+        if is_rare(*tup):
+            continue
+        pairs.append(tup)
+        checked += 1
+    return pairs
+
+
 def _stage_sampled(
     cache, q, n, N, threshold, cutoff, b1, rng, pair_samples, ratio_samples
 ) -> StageResult:
@@ -339,38 +377,13 @@ def _stage_sampled(
             sel = rng.choice(pi.size, size=k, replace=False)
             joint += pi.size * float(np.mean(cache(np.stack([pi[sel], pj[sel]], axis=1))))
             coverage["cluster"] = min(1.0, k / pi.size)
-        else:
-            coverage.setdefault("cluster", 1.0)
-    # ratio band over non-rare pairs: uniform draws plus, for a probe set of
-    # indices, the nearest non-rare partner (where the ratio is most extreme)
-    def is_rare(i, j):
-        return _rare_mask(q, np.array([(i, j)]), threshold, cutoff)[0]
-
-    checked = 0
-    probes = np.unique(rng.integers(cutoff + 1, N, size=min(64, max(1, N - cutoff - 1))))
-    pairs = []
-    for i in probes:
-        j = int(i) + 1
-        while j <= N and is_rare(int(i), j):
-            j += 1
-        if j <= N:
-            pairs.append((int(i), j))
-    tries = 0
-    while checked + len(pairs) < ratio_samples and tries < 20 * ratio_samples:
-        tries += 1
-        i = int(rng.integers(1, N + 1))
-        j = int(rng.integers(1, N + 1))
-        if i == j:
-            continue
-        tup = (min(i, j), max(i, j))
-        if is_rare(*tup):
-            continue
-        pairs.append(tup)
-        checked += 1
+    coverage.setdefault("cluster", 1.0)  # no clustered pair above the cutoff
+    # ratio band over the non-rare pairs, if there are any
+    non_rare = N * (N - 1) // 2 - count_a - count_b
+    pairs = _ratio_pairs(q, N, threshold, cutoff, rng, ratio_samples) if non_rare else []
     tups = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     _, _, ratios, zero_den = _tuple_terms(cache, b1, tups, np.zeros(len(tups), bool))
-    total_pairs = N * (N - 1) // 2
-    coverage["ratio"] = len(pairs) / max(1, total_pairs - count_a - count_b)
+    coverage["ratio"] = len(pairs) / non_rare if non_rare else 1.0
     return StageResult(
         n=n, term_count=N, threshold=threshold, cutoff=cutoff,
         max_b=float(b1.max()), sum_b=float(b1.sum()),

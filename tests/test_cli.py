@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from nonconv.cli import TABLES, load_config, main, run, validate_config
 from nonconv.errors import ConfigError
@@ -113,6 +114,49 @@ def test_validate_rejects_booleans_as_numbers():
     assert validate_config(poly) == shared + [
         "polynomial schedule requires integer degree",
     ] + budgets
+
+
+@pytest.mark.parametrize(
+    "section, value, fault",
+    [
+        ("sevastyanov", [2, [0, 1]], "sevastyanov must be a mapping"),
+        ("sevastyanov", {"r": 1}, "sevastyanov.r must be an integer >= 2"),
+        ("sevastyanov", {"r": True}, "sevastyanov.r must be an integer >= 2"),
+        ("sevastyanov", {"r": 2.0}, "sevastyanov.r must be an integer >= 2"),
+        ("sevastyanov", {"rare_params": "sometimes"}, "sevastyanov.rare_params must be auto"),
+        ("sevastyanov", {"rare_params": [3]}, "sevastyanov.rare_params must be auto"),
+        ("sevastyanov", {"rare_params": [0, -1]}, "sevastyanov.rare_params must be auto"),
+        ("sevastyanov", {"rare_params": [True, 1]}, "sevastyanov.rare_params must be auto"),
+        ("sevastyanov", {"rare_params": [0.5, 1]}, "sevastyanov.rare_params must be auto"),
+        ("sevastyanov", {"pair_samples": 0}, "sevastyanov.pair_samples must be a positive integer"),
+        ("sevastyanov", {"pair_samples": True}, "sevastyanov.pair_samples must be a positive integer"),
+        ("sevastyanov", {"ratio_samples": "many"}, "sevastyanov.ratio_samples must be a positive integer"),
+        ("hitting", [0.5, 1.0], "hitting must be a mapping"),
+        ("hitting", {"lambdas": []}, "hitting.lambdas must be a nonempty list"),
+        ("hitting", {"lambdas": None}, "hitting.lambdas must be a nonempty list"),
+        ("hitting", {"lambdas": 1.0}, "hitting.lambdas must be a nonempty list"),
+        ("hitting", {"lambdas": [0.5, -1.0]}, "hitting.lambdas must be a nonempty list"),
+        ("hitting", {"lambdas": [True]}, "hitting.lambdas must be a nonempty list"),
+        ("model_params", [[0.7, 0.3], [0.1, 0.9]], "model_params must be a mapping"),
+        ("model_params", 3, "model_params must be a mapping"),
+    ],
+)
+def test_validate_lists_section_faults(tmp_path, section, value, fault):
+    cfg = load_config(_write(tmp_path, MARKOV_CFG))
+    assert validate_config(cfg) == []
+    cfg[section] = value
+    faults = validate_config(cfg)
+    assert len(faults) == 1 and faults[0].startswith(fault), faults
+    del cfg["_raw_bytes"]
+    with pytest.raises(ConfigError):
+        run(_write(tmp_path, yaml.safe_dump(cfg), "bad.yaml"), tmp_path / "out")
+
+
+def test_validate_accepts_empty_optional_sections(tmp_path):
+    cfg = load_config(_write(tmp_path, SUBSHIFT_CFG))
+    cfg["sevastyanov"] = None
+    cfg["hitting"] = {}
+    assert validate_config(cfg) == []
 
 
 def test_validate_model_table_compatibility(tmp_path):

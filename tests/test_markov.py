@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,3 +233,89 @@ def test_invariant_measure_fixed_point(ab):
     mu = invariant_measure(chain)
     assert mu @ np.array(chain.P) == pytest.approx(mu, abs=1e-10)
     assert mu == pytest.approx([b / (a + b), a / (a + b)], abs=1e-8)
+
+
+@st.composite
+def _b_cases(draw):
+    """A random positive chain (stationary or uniform nu), two gammas, a
+    table schedule whose position steps are either short (1..4) or long
+    (600..1500, past the projection level of most such chains), and an
+    index tuple."""
+    M = draw(st.integers(2, 5))
+    P = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=M * M, max_size=M * M)))
+    P = P.reshape(M, M) / P.reshape(M, M).sum(axis=1, keepdims=True)
+    nu = FiniteMarkovChain(P).mu if draw(st.booleans()) else None
+    gammas = [draw(st.sets(st.integers(0, M - 1), min_size=1, max_size=M)) for _ in "ab"]
+    rows, ell = 6, draw(st.integers(1, 2))
+    step = st.one_of(st.integers(1, 4), st.integers(600, 1500))
+    pos = np.cumsum(draw(st.lists(step, min_size=rows * ell, max_size=rows * ell)))
+    sched = table_schedule(pos.reshape(rows, ell).tolist())
+    idx = draw(st.permutations(range(1, rows + 1)).map(
+        lambda p: p[: draw(st.integers(0, rows))]))
+    return FiniteMarkovChain(P, nu), gammas, sched, tuple(idx)
+
+
+def _dense_b(chain, gamma, times):
+    # nu P^{t1} D P^{t2 - t1} D ... 1 with dense matrix powers
+    D = np.zeros(chain.M)
+    D[list(gamma)] = 1.0
+    v, prev = chain.nu.copy(), 0
+    for t in sorted(times):
+        v = (v @ np.linalg.matrix_power(chain.P, t - prev)) * D
+        prev = t
+    return float(v.sum())
+
+
+@given(_b_cases())
+@settings(max_examples=200, deadline=None)
+def test_exact_b_matches_dense_reference(case):
+    chain, gammas, sched, idx = case
+    times = {t for i in idx for t in sched.evaluate(i)}
+    for gamma in gammas:  # both on one chain, so one memo serves two gammas
+        got = exact_b(chain, sched, gamma, idx)
+        assert got == pytest.approx(_dense_b(chain, gamma, times), rel=1e-12, abs=0)
+        if not idx:
+            assert got == chain.nu.sum()
+
+
+def test_restricted_blocks_share_one_block_past_projection():
+    chain = FiniteMarkovChain(P_AB)
+    gaps = [1, 2, 3, 1000, 2500, 7000, 123_457]
+    sched = table_schedule(np.cumsum([1] + gaps)[:, None].tolist())
+    for i in range(1, len(gaps) + 1):
+        exact_b(chain, sched, {0}, (i, i + 1))
+    level = chain._projection_level
+    assert level is not None and level < 1000
+    # one block per short gap, one shared by every gap past the level
+    assert sorted(chain._blocks[(0,)]) == [1, 2, 3, level]
+    got = exact_b(chain, sched, {0}, tuple(range(1, len(gaps) + 2)))
+    ref = _dense_b(chain, {0}, np.cumsum([1] + gaps).tolist())
+    assert got == pytest.approx(ref, rel=1e-12)
+
+
+def test_propagate_block_rows():
+    chain = FiniteMarkovChain(P_AB)
+    rows = np.array([[1.0, 0.0], [0.2, 0.5], [0.0, 0.0]])
+    for steps in (0, 1, 5, 4096):
+        got = chain.propagate(rows, steps)
+        assert got.shape == rows.shape
+        for row, out in zip(rows, got):
+            assert out == pytest.approx(chain.propagate(row, steps), abs=1e-15)
+
+
+def test_simulate_arrival_memory_is_bounded_on_wide_chains():
+    # a 1024-state lift with horizon 2: chunks of 4e6 // (horizon + 1) rows
+    # would make each step's inverse-CDF compare 40,000 x 1024 cells (about
+    # 370 MB of float gather and bool compare); capped at 4e6 // M = 3906
+    # rows, each step stays near 36 MB
+    lifted, _ = word_lift(FiniteMarkovChain([[0.5, 0.5], [0.5, 0.5]]), 10)
+    assert lifted.M == 1024
+    replicates = 40_000
+    tracemalloc.start()
+    try:
+        draws = simulate_arrival_batch(lifted, linear_schedule(1), {0, 1023}, 2, 5, replicates)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert draws.shape == (replicates,) and draws.min() >= 0 and draws.max() <= 2
+    assert peak < 64 * 2**20, peak

@@ -25,6 +25,7 @@ from nonconv.bernoulli import exact_b as bern_exact_b
 from nonconv.errors import ResourceError, ValidationError
 from nonconv.schedules import classify_tuple
 from nonconv.sevastyanov import (
+    _BCache,
     _group_rows,
     _rare_mask,
     bernoulli_model_oracle,
@@ -139,16 +140,18 @@ def _small_schedules(draw, horizon=40):
     return table_schedule(np.column_stack(cols).tolist())
 
 
-_tuple_rows = st.integers(2, 4).flatmap(
-    lambda r: st.lists(
-        st.lists(st.integers(1, 40), min_size=r, max_size=r, unique=True),
-        min_size=1,
-        max_size=6,
+def _tuple_rows(r_max=4, max_rows=6):
+    """Lists of distinct-index rows in 1..40, all of one width r in 2..r_max."""
+    return st.integers(2, r_max).flatmap(
+        lambda r: st.lists(
+            st.lists(st.integers(1, 40), min_size=r, max_size=r, unique=True),
+            min_size=1,
+            max_size=max_rows,
+        )
     )
-)
 
 
-@given(_small_schedules(), _tuple_rows, st.integers(0, 6), st.integers(0, 10))
+@given(_small_schedules(), _tuple_rows(), st.integers(0, 6), st.integers(0, 10))
 @settings(max_examples=150, deadline=None)
 def test_rare_mask_matches_classify_tuple(sched, rows, threshold, cutoff):
     q = np.array([sched.evaluate(l) for l in range(1, 41)], dtype=np.int64)
@@ -165,6 +168,37 @@ def test_group_rows_first_rows_and_inverse(big):
     first, inverse = _group_rows(rows)
     assert first.tolist() == [1, 0]
     assert inverse.tolist() == [1, 0, 1, 0]
+
+
+@given(_small_schedules(), _tuple_rows(r_max=3, max_rows=60))
+@settings(max_examples=150, deadline=None)
+def test_bcache_groups_rows_by_sorted_signature(sched, rows):
+    # an oracle that tells signatures apart and counts its calls by signature
+    calls = {}
+
+    def signature(idx):
+        pos = sorted(t for i in idx for t in sched.evaluate(i))
+        return tuple(t - pos[0] for t in pos)
+
+    def b(idx):
+        sig = signature(idx)
+        calls[sig] = calls.get(sig, 0) + 1
+        return 1.0 / (1.0 + sum((k + 1) * v for k, v in enumerate(sig)))
+
+    q = sched.columns(40)
+    cache = _BCache(StageOracle(b=b, term_count=40, translation_invariant=True), q)
+    # a reversed row has the row's sorted signature but other unsorted
+    # relative positions, so it lands in another group
+    rows = rows + [row[::-1] for row in rows]
+    tups = np.array(rows, dtype=np.int64)
+    half = len(tups) // 2  # two calls share the stage memo
+    got = np.concatenate([cache(tups[:half]), cache(tups[half:])])
+    expected = [b(tuple(t)) for t in rows]
+    assert got.tolist() == expected
+    # the oracle ran once per distinct signature in the cache, then once
+    # per row for the expected values
+    assert calls == {sig: 1 + sum(signature(t) == sig for t in rows) for sig in calls}
+    assert set(calls) == {signature(t) for t in rows}
 
 
 def test_disjoint_positions_factorize_exactly():
@@ -197,6 +231,24 @@ def test_sampled_mode_matches_exact_mode():
     assert ss.rare_sum_product == pytest.approx(se.rare_sum_product, rel=1e-9)
     assert ss.ratio_band[0] >= se.ratio_band[0] - 1e-12
     assert ss.ratio_band[1] <= se.ratio_band[1] + 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [998, 999, 2000])
+def test_sampled_mode_with_every_pair_rare(cutoff):
+    # cutoff >= N - 1 leaves no index above the cutoff to probe from; at
+    # 998 the only pair above it, (999, 1000), is clustered
+    factory = _bern_factory()
+    report = check_conditions(
+        factory, linear_schedule(2), 2, [1000], (3, cutoff), budget=1000
+    )
+    stage = report.stage(1000)
+    assert stage.mode == "sampled"
+    assert stage.ratio_band is None and stage.zero_denominators == 0
+    assert stage.coverage == {
+        "low_index": stage.coverage["low_index"], "cluster": 1.0, "ratio": 1.0
+    }
+    verdict = poisson_limit_verdict(report, lam=1.0)
+    assert "ratio_band" in verdict.failures
 
 
 def test_check_conditions_validation():
