@@ -11,6 +11,13 @@ where the rare r-tuples are those containing a proximity cluster or an
 index at most the low-index cutoff.  Full enumeration is exact; above the
 budget a stratified subsampler covers each stratum separately (rare strata
 are never skipped) and reports its coverage.
+
+A schedule run is a maximal interval of term indices over which every q
+column steps by 1, so the positions of a pair (i, j) shift together while
+i and j stay in their runs.  For a translation-invariant oracle the sampled
+mode therefore evaluates the singles once per run, and sums the clustered
+pairs above the cutoff over (run, run, offset) classes, one oracle row per
+class weighted by its pair count, instead of over every pair.
 """
 
 from __future__ import annotations
@@ -131,6 +138,9 @@ class _BCache:
     A translation-invariant oracle is evaluated once per distinct signature
     (a tuple's sorted positions minus their minimum), on one row that
     carries it, and memoized for the stage; any other oracle once per row.
+    Sampled mode passes such an oracle one row per schedule run (singles)
+    or per pair class (stratum B), since every row of a run or class has
+    the same signature.
     """
 
     def __init__(self, stage: StageOracle, q: np.ndarray):
@@ -167,8 +177,21 @@ def _pairs(i: int, js) -> np.ndarray:
     return np.column_stack([np.full(js.size, i, dtype=np.int64), js])
 
 
-def _singles(cache: _BCache, N: int) -> np.ndarray:
-    if not cache.stage.translation_invariant and N > _MAX_DIRECT_SINGLES:
+def _runs(q: np.ndarray) -> np.ndarray:
+    """First indices (1-based) of the schedule runs of q over 1..N.
+
+    A run is a maximal interval of term indices over which every column of
+    q steps by exactly 1.
+    """
+    steps_by_one = (np.diff(q, axis=0) == 1).all(axis=1)
+    return np.concatenate([[1], np.flatnonzero(~steps_by_one) + 2]).astype(np.int64)
+
+
+def _singles(cache: _BCache, starts: np.ndarray, N: int) -> np.ndarray:
+    if cache.stage.translation_invariant:
+        # the positions of a single index shift together along its run
+        return np.repeat(cache(starts[:, None]), np.diff(np.append(starts, N + 1)))
+    if N > _MAX_DIRECT_SINGLES:
         raise ResourceError(
             f"{N} single-index oracle calls exceed the direct cap "
             f"{_MAX_DIRECT_SINGLES}; the oracle must declare translation invariance"
@@ -258,15 +281,16 @@ def _stage_exact(cache, q, n, N, r, threshold, cutoff, b1) -> StageResult:
 # Sampled mode (pairs only)
 # ---------------------------------------------------------------------------
 
-def _clustered_partners(q: np.ndarray, i_arr: np.ndarray, threshold: int):
-    """All pairs (i, j), j != i, with some |q_a(i) - q_b(j)| <= threshold.
+def _partner_windows(q: np.ndarray, i_arr: np.ndarray, threshold: int):
+    """Merged 0-based j-windows [start, hi) of the clustered partners of i_arr.
 
-    Vectorized over i_arr; every q column is strictly increasing, so each
-    (a, b) function pair contributes one contiguous j-window per i.  The
-    per-i windows are merged, so every partner j appears exactly once.
+    Every q column is strictly increasing, so each (a, b) function pair
+    contributes one contiguous window of j with |q_a(i) - q_b(j)| <=
+    threshold.  Row by row the windows are sorted by their left end and
+    clipped against the ones before, so the nonempty ones (start < hi) are
+    disjoint and increasing; i itself lies in them.
     """
-    N, ell = q.shape
-    m = i_arr.size
+    ell = q.shape[1]
     los, his = [], []
     for a in range(ell):
         qa = q[i_arr - 1, a]
@@ -281,13 +305,49 @@ def _clustered_partners(q: np.ndarray, i_arr: np.ndarray, threshold: int):
     hi = np.take_along_axis(hi, order, axis=1)
     prev_end = np.zeros_like(hi)
     prev_end[:, 1:] = np.maximum.accumulate(hi, axis=1)[:, :-1]
-    start = np.maximum(lo, prev_end)
-    cnt = np.maximum(0, hi - start)
-    flat_cnt = cnt.ravel()
+    return np.maximum(lo, prev_end), hi
+
+
+def _clustered_partners(q: np.ndarray, i_arr: np.ndarray, threshold: int):
+    """All pairs (i, j), j != i, with some |q_a(i) - q_b(j)| <= threshold.
+
+    Vectorized over i_arr; every partner j of an i appears exactly once,
+    in increasing order.
+    """
+    start, hi = _partner_windows(q, i_arr, threshold)
+    flat_cnt = np.maximum(0, hi - start).ravel()
     j = np.repeat(start.ravel(), flat_cnt) + _ranges(flat_cnt) + 1  # 1-based
-    i = np.repeat(np.repeat(i_arr, ell * ell), flat_cnt)
+    i = np.repeat(np.repeat(i_arr, start.shape[1]), flat_cnt)
     mask = i != j
     return i[mask], j[mask]
+
+
+def _pair_classes(q: np.ndarray, starts: np.ndarray, threshold: int, cutoff: int):
+    """The clustered pairs above the cutoff, as run classes in blocks.
+
+    While i + k stays in the run of i and j + k in the run of j, the pair
+    (i + k, j + k) has the positions of (i, j) shifted by k: it is clustered
+    with (i, j) and has its signature.  Each class is listed once, by its
+    first pair, in which i or j is a breakpoint: a run start or cutoff + 1.
+    Yields (pairs, w): a (K, 2) array of first pairs (i < j) and the number
+    of pairs in each class.
+    """
+    N = len(q)
+    if cutoff >= N:
+        return
+    breaks = np.union1d(starts[starts > cutoff], [cutoff + 1])
+    ends = np.append(starts[1:] - 1, N)  # last index of each run
+    for lo in range(0, breaks.size, _CHUNK):
+        pi, pj = _clustered_partners(q, breaks[lo:lo + _CHUNK], threshold)
+        # a partner below its breakpoint heads the class unless it is a
+        # breakpoint itself, whose own partners list the class
+        hit = np.searchsorted(breaks, pj)
+        is_break = breaks[np.minimum(hit, breaks.size - 1)] == pj
+        keep = (pj > pi) | ((pj > cutoff) & ~is_break)
+        i, j = np.minimum(pi, pj)[keep], np.maximum(pi, pj)[keep]
+        end_i, end_j = (ends[np.searchsorted(starts, x, side="right") - 1] for x in (i, j))
+        w = np.minimum(end_i - i, end_j - j) + 1
+        yield np.stack([i, j], axis=1), w
 
 
 def _ranges(counts: np.ndarray) -> np.ndarray:
@@ -307,13 +367,14 @@ def _ratio_pairs(q, N, threshold, cutoff, rng, ratio_samples) -> list[tuple[int,
 
     checked = 0
     probes = np.unique(rng.integers(cutoff + 1, N, size=min(64, max(1, N - cutoff - 1))))
-    pairs = []
-    for i in probes:
-        j = int(i) + 1
-        while j <= N and is_rare(int(i), j):
-            j += 1
-        if j <= N:
-            pairs.append((int(i), j))
+    # a probe's nearest non-rare partner is the first j > i outside its
+    # partner windows; start at j = i + 1 (0-based i) and hop over them
+    start, hi = _partner_windows(q, probes, threshold)
+    nearest = probes.copy()
+    for k in range(start.shape[1]):
+        inside = (start[:, k] <= nearest) & (nearest < hi[:, k])
+        nearest = np.where(inside, hi[:, k], nearest)
+    pairs = [(int(i), int(j) + 1) for i, j in zip(probes, nearest) if j < N]
     tries = 0
     while checked + len(pairs) < ratio_samples and tries < 20 * ratio_samples:
         tries += 1
@@ -330,7 +391,7 @@ def _ratio_pairs(q, N, threshold, cutoff, rng, ratio_samples) -> list[tuple[int,
 
 
 def _stage_sampled(
-    cache, q, n, N, threshold, cutoff, b1, rng, pair_samples, ratio_samples
+    cache, q, starts, n, N, threshold, cutoff, b1, rng, pair_samples, ratio_samples
 ) -> StageResult:
     suffix = np.concatenate([np.cumsum(b1[::-1])[::-1][1:], [0.0]])  # sum_{j>i} b_j
     joint = 0.0
@@ -358,25 +419,32 @@ def _stage_sampled(
             joint += rest * float(cache(_pairs(i, js)).sum()) / k
             sampled_a += k
     coverage["low_index"] = 1.0 if count_a == 0 else min(1.0, sampled_a / count_a)
-    # stratum B: clustered pairs with both indices above the cutoff; the
-    # pair list is enumerated exactly, b summed via the signature cache.
+    # stratum B: clustered pairs with both indices above the cutoff.  An
+    # invariant oracle's b and b1 are constant on a run class, so each class
+    # is summed exactly from its first pair times its size; otherwise the
+    # pair list is enumerated and b subsampled per block.
     count_b = 0
-    for start in range(cutoff + 1, N + 1, _CHUNK):
-        i_arr = np.arange(start, min(start + _CHUNK - 1, N) + 1, dtype=np.int64)
-        pi, pj = _clustered_partners(q, i_arr, threshold)
-        # each unordered pair is kept once, from its smaller endpoint's chunk
-        mask = (pj > pi) & (pj > cutoff)
-        pi, pj = pi[mask], pj[mask]
-        count_b += int(pi.size)
-        product += float((b1[pi - 1] * b1[pj - 1]).sum())
-        if cache.stage.translation_invariant and pi.size:
-            joint += float(cache(np.stack([pi, pj], axis=1)).sum())
-            coverage["cluster"] = 1.0
-        elif pi.size:
-            k = min(int(pi.size), pair_samples)
-            sel = rng.choice(pi.size, size=k, replace=False)
-            joint += pi.size * float(np.mean(cache(np.stack([pi[sel], pj[sel]], axis=1))))
-            coverage["cluster"] = min(1.0, k / pi.size)
+    if cache.stage.translation_invariant:
+        for pairs, w in _pair_classes(q, starts, threshold, cutoff):
+            count_b += int(w.sum())
+            product += float((w * b1[pairs[:, 0] - 1] * b1[pairs[:, 1] - 1]).sum())
+            if w.size:
+                joint += float((w * cache(pairs)).sum())
+                coverage["cluster"] = 1.0
+    else:
+        for start in range(cutoff + 1, N + 1, _CHUNK):
+            i_arr = np.arange(start, min(start + _CHUNK - 1, N) + 1, dtype=np.int64)
+            pi, pj = _clustered_partners(q, i_arr, threshold)
+            # each unordered pair is kept once, from its smaller endpoint's chunk
+            mask = (pj > pi) & (pj > cutoff)
+            pi, pj = pi[mask], pj[mask]
+            count_b += int(pi.size)
+            product += float((b1[pi - 1] * b1[pj - 1]).sum())
+            if pi.size:
+                k = min(int(pi.size), pair_samples)
+                sel = rng.choice(pi.size, size=k, replace=False)
+                joint += pi.size * float(np.mean(cache(np.stack([pi[sel], pj[sel]], axis=1))))
+                coverage["cluster"] = min(1.0, k / pi.size)
     coverage.setdefault("cluster", 1.0)  # no clustered pair above the cutoff
     # ratio band over the non-rare pairs, if there are any
     non_rare = N * (N - 1) // 2 - count_a - count_b
@@ -429,14 +497,15 @@ def check_conditions(
             raise ValidationError(f"stage n={n} has {N} terms, fewer than r={r}")
         threshold, cutoff = _resolve_rare_params(rare_params, n)
         q = schedule.columns(N)
+        starts = _runs(q)
         cache = _BCache(stage, q)
-        b1 = _singles(cache, N)
+        b1 = _singles(cache, starts, N)
         if math.comb(N, r) <= budget:
             stages.append(_stage_exact(cache, q, n, N, r, threshold, cutoff, b1))
         elif r == 2:
             stages.append(
                 _stage_sampled(
-                    cache, q, n, N, threshold, cutoff, b1, rng,
+                    cache, q, starts, n, N, threshold, cutoff, b1, rng,
                     pair_samples, ratio_samples,
                 )
             )

@@ -14,10 +14,13 @@ from nonconv import (
     FiniteMarkovChain,
     StageOracle,
     Tolerances,
+    arithmetic_gap_schedule,
     check_conditions,
     choose_target_sets,
     linear_schedule,
+    logpow_cutoff,
     poisson_limit_verdict,
+    ratio_cutoff_index,
     table_schedule,
     uniform_measure,
 )
@@ -27,7 +30,11 @@ from nonconv.schedules import classify_tuple
 from nonconv.sevastyanov import (
     _BCache,
     _group_rows,
+    _pair_classes,
     _rare_mask,
+    _ratio_pairs,
+    _runs,
+    _singles,
     bernoulli_model_oracle,
     markov_model_oracle,
     rare_sum_envelope_iid,
@@ -201,6 +208,110 @@ def test_bcache_groups_rows_by_sorted_signature(sched, rows):
     assert set(calls) == {signature(t) for t in rows}
 
 
+@st.composite
+def _run_schedules(draw, horizon=48):
+    """Random table schedule made of runs of 1-9 terms: inside a run every
+    column steps by 1; at a run's first term q_1 jumps by 1-5 and each
+    further column's gap to the one before grows by 0-3."""
+    ell = draw(st.integers(1, 3))
+    lengths = draw(st.lists(st.integers(1, 9), min_size=horizon, max_size=horizon))
+    run = np.repeat(np.arange(horizon), lengths)[:horizon]
+    jumps = np.array(draw(st.lists(st.integers(1, 5), min_size=horizon, max_size=horizon)))
+    first = np.r_[True, run[1:] != run[:-1]]
+    cols = [np.cumsum(np.where(first, jumps[run], 1))]
+    for _ in range(ell - 1):
+        growth = draw(st.lists(st.integers(0, 3), min_size=horizon, max_size=horizon))
+        cols.append(cols[-1] + 1 + np.cumsum(growth)[run])
+    return table_schedule(np.column_stack(cols).tolist())
+
+
+@st.composite
+def _class_cases(draw):
+    """(q, threshold, cutoff) over run tables, an arithmetic-gap schedule
+    (runs of up to ~20 terms) and linear_schedule(2) (one-term runs)."""
+    kind = draw(st.sampled_from(["table", "arithmetic", "linear"]))
+    if kind == "table":
+        N = draw(st.integers(2, 48))
+        q = draw(_run_schedules()).columns(N)
+    elif kind == "arithmetic":
+        N = draw(st.integers(2, 300))
+        q = arithmetic_gap_schedule(2, draw(st.sampled_from([1.0, 4.0])), 0.5).columns(N)
+    else:
+        N = draw(st.integers(2, 120))
+        q = linear_schedule(2).columns(N)
+    return q, draw(st.integers(0, 40)), draw(st.integers(0, N + 2))
+
+
+def _signatures(q, tups):
+    """Sorted positions minus their minimum, one row per tuple."""
+    pos = np.sort(q[tups - 1].reshape(len(tups), tups.shape[1] * q.shape[1]), axis=1)
+    return pos - pos[:, :1]
+
+
+def _signature_b(sig):
+    # distinct signatures get distinct values
+    return 1.0 / (1.0 + (sig * np.arange(1, sig.shape[-1] + 1)).sum(axis=-1))
+
+
+@given(_class_cases())
+@settings(max_examples=200, deadline=None)
+def test_pair_classes_match_clustered_pairs(case):
+    q, threshold, cutoff = case
+    N = len(q)
+    calls = set()
+
+    def b(idx):
+        sig = _signatures(q, np.array([idx]))[0]
+        calls.add(tuple(sig.tolist()))
+        return float(_signature_b(sig))
+
+    cache = _BCache(StageOracle(b=b, term_count=N, translation_invariant=True), q)
+    starts = _runs(q)
+    b1 = _singles(cache, starts, N)
+    assert b1.tolist() == [b((l,)) for l in range(1, N + 1)]
+    calls.clear()
+    count, joint, product = 0, 0.0, 0.0
+    for pairs, w in _pair_classes(q, starts, threshold, cutoff):
+        assert (w >= 1).all()
+        assert (cutoff < pairs[:, 0]).all() and (pairs[:, 0] < pairs[:, 1]).all()
+        count += int(w.sum())
+        joint += float((w * cache(pairs)).sum())
+        product += float((w * b1[pairs[:, 0] - 1] * b1[pairs[:, 1] - 1]).sum())
+    # brute force: every clustered pair with both indices above the cutoff
+    i, j = np.triu_indices(N, k=1)
+    pairs = np.column_stack([i, j]) + 1
+    pairs = pairs[pairs[:, 0] > cutoff]
+    pairs = pairs[_rare_mask(q, pairs, threshold, cutoff)]
+    sigs = _signatures(q, pairs)
+    assert count == len(pairs)
+    assert joint == pytest.approx(float(_signature_b(sigs).sum()), rel=1e-12)
+    assert product == pytest.approx(
+        float((b1[pairs[:, 0] - 1] * b1[pairs[:, 1] - 1]).sum()), rel=1e-12
+    )
+    assert calls == set(map(tuple, sigs.tolist()))
+
+
+@given(_small_schedules(), st.integers(0, 12), st.integers(0, 37), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_ratio_probe_pairs_are_nearest_non_rare_partners(sched, threshold, cutoff, seed):
+    N = 40
+    q = sched.columns(N)
+    # no uniform draws: the pairs are the probes' nearest non-rare partners
+    rng = np.random.default_rng(seed)
+    pairs = _ratio_pairs(q, N, threshold, cutoff, rng, ratio_samples=0)
+    ref_rng = np.random.default_rng(seed)
+    probes = np.unique(ref_rng.integers(cutoff + 1, N, size=min(64, N - cutoff - 1)))
+    expected = []
+    for i in probes.tolist():
+        j = i + 1
+        while j <= N and _rare_mask(q, np.array([(i, j)]), threshold, cutoff)[0]:
+            j += 1
+        if j <= N:
+            expected.append((i, j))
+    assert pairs == expected
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_disjoint_positions_factorize_exactly():
     # all windows are disjoint and the array is i.i.d., so every non-rare
     # pair factorizes and the band is degenerate at 1
@@ -231,6 +342,70 @@ def test_sampled_mode_matches_exact_mode():
     assert ss.rare_sum_product == pytest.approx(se.rare_sum_product, rel=1e-9)
     assert ss.ratio_band[0] >= se.ratio_band[0] - 1e-12
     assert ss.ratio_band[1] <= se.ratio_band[1] + 1e-12
+
+
+def _a6_rare_params(n):
+    threshold = n + logpow_cutoff(n, 0.25)
+    return threshold, ratio_cutoff_index(4.0, 0.5, 2.0 * threshold)
+
+
+def _subshift_factory(sched):
+    um = uniform_measure(full_shift(2))
+
+    def target_fn(n):
+        return make_target(um, sample_clear_word(um, n, 0.25, seed=100 + n), n)
+
+    return subshift_model_oracle(um, sched, lam=1.0, target_fn=target_fn)
+
+
+@pytest.mark.parametrize(
+    "model, n, rare_params",
+    [
+        ("bernoulli", 300, (3, 5)),
+        ("bernoulli", 300, (12, 2)),
+        ("subshift", 4, _a6_rare_params),
+    ],
+)
+def test_sampled_mode_matches_exact_mode_on_multi_index_runs(model, n, rare_params):
+    # arithmetic-gap runs reach ~20 terms at N = 300 and 48 runs cover the
+    # 256 terms of the subshift stage, so stratum B sums weighted classes
+    sched = arithmetic_gap_schedule(2, 4.0, 0.5)
+    if model == "bernoulli":
+        factory = bernoulli_model_oracle(2, 1.0, sched)
+    else:
+        factory = _subshift_factory(sched)
+    exact = check_conditions(factory, sched, r=2, n_grid=[n], rare_params=rare_params)
+    sampled = check_conditions(
+        factory, sched, r=2, n_grid=[n], rare_params=rare_params,
+        budget=100, pair_samples=4096, ratio_samples=4096, seed=11,
+    )
+    se, ss = exact.stage(n), sampled.stage(n)
+    assert se.mode == "exact" and ss.mode == "sampled"
+    assert ss.coverage["cluster"] == 1.0
+    assert ss.max_b == pytest.approx(se.max_b, rel=1e-12)
+    assert ss.sum_b == pytest.approx(se.sum_b, rel=1e-12)
+    assert ss.rare_sum_joint == pytest.approx(se.rare_sum_joint, rel=1e-9)
+    assert ss.rare_sum_product == pytest.approx(se.rare_sum_product, rel=1e-9)
+    assert ss.ratio_band[0] >= se.ratio_band[0] - 1e-12
+    assert ss.ratio_band[1] <= se.ratio_band[1] + 1e-12
+
+
+def test_sampled_invariant_stage_memory_is_bounded_by_runs():
+    # N = 2^20 on 202 arithmetic-gap runs: stratum B takes one row per run
+    # class; pair arrays per index block would peak near 240 MiB here
+    N = 2**20
+    sched = arithmetic_gap_schedule(2, 4.0, 0.5)
+    factory = bernoulli_model_oracle(2, 1.0, sched)
+    tracemalloc.start()
+    try:
+        report = check_conditions(factory, sched, r=2, n_grid=[N], rare_params=(8, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stage = report.stage(N)
+    assert stage.mode == "sampled" and stage.coverage["cluster"] == 1.0
+    assert stage.rare_sum_joint > stage.rare_sum_product > 0.0
+    assert peak < 96 * 2**20, peak
 
 
 @pytest.mark.parametrize("cutoff", [998, 999, 2000])
