@@ -51,6 +51,10 @@ class FiniteMarkovChain:
         self.nu = nu
         self.n0, self.C = doeblin_certificate(P, n0_max)
         self.mu = invariant_measure(self)
+        # the level test compares with mu, which is known to about the
+        # solve's residual
+        resid = float(np.max(np.abs(self.mu @ P - self.mu)))
+        self._projection_tol = max(_PROJECTION_TOL, 8.0 * resid)
         self._pow_cache: dict[int, np.ndarray] = {1: P}
         self._projection_level: int | None = None
         self._blocks: dict[tuple[int, ...], dict[int, np.ndarray]] = {}
@@ -60,14 +64,18 @@ class FiniteMarkovChain:
 
     def _level_power(self, bit: int, proj: np.ndarray) -> np.ndarray:
         # P^(2^bit), cached; collapses to the stationary projection once
-        # the power has mixed to machine precision.
+        # every row of the power is proportional to mu to machine precision.
+        # Row sums are left out of the test: rounding leaves P's rows 1e-16
+        # off 1, and the powers' row sums drift as (1 + defect)^(2^bit),
+        # which is not mixing.
         lvl = 1 << bit
         if self._projection_level is not None and lvl >= self._projection_level:
             return proj
         if lvl not in self._pow_cache:
             half = self._level_power(bit - 1, proj)
             mat = half @ half
-            if np.max(np.abs(mat - proj)) < _PROJECTION_TOL:
+            shape = mat - mat.sum(axis=1, keepdims=True) * self.mu
+            if np.max(np.abs(shape)) < self._projection_tol:
                 self._projection_level = lvl
                 mat = proj
             self._pow_cache[lvl] = mat

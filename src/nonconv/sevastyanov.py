@@ -621,16 +621,16 @@ def markov_model_oracle(targets, schedule: QSchedule):
 def subshift_model_oracle(measure, schedule: QSchedule, lam: float, target_fn):
     """Stage factory for shrinking cylinder targets.
 
-    ``target_fn(n)`` builds the CylinderTarget; the word-lift chain is
+    ``target_fn(n)`` builds the CylinderTarget; its pattern chain is
     constructed once per stage, and the number of summands is the N with
     N * P(B_n)^ell closest to lam.
     """
     from .markov import exact_b
-    from .subshift import lift_target, replicate_count
+    from .subshift import pattern_chain, replicate_count
 
     def factory(n: int) -> StageOracle:
         target = target_fn(n)
-        chain, gamma = lift_target(target.measure, target)
+        chain, gamma = pattern_chain(target.measure, target)
         N = replicate_count(target, schedule.ell, lam)
         return StageOracle(
             b=lambda idx: exact_b(chain, schedule, gamma, idx),

@@ -5,17 +5,25 @@ short-return screening of reference words, entropy/AEP diagnostics, and the
 nonconventional arrival statistic over shrinking cylinder targets together
 with its hitting time.
 
+Every exact law of the target's occurrences comes from its pattern chain
+(``pattern_chain``): the Markov-chain embedding of block occurrences (Fu &
+Koutras, JASA 1994) on an Aho-Corasick automaton of the target blocks (Aho
+& Corasick, CACM 1975), with at most (total block length) + iota states.
+
 Simulation of the arrival statistic is exact but sparse: instead of
 materializing a sample path of length q_ell(N) we sample the successive
-occurrence positions of the target block.  After an occurrence the sliding
-window is a known word, so inter-occurrence gaps are i.i.d. draws from a
-first-passage law computed once on the word-lift chain; the resulting hit
-set has exactly the law of the hit set of a simulated path.
+occurrence positions of the target blocks.  After an occurrence the pattern
+chain sits in a known accept state, so inter-occurrence gaps are i.i.d.
+draws from first-passage laws computed once on that chain; the resulting
+hit set has the law of the hit set of a simulated path, up to the survival
+mass the tables drop (``_HitEngine``).  The b-oracle runs
+``markov.exact_b`` on the same chain.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,7 +31,8 @@ import numpy as np
 
 from .distributions import CountDistribution
 from .errors import CertificationError, ResourceError, ValidationError
-from .markov import LIFT_STATE_BUDGET, FiniteMarkovChain, lex_words, word_lift
+from .markov import FiniteMarkovChain, lex_words
+from .markov import word_lift  # noqa: F401  the benchmark's traced run wraps this name
 from .rng import (
     STREAM_HITTING,
     STREAM_SAMPLE_POINT,
@@ -390,84 +399,166 @@ def replicate_count(target: CylinderTarget, ell: int, lam: float) -> int:
     return max(1, int(round(lam / target.prob**ell)))
 
 
-def lift_target(measure: MarkovGibbsMeasure, target: CylinderTarget):
-    """Lift the measure to the chain of sliding m-blocks.
+def pattern_chain(measure: MarkovGibbsMeasure, target: CylinderTarget):
+    """Markov-chain embedding of the occurrences of ``target.blocks``.
 
-    Returns the lifted chain and the lifted states of ``target.blocks``; a
-    target block the lift does not contain is rejected.
+    A state is (node of the Aho-Corasick automaton of the blocks, last
+    symbol): the node is the longest suffix of the symbols read so far that
+    is a prefix of some block, and the last symbol carries the Markov
+    memory that transitions draw from Q.  Since every block has length m, a
+    state accepts exactly when its node is a whole block, that is when the
+    last m symbols form a target block.  There are at most (total block
+    length) + iota states, against iota^m for the chain of sliding m-blocks.
+
+    The initial law ``nu`` is the state law at time m - 1, propagated from
+    pi.  From then on the state is a function of the last m symbols, so the
+    support of ``nu`` is closed and ``nu`` is the chain's invariant law
+    there; the chain is restricted to that support.  Chain time t therefore
+    stands for the window at position t, and b stays translation invariant.
+
+    Returns (chain, accept states in the order of ``target.blocks``).
     """
-    chain, words = word_lift(measure.to_chain(), target.m)
-    pos = {w: i for i, w in enumerate(words)}
-    missing = [b for b in target.blocks if b not in pos]
-    if missing:
-        raise ValidationError(f"target blocks not admissible: {missing[:3]}")
-    return chain, [pos[b] for b in target.blocks]
+    blocks, m, iota = target.blocks, target.m, measure.sft.iota
+    if any(len(b) != m for b in blocks):
+        raise ValidationError("target blocks must all have the same length")
+    bad = [b for b in blocks if not measure.sft.admissible(b)]
+    if bad:
+        raise ValidationError(f"target blocks not admissible: {bad[:3]}")
+    # trie of the blocks; node 0 is the root
+    children: list[dict[int, int]] = [{}]
+    symbol = [-1]
+    leaves = []
+    for b in blocks:
+        v = 0
+        for a in b:
+            if a not in children[v]:
+                children[v][a] = len(children)
+                children.append({})
+                symbol.append(a)
+            v = children[v][a]
+        leaves.append(v)
+    # Aho-Corasick transitions, breadth first so each failure link's row
+    # is complete before it is read
+    goto = np.zeros((len(children), iota), dtype=np.int64)
+    fail = np.zeros(len(children), dtype=np.int64)
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for a in range(iota):
+            c = children[v].get(a)
+            if c is None:
+                goto[v, a] = goto[fail[v], a] if v else 0
+            else:
+                fail[c] = goto[fail[v], a] if v else 0
+                goto[v, a] = c
+                queue.append(c)
+    # states: (root, a) is state a; (node v >= 1, symbol[v]) is state iota + v - 1
+    node = np.concatenate([np.zeros(iota, dtype=np.int64), np.arange(1, len(children))])
+    last = np.concatenate([np.arange(iota), np.array(symbol[1:], dtype=np.int64)])
+    nxt = goto[node]
+    nxt = np.where(nxt == 0, np.arange(iota), iota + nxt - 1)
+    S = node.size
+    P = np.zeros((S, S))
+    P[np.arange(S)[:, None], nxt] = measure.Q[last]
+    nu = np.zeros(S)
+    nu[nxt[0]] = measure.pi  # a root state's successors are the time-0 states
+    for _ in range(m - 1):
+        nu = nu @ P
+    keep = np.flatnonzero(nu > 0)
+    pos = np.full(S, -1, dtype=np.int64)
+    pos[keep] = np.arange(keep.size)
+    chain = FiniteMarkovChain(P[np.ix_(keep, keep)], nu[keep] / nu[keep].sum())
+    return chain, [int(pos[iota + v - 1]) for v in leaves]
 
 
 # ---------------------------------------------------------------------------
 # Sparse hit engine
 # ---------------------------------------------------------------------------
 
-class _HitEngine:
-    """Exact sampler for the positions where the sliding window lands in B_n.
+_GAP_BLOCK = 512  # steps of the killed chain per blocked power
 
-    Built once per (measure, target, horizon); replicates then draw i.i.d.
-    first-passage gaps.  Gap laws are truncated where the survival mass
-    drops below 1e-15; truncated draws count as "no further hit", which is
-    exact up to that mass.
+
+class _HitEngine:
+    """Exact sampler for the times at which a chain enters its accept states.
+
+    On a pattern chain (see ``pattern_chain``) these are the positions
+    where the sliding window lands in B_n.  Built once per (chain, accept,
+    horizon); replicates then draw i.i.d. first-passage gaps, since after
+    an occurrence the chain sits in a known accept state.
+
+    The tables are the joint laws of (first entry time, accept state):
+    ``init_*`` from ``chain.nu`` at times >= 0, and ``gap_tables[j]`` from
+    accept state j at times >= 1.  They come from blocked powers of the
+    chain killed on the accept states: K^k H for k < ``_GAP_BLOCK`` and
+    K^_GAP_BLOCK, one matrix product per block of steps for all tables.
+
+    A table stops at the first time t whose survival mass (no entry in
+    [t0, t]) is below ``_GAP_TAIL_TOL``, or at the horizon.  The mass left
+    off the cdf is a draw of "no further hit".  ``tail_mass[k]`` is the
+    survival mass that the tolerance cut drops from table k (0 when the
+    table reaches the horizon first); it is below ``_GAP_TAIL_TOL``, and it
+    bounds the probability that one draw from that table misses a hit
+    within the horizon, so a replicate's hit set differs from an exact one
+    with probability at most ``_GAP_TAIL_TOL`` times its expected number of
+    hits plus one.  ``horizon_mass[k]`` is the survival mass at the horizon
+    (0 when the tolerance cut comes first): hits past the horizon, which
+    the sampler discards anyway.  Table 0 is ``init_*``, table k >= 1 is
+    ``gap_tables[k - 1]``.
     """
 
-    def __init__(self, target: CylinderTarget, horizon: int):
+    def __init__(self, chain: FiniteMarkovChain, accept, horizon: int):
         self.horizon = horizon
-        chain, states = lift_target(target.measure, target)
-        self.block_states = np.array(states, dtype=np.int64)
-        self.S = chain.M
-        # sparse transitions, so weights can be gathered as u[src] * pr
-        self._src_flat, self._succ_flat = np.nonzero(chain.P)
-        self._pr_flat = chain.P[self._src_flat, self._succ_flat]
-        start = chain.nu.copy()
-        self.init_times, self.init_blocks, self.init_cdf = self._first_passage(start, t0=0)
-        self.gap_tables = []
-        for b in self.block_states:
-            e = np.zeros(self.S)
-            e[b] = 1.0
-            self.gap_tables.append(self._first_passage(e, t0=1))
+        accept = np.asarray(accept, dtype=np.int64)
+        live = np.setdiff1d(np.arange(chain.M), accept)
+        K = chain.P[np.ix_(live, live)]
+        H = chain.P[np.ix_(live, accept)]
+        # the initial table starts at time 0 from nu, gap tables at time 1
+        # from one step out of each accept state
+        first = np.vstack([chain.nu[accept], chain.P[np.ix_(accept, accept)]])
+        U = np.vstack([chain.nu[live], chain.P[np.ix_(accept, live)]])
+        t0 = np.array([0] + [1] * accept.size)
+        # E[:, k*A:(k+1)*A] = K^k H (entries at step k + 1), R[:, k] = K^(k+1) 1
+        B, A = _GAP_BLOCK, accept.size
+        E = np.empty((B, live.size, A))
+        R = np.empty((live.size, B))
+        E[0], R[:, 0] = H, K.sum(axis=1)
+        for k in range(1, B):
+            E[k], R[:, k] = K @ E[k - 1], K @ R[:, k - 1]
+        E = E.transpose(1, 0, 2).reshape(live.size, B * A)
+        KB = K
+        for _ in range(B.bit_length() - 1):
+            KB = KB @ KB
+        events, survival = [first[:, None, :]], [U.sum(axis=1)[:, None]]
+        steps = 0  # steps taken past each table's t0
+        cut = self._cuts(survival[0], t0, 0)
+        while np.any(cut < 0):
+            events.append((U @ E).reshape(-1, B, A))
+            survival.append(U @ R)
+            U = U @ KB
+            cut = np.where(cut < 0, self._cuts(survival[-1], t0, steps + 1), cut)
+            steps += B
+        events = np.concatenate(events, axis=1)
+        survival = np.concatenate(survival, axis=1)
+        tables = []
+        left = survival[np.arange(t0.size), cut]
+        at_horizon = t0 + cut >= horizon
+        self.tail_mass = np.where(at_horizon, 0.0, left)
+        self.horizon_mass = np.where(at_horizon, left, 0.0)
+        for k in range(t0.size):
+            steps_k, states = np.nonzero(events[k, : cut[k] + 1] > 0)
+            tables.append((
+                steps_k + t0[k],
+                states,
+                np.cumsum(events[k, steps_k, states]),
+            ))
+        (self.init_times, self.init_blocks, self.init_cdf), *self.gap_tables = tables
 
-    def _step(self, u: np.ndarray) -> np.ndarray:
-        return np.bincount(
-            self._succ_flat, weights=u[self._src_flat] * self._pr_flat, minlength=self.S
-        )
-
-    def _first_passage(self, u: np.ndarray, t0: int):
-        """Joint law of (first hit time >= t0, hit block), truncated.
-
-        Returns (times, block_index, cdf) flattened over absorbed events;
-        residual mass beyond the truncation is left off the cdf and maps to
-        "no hit within horizon" when sampled.
-        """
-        times, blocks, probs = [], [], []
-        t = 0
-        if t0 == 1:
-            u = self._step(u)
-            t = 1
-        while True:
-            absorbed = u[self.block_states]
-            nz = np.nonzero(absorbed > 0)[0]
-            for j in nz:
-                times.append(t)
-                blocks.append(j)
-                probs.append(absorbed[j])
-            u = u.copy()
-            u[self.block_states] = 0.0
-            if u.sum() < _GAP_TAIL_TOL or t >= self.horizon:
-                break
-            u = self._step(u)
-            t += 1
-        return (
-            np.array(times, dtype=np.int64),
-            np.array(blocks, dtype=np.int64),
-            np.cumsum(np.array(probs)),
-        )
+    def _cuts(self, survival, t0, start):
+        """Per table, the first column j of ``survival`` (step start + j)
+        where the table stops, or -1."""
+        j = np.arange(survival.shape[1])
+        stop = (survival < _GAP_TAIL_TOL) | (t0[:, None] + start + j >= self.horizon)
+        return np.where(stop.any(axis=1), start + stop.argmax(axis=1), -1)
 
     def sample_hits(self, rng, replicates: int):
         """Hit positions for a batch: returns (rep_ids, positions), unsorted."""
@@ -559,7 +650,7 @@ def simulate_nonconventional_batch(
     _check_preconditions(schedule, target)
     N = replicate_count(target, schedule.ell, lam)
     horizon = schedule.max_index(N)
-    engine = _HitEngine(target, horizon)
+    engine = _HitEngine(*pattern_chain(target.measure, target), horizon)
     q_cols = schedule.columns(N)
     rng = derive_rng(seed, STREAM_SUBSHIFT)
     expected_hits = max(1.0, horizon * target.prob)
@@ -593,7 +684,7 @@ def hitting_time_batch(
     _check_preconditions(schedule, target)
     N_cap = replicate_count(target, schedule.ell, lam_cap)
     horizon = schedule.max_index(N_cap)
-    engine = _HitEngine(target, horizon)
+    engine = _HitEngine(*pattern_chain(target.measure, target), horizon)
     q_cols = schedule.columns(N_cap)
     rng = derive_rng(seed, STREAM_HITTING)
     expected_hits = max(1.0, horizon * target.prob)
@@ -622,22 +713,16 @@ def exact_b_subshift(
     schedule: QSchedule,
     target: CylinderTarget,
     indices,
-    state_budget: int = LIFT_STATE_BUDGET,
 ) -> float:
     """Joint arrival probability for the given term indices, exact.
 
-    Lifts the measure to the chain of sliding m-blocks and runs the
-    restricted matrix-product oracle there.
+    Runs the restricted matrix-product oracle ``markov.exact_b`` on the
+    pattern chain, whose time t is the window at position t.
     """
-    if measure.sft.iota**target.m > state_budget:
-        raise ResourceError(
-            f"lift of order {target.m} needs up to {measure.sft.iota ** target.m} "
-            f"states, over budget {state_budget}"
-        )
     from .markov import exact_b
 
-    chain, gamma = lift_target(measure, target)
-    return exact_b(chain, schedule, gamma, indices)
+    chain, accept = pattern_chain(measure, target)
+    return exact_b(chain, schedule, accept, indices)
 
 
 def exact_sum_distribution_subshift(

@@ -293,6 +293,20 @@ def test_restricted_blocks_share_one_block_past_projection():
     assert got == pytest.approx(ref, rel=1e-12)
 
 
+def test_projection_level_found_on_random_positive_chains():
+    # rounding leaves P's rows about 1e-16 off 1, so P^(2^k) drifts about
+    # 2^k * 1e-16 from tile(mu) by its row sums alone; the level must be
+    # found from the shape of the rows
+    rng = np.random.default_rng(20261018)
+    for _ in range(200):
+        M = int(rng.integers(2, 6))
+        P = rng.uniform(0.2, 1.0, (M, M))
+        chain = FiniteMarkovChain(P / P.sum(axis=1, keepdims=True))
+        v = chain.propagate(chain.nu, 4096)
+        assert chain._projection_level is not None and chain._projection_level <= 4096
+        assert v == pytest.approx(chain.mu, abs=1e-15)
+
+
 def test_propagate_block_rows():
     chain = FiniteMarkovChain(P_AB)
     rows = np.array([[1.0, 0.0], [0.2, 0.5], [0.0, 0.0]])

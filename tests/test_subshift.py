@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nonconv import (
@@ -29,12 +29,15 @@ from nonconv import (
     simulate_nonconventional_batch,
     uniform_measure,
 )
-from nonconv.errors import ResourceError
+from nonconv.markov import exact_b, word_lift
 from nonconv.schedules import arithmetic_gap_schedule, polynomial_schedule, table_schedule
 from nonconv.subshift import (
+    _GAP_TAIL_TOL,
     _counts_and_first,
+    _HitEngine,
     exact_b_subshift,
     exact_sum_distribution_subshift,
+    pattern_chain,
     replicate_count,
 )
 
@@ -223,11 +226,13 @@ def test_exact_b_subshift_singleton_and_bruteforce():
     assert got == pytest.approx(brute, rel=1e-10)
 
 
-def test_exact_b_subshift_budget():
+def test_exact_b_subshift_long_block():
+    # m = 24, past any sliding-block lift; the pattern chain has 25 states
     um = uniform_measure(full_shift(2))
     target = make_target(um, tuple([0, 1] * 12), n=24)
-    with pytest.raises(ResourceError):
-        exact_b_subshift(um, linear_schedule(1), target, (1,), state_budget=1 << 10)
+    assert exact_b_subshift(um, linear_schedule(1), target, (1,)) == 2.0**-24
+    # windows at 1 and 3 overlap consistently (period 2): 26 symbols fixed
+    assert exact_b_subshift(um, linear_schedule(1), target, (1, 3)) == 2.0**-26
 
 
 def test_simulation_requires_clear_target():
@@ -347,3 +352,119 @@ def test_counts_and_first_memory_is_free_of_the_horizon():
     assert counts.tolist() == [1, 3]
     assert first.tolist() == [2, 3]
     assert peak < 1 << 20
+
+
+# -- pattern chain against the sliding-block lift ------------------------------
+
+def _lift_tables(chain, accept, horizon):
+    """First-passage tables by single sparse steps: (times, states, cdf, left)."""
+    src, dst = np.nonzero(chain.P)
+    pr = chain.P[src, dst]
+    tables = []
+    for u, t0 in [(chain.nu, 0)] + [(np.eye(chain.M)[a], 1) for a in accept]:
+        times, states, probs = [], [], []
+        t = 0
+        while True:
+            if t < t0:
+                u, t = np.bincount(dst, weights=u[src] * pr, minlength=chain.M), t + 1
+                continue
+            hit = u[accept]
+            for j in np.flatnonzero(hit > 0):
+                times.append(t)
+                states.append(j)
+                probs.append(hit[j])
+            u = u.copy()
+            u[accept] = 0.0
+            if u.sum() < _GAP_TAIL_TOL or t >= horizon:
+                break
+            u, t = np.bincount(dst, weights=u[src] * pr, minlength=chain.M), t + 1
+        tables.append((times, states, np.cumsum(probs), u.sum(), t >= horizon))
+    return tables
+
+
+@st.composite
+def _pattern_cases(draw):
+    """A Markov measure on a small mixing SFT, a (multi-)block target whose
+    sliding-block lift has at most 1024 states, a horizon and a table
+    schedule with overlapping, near and far windows."""
+    kind = draw(st.sampled_from(["full2", "full3", "golden", "random3"]))
+    if kind == "random3":
+        A = np.array(draw(st.lists(st.integers(0, 1), min_size=9, max_size=9))).reshape(3, 3)
+        assume(A.sum(axis=0).all() and A.sum(axis=1).all())
+        assume(np.linalg.matrix_power(A, 9).min() > 0)  # primitive
+        sft = SubshiftSFT.from_matrix(A)
+    else:
+        sft = {"full2": full_shift(2), "full3": full_shift(3), "golden": golden_mean_shift()}[kind]
+    w = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=sft.iota**2, max_size=sft.iota**2)))
+    Q = w.reshape(sft.iota, sft.iota) * sft._A
+    measure = MarkovGibbsMeasure(sft, Q / Q.sum(axis=1, keepdims=True))
+    n = draw(st.integers(3, 7 if sft.iota == 2 else 5))
+    s = draw(st.sampled_from([2.0, 1.0, 0.0]))
+    m = n + int(s * math.log(n))
+    assume(sft.iota**m <= 1024)
+    word = sample_point(measure, n, draw(st.integers(0, 10**6)))
+    keep = draw(st.sampled_from([0.6, 0.3, 1.0]))
+    target = make_target(measure, word, n, s=s, refine_seed=draw(st.integers(0, 99)),
+                         keep_fraction=keep)
+    horizon = draw(st.integers(1, 1500))
+    ell = draw(st.integers(1, 2))
+    step = st.one_of(st.integers(1, 4), st.integers(5, 40), st.integers(300, 900))
+    pos = np.cumsum(draw(st.lists(step, min_size=5 * ell, max_size=5 * ell)))
+    sched = table_schedule(pos.reshape(5, ell).tolist())
+    tuples = [tuple(draw(st.permutations(range(1, 6)))[: draw(st.integers(1, 3))])
+              for _ in range(4)]
+    return measure, target, horizon, sched, tuples
+
+
+@given(_pattern_cases())
+@settings(max_examples=60, deadline=None)
+def test_pattern_chain_matches_word_lift(case):
+    measure, target, horizon, sched, tuples = case
+    chain, accept = pattern_chain(measure, target)
+    # certified on construction; started from its invariant law
+    assert chain.n0 >= 1
+    assert chain.nu == pytest.approx(chain.mu, abs=1e-12)
+    assert chain.M <= sum(len(b) for b in target.blocks) + measure.sft.iota
+    lifted, words = word_lift(measure.to_chain(), target.m)
+    pos = {w: i for i, w in enumerate(words)}
+    lifted_accept = [pos[b] for b in target.blocks]
+    for idx in tuples:
+        want = exact_b(lifted, sched, lifted_accept, idx)
+        assert exact_b(chain, sched, accept, idx) == pytest.approx(want, rel=1e-12, abs=0)
+    engine = _HitEngine(chain, accept, horizon)
+    got = [(engine.init_times, engine.init_blocks, engine.init_cdf)] + engine.gap_tables
+    for k, ((times, states, cdf), (rtimes, rstates, rcdf, left, at_horizon)) in enumerate(
+        zip(got, _lift_tables(lifted, lifted_accept, horizon))
+    ):
+        assert times.tolist() == rtimes and states.tolist() == rstates
+        assert np.max(np.abs(cdf - rcdf), initial=0.0) <= 1e-14
+        dropped = engine.horizon_mass[k] if at_horizon else engine.tail_mass[k]
+        assert dropped == pytest.approx(left, abs=1e-14)
+        assert (engine.tail_mass[k] if at_horizon else engine.horizon_mass[k]) == 0.0
+
+
+@pytest.mark.parametrize("case", ["a4", "golden_multi_block"])
+def test_hit_engine_reports_dropped_mass(case):
+    if case == "a4":  # the A4 target at n = 10 and its horizon
+        measure = uniform_measure(full_shift(2))
+        target = make_target(measure, sample_clear_word(measure, 10, 0.25, seed=110), 10)
+        horizon = arithmetic_gap_schedule(2, 4.0, 0.5).max_index(replicate_count(target, 2, 1.0))
+    else:
+        measure = _golden_measure()
+        word = sample_clear_word(measure, 7, 0.25, seed=3)
+        target = make_target(measure, word, 7, s=2.0, refine_seed=5, keep_fraction=0.6)
+        assert len(target.blocks) > 1
+        horizon = 10**6
+    engine = _HitEngine(*pattern_chain(measure, target), horizon)
+    cdfs = [engine.init_cdf] + [cdf for _, _, cdf in engine.gap_tables]
+    assert len(engine.tail_mass) == len(engine.horizon_mass) == len(cdfs)
+    # every table stops at the tolerance long before the horizon
+    assert np.all(engine.horizon_mass == 0.0)
+    assert np.all(engine.tail_mass > 0.0) and np.all(engine.tail_mass <= _GAP_TAIL_TOL)
+    for cdf, left in zip(cdfs, engine.tail_mass):
+        assert cdf[-1] + left == pytest.approx(1.0, abs=1e-12)
+    # a short horizon cuts every table there instead
+    short = _HitEngine(*pattern_chain(measure, target), 50)
+    assert np.all(short.tail_mass == 0.0) and np.all(short.horizon_mass > _GAP_TAIL_TOL)
+    for cdf, left in zip([short.init_cdf] + [c for _, _, c in short.gap_tables], short.horizon_mass):
+        assert cdf[-1] + left == pytest.approx(1.0, abs=1e-12)
