@@ -475,7 +475,7 @@ def pattern_chain(measure: MarkovGibbsMeasure, target: CylinderTarget):
 # Sparse hit engine
 # ---------------------------------------------------------------------------
 
-_GAP_BLOCK = 512  # steps of the killed chain per blocked power
+_GAP_BLOCK = 512  # steps of the killed chain per blocked power (a power of two)
 
 
 class _HitEngine:
