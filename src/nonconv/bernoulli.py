@@ -17,6 +17,7 @@ import numpy as np
 
 from .distributions import CountDistribution, PoissonLaw, dissociated_sum_bound, tv_distance
 from .errors import ResourceError, ValidationError
+from .markov import FiniteMarkovChain, sample_counts
 from .rng import STREAM_BERNOULLI, derive_rng
 from .schedules import QSchedule, _UnionFind
 
@@ -76,22 +77,20 @@ def simulate_sum(scheme: BernoulliScheme, seed: int) -> int:
 def simulate_batch(scheme: BernoulliScheme, seed: int, replicates: int) -> np.ndarray:
     """Vector of S_n draws over independent replicate streams.
 
-    Only the xi-sites the schedule touches are drawn, stored sparsely by
-    rank in ``needed_indices``, so q_ell(n) >> n costs nothing extra.
+    Only the xi-sites the schedule touches take part, by rank in
+    ``needed_indices``, so q_ell(n) >> n costs nothing extra.  In rank order
+    the sites are the chain whose rows are all (1 - p, p), started from
+    (1 - p, p), with xi = 1 in state 1; the hit engine
+    ``markov.sample_counts`` samples that chain's entries into state 1.
     """
-    idx = scheme.needed_indices
-    cols = np.searchsorted(idx, scheme.term_indices)  # (n, ell) ranks in idx
-    rng = derive_rng(seed, STREAM_BERNOULLI)
-    out = np.empty(replicates, dtype=np.int64)
-    chunk = max(1, int(4e6 // max(1, idx.size)))
-    done = 0
-    while done < replicates:
-        m = min(chunk, replicates - done)
-        bits = rng.random((m, idx.size)) < scheme.p
-        hits = bits[:, cols]  # (m, n, ell)
-        out[done : done + m] = hits.all(axis=2).sum(axis=1)
-        done += m
-    return out
+    p = scheme.p
+    chain = FiniteMarkovChain([[1.0 - p, p], [1.0 - p, p]], nu=[1.0 - p, p])
+    ranks = np.searchsorted(scheme.needed_indices, scheme.term_indices)
+    expected_hits = max(1.0, scheme.needed_indices.size * p)
+    counts, _ = sample_counts(
+        chain, [1], ranks, derive_rng(seed, STREAM_BERNOULLI), replicates, expected_hits
+    )
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -5,25 +5,42 @@ runs the requested oracles / simulations, and writes one CSV per requested
 table plus a JSON manifest.  Identical (config, seed) runs produce
 byte-identical outputs.
 
-Config grammar (YAML mapping):
+Config grammar (YAML mapping); ``validate_config`` checks every rule below
+and lists each fault it finds.  A number is an int or a finite float, never
+a boolean.
 
   model:       bernoulli | markov | subshift
-  seed:        integer, required (no wall-clock default)
+  seed:        integer >= 0, required (no wall-clock default)
   lambda:      positive number (default 1.0)
-  n_grid:      list of integers, required
+  n_grid:      nonempty list of positive integers, required
   replicates:  integer >= 0 (default 0; 0 = exact-only tables)
   schedule:    {family: linear|arithmetic_gap|polynomial|exponential_gap|table,
-                ell: int, c: num, gamma: num, degree: int, rows: [[..]]}
-  outputs:     list of table names (see `nonconv list-tables`)
-  budgets:     {enumeration: int, paths: int, component_cap: int}  (optional)
-  model_params:
-    markov:    {transition: [[..]], lift_tolerance: num, max_lift: int}
-    subshift:  {adjacency: [[..]] (default full 2-shift),
-                transition: [[..]] (default uniform on edges),
-                omega_star: [symbols] or omega_seed: int, s: num, eps: num}
-  sevastyanov: {r: int, rare_params: auto | [threshold, cutoff],
-                pair_samples: int, ratio_samples: int}  (optional)
-  hitting:     {lambdas: [..]}  (optional)
+                ell: int (not for table), c: num and gamma: num (arithmetic_gap),
+                degree: int (polynomial),
+                rows: (table) nonempty list, or mapping from integer l >= 1,
+                of equal-length nonempty lists of integers}
+  outputs:     nonempty list of table names defined for the model
+               (see `nonconv list-tables`)
+  budgets:     {enumeration: int > 0, paths: int > 0, component_cap: int > 0}
+               (optional)
+  model_params: mapping with no keys but these (optional for bernoulli)
+    markov:    {transition: [[..]] square, entries >= 0, rows summing to 1
+                (required), lift_tolerance: num > 0 (default 0.2),
+                max_lift: int >= 1 (default 12)}
+    subshift:  {adjacency: [[..]] square 0-1 ints, no all-zero row or column
+                (default full 2-shift),
+                transition: [[..]] as for markov, positive exactly on the
+                adjacency's edges (default uniform on edges),
+                omega_star: nonempty list of ints >= 0 or omega_seed: int >= 0
+                (one required), s: num >= 0 (default 0), eps: num > 0
+                (default 0.25)}
+  sevastyanov: {r: int >= 2, rare_params: auto | [threshold, cutoff] of
+                ints >= 0, pair_samples: int > 0, ratio_samples: int > 0}
+               (optional)
+  hitting:     {lambdas: nonempty list of positive numbers}  (optional)
+
+Faults the grammar cannot see (a chain that fails certification, an
+omega_star shorter than n, lambda >= n) raise a ``NonconvError`` from the run.
 """
 
 from __future__ import annotations
@@ -41,6 +58,7 @@ import yaml
 from . import __version__
 from .distributions import PoissonLaw, empirical_distribution, tv_distance
 from .errors import ConfigError, NonconvError, ValidationError
+from .markov import ROW_SUM_TOL
 from .rng import STREAM_HITTING, derive_seed
 from .schedules import (
     QSchedule,
@@ -81,7 +99,83 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # finite, and within float range: the run converts numbers to float
+    return (
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max
+    )
+
+
+def _is_matrix(v) -> bool:
+    """A nonempty square list of lists of numbers."""
+    return (
+        isinstance(v, list) and bool(v)
+        and all(isinstance(row, list) and len(row) == len(v) for row in v)
+        and all(_is_number(x) for row in v for x in row)
+    )
+
+
+# model_params fields: (check, what the fault says the value must be)
+_MODEL_PARAMS = {
+    "transition": (
+        lambda v: _is_matrix(v) and min(min(row) for row in v) >= 0
+        and np.max(np.abs(np.asarray(v, dtype=float).sum(axis=1) - 1.0)) <= ROW_SUM_TOL,
+        "a square matrix of numbers >= 0 whose rows sum to 1",
+    ),
+    "lift_tolerance": (lambda v: _is_number(v) and v > 0, "a positive number"),
+    "max_lift": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "adjacency": (
+        lambda v: _is_matrix(v) and all(_is_int(x) and x in (0, 1) for row in v for x in row)
+        and all(map(any, v)) and all(map(any, zip(*v))),
+        "a square 0-1 integer matrix with no all-zero row or column",
+    ),
+    "omega_star": (
+        lambda v: isinstance(v, list) and bool(v) and all(_is_int(a) and a >= 0 for a in v),
+        "a nonempty list of integer symbols >= 0",
+    ),
+    "omega_seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "s": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
+    "eps": (lambda v: _is_number(v) and v > 0, "a positive number"),
+}
+
+
+def _model_params_faults(model, mp: dict) -> list[str]:
+    faults, valid = [], set()
+    for key, val in mp.items():
+        if key not in _MODEL_PARAMS:
+            faults.append(f"unknown model_params key {key!r}")
+        elif not _MODEL_PARAMS[key][0](val):
+            faults.append(f"model_params.{key} must be {_MODEL_PARAMS[key][1]}, got {val!r}")
+        else:
+            valid.add(key)
+    if model == "markov" and "transition" not in mp:
+        faults.append("markov model requires model_params.transition")
+    if model == "subshift":
+        if "omega_star" not in mp and "omega_seed" not in mp:
+            faults.append("subshift model requires model_params.omega_star or omega_seed")
+        adjacency = mp.get("adjacency", [[1, 1], [1, 1]])  # the full 2-shift
+        Q = mp.get("transition")
+        checkable = "transition" in valid and ("adjacency" in valid or "adjacency" not in mp)
+        if checkable and (
+            len(Q) != len(adjacency)
+            or any((q > 0) != (a == 1) for qr, ar in zip(Q, adjacency) for q, a in zip(qr, ar))
+        ):
+            faults.append(
+                "model_params.transition must be positive exactly on the adjacency's edges"
+            )
+    return faults
+
+
+def _is_table(rows) -> bool:
+    if isinstance(rows, dict):
+        if not all(_is_int(l) and l >= 1 for l in rows):
+            return False
+        rows = list(rows.values())
+    return (
+        isinstance(rows, list) and bool(rows)
+        and all(isinstance(r, list) and r and len(r) == len(rows[0]) for r in rows)
+        and all(_is_int(v) for r in rows for v in r)
+    )
 
 
 def validate_config(cfg: dict) -> list[str]:
@@ -94,6 +188,8 @@ def validate_config(cfg: dict) -> list[str]:
         faults.append("seed is mandatory (no wall-clock default)")
     elif not _is_int(cfg["seed"]):
         faults.append(f"seed must be an integer, got {cfg['seed']!r}")
+    elif cfg["seed"] < 0:
+        faults.append(f"seed must be >= 0, got {cfg['seed']!r}")
     lam = cfg.get("lambda", 1.0)
     if not _is_number(lam) or lam <= 0:
         faults.append(f"lambda must be positive, got {lam!r}")
@@ -110,7 +206,7 @@ def validate_config(cfg: dict) -> list[str]:
         faults.append("outputs must be a nonempty list of table names")
     else:
         for name in outputs:
-            if name not in TABLES:
+            if not isinstance(name, str) or name not in TABLES:
                 faults.append(f"unknown table {name!r}")
             elif model in ("bernoulli", "markov", "subshift") and model not in TABLES[name]:
                 faults.append(f"table {name!r} is not defined for model {model!r}")
@@ -119,10 +215,13 @@ def validate_config(cfg: dict) -> list[str]:
         faults.append("schedule section is required")
     else:
         fam = sched.get("family")
-        if fam not in SCHEDULE_FAMILIES and fam != "table":
+        if not isinstance(fam, str) or (fam not in SCHEDULE_FAMILIES and fam != "table"):
             faults.append(f"unknown schedule family {fam!r}")
-        if fam == "table" and "rows" not in sched:
-            faults.append("table schedule requires rows")
+        if fam == "table" and not _is_table(sched.get("rows")):
+            faults.append(
+                "table schedule requires rows: a nonempty list, or a mapping from "
+                "integer l >= 1, of equal-length nonempty lists of integers"
+            )
         if fam in ("linear", "polynomial", "exponential_gap", "arithmetic_gap") and not _is_int(
             sched.get("ell")
         ):
@@ -146,11 +245,7 @@ def validate_config(cfg: dict) -> list[str]:
     if mp is not None and not isinstance(mp, dict):
         faults.append(f"model_params must be a mapping, got {mp!r}")
     else:
-        mp = mp or {}
-        if model == "markov" and "transition" not in mp:
-            faults.append("markov model requires model_params.transition")
-        if model == "subshift" and "omega_star" not in mp and "omega_seed" not in mp:
-            faults.append("subshift model requires model_params.omega_star or omega_seed")
+        faults += _model_params_faults(model, mp or {})
     sv = cfg.get("sevastyanov")
     if sv is not None and not isinstance(sv, dict):
         faults.append(f"sevastyanov must be a mapping, got {sv!r}")
@@ -223,10 +318,7 @@ class _RunContext:
         from .markov import FiniteMarkovChain
 
         if "chain" not in self._cache:
-            mp = self.model_params
-            self._cache["chain"] = FiniteMarkovChain(
-                mp["transition"], nu=mp.get("initial")
-            )
+            self._cache["chain"] = FiniteMarkovChain(self.model_params["transition"])
         return self._cache["chain"]
 
     def markov_targets(self):

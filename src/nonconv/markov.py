@@ -4,6 +4,11 @@ Provides the invariant measure, a Doeblin certificate against the uniform
 reference measure, geometric mixing-rate fits, seeded simulation of the
 nonconventional arrival sum sum_l prod_j 1_Gamma(X_{q_j(l)}), and exact
 joint-arrival probabilities (b-coefficients) via restricted matrix products.
+
+The hit engine here (``_HitEngine`` and its batch loop ``sample_counts``)
+samples all three models: a Markov chain in gamma, the i.i.d. Bernoulli
+sites as the chain whose rows are all (1 - p, p), and a subshift target
+through its pattern chain.
 """
 
 from __future__ import annotations
@@ -58,7 +63,6 @@ class FiniteMarkovChain:
         self._pow_cache: dict[int, np.ndarray] = {1: P}
         self._projection_level: int | None = None
         self._blocks: dict[tuple[int, ...], dict[int, np.ndarray]] = {}
-        self._cdf = np.cumsum(P, axis=1)
 
     # -- exact linear algebra ------------------------------------------------
 
@@ -213,39 +217,227 @@ def simulate_arrival_sum(chain, schedule, gamma, n: int, seed: int) -> int:
 
 
 def simulate_arrival_batch(chain, schedule, gamma, n, seed, replicates) -> np.ndarray:
-    """Vectorized arrival-count draws across replicates.
+    """Arrival-count draws across replicates.
 
-    Simulates paths X_0..X_{q_ell(n)} from nu and counts the l <= n whose
-    q_j(l)-positions all land in gamma.
+    Counts the l <= n whose q_j(l)-positions all land in gamma along a path
+    X_0..X_{q_ell(n)} started from nu, by sampling the chain's entries into
+    gamma with ``_HitEngine``.
     """
-    gamma = frozenset(int(g) for g in gamma)
+    gamma = sorted({int(g) for g in gamma})
     if any(g < 0 or g >= chain.M for g in gamma):
         raise ValidationError("gamma contains out-of-range states")
-    horizon = schedule.max_index(n)
-    times = schedule.columns(n)
-    in_gamma = np.zeros(chain.M, dtype=bool)
-    for g in gamma:
-        in_gamma[g] = True
-    rng = derive_rng(seed, STREAM_MARKOV)
-    nu_cdf = np.cumsum(chain.nu)
-    out = np.empty(replicates, dtype=np.int64)
-    # a chunk's hit array is chunk x (horizon + 1) and each step's
-    # inverse-CDF compare is chunk x M: both stay within 4e6 cells
-    chunk = max(1, int(4e6 // max(horizon + 1, chain.M)))
-    done = 0
-    while done < replicates:
-        m = min(chunk, replicates - done)
-        state = np.searchsorted(nu_cdf, rng.random(m), side="right")
-        hits = np.empty((m, horizon + 1), dtype=bool)
-        hits[:, 0] = in_gamma[state]
-        for t in range(1, horizon + 1):
-            u = rng.random(m)
-            state = (u[:, None] > chain._cdf[state]).sum(axis=1)
-            hits[:, t] = in_gamma[state]
-        term_hits = hits[:, times]  # (m, n, ell)
-        out[done : done + m] = term_hits.all(axis=2).sum(axis=1)
-        done += m
-    return out
+    if not gamma:
+        return np.zeros(replicates, dtype=np.int64)
+    q_cols = schedule.columns(n)
+    expected_hits = max(1.0, (q_cols[-1, -1] + 1) * float(chain.mu[gamma].sum()))
+    counts, _ = sample_counts(
+        chain, gamma, q_cols, derive_rng(seed, STREAM_MARKOV), replicates, expected_hits
+    )
+    return counts
+
+
+# ---------------------------------------------------------------------------
+# Sparse hit engine
+# ---------------------------------------------------------------------------
+
+_GAP_TAIL_TOL = 1e-15
+_GAP_BLOCK = 512  # most steps of the killed chain per blocked power (a power of two)
+# most float64 cells held in the blocked powers, and again in the event
+# tables: 128 MiB each
+_ENGINE_CELL_BUDGET = 1 << 24
+
+
+class _HitEngine:
+    """Exact sampler for the times at which a chain enters its accept states.
+
+    On a pattern chain (see ``subshift.pattern_chain``) these are the
+    positions where the sliding window lands in B_n; on a Markov chain they
+    are the times X_t lies in gamma.  Built once per (chain, accept,
+    horizon); replicates then draw i.i.d. first-passage gaps, since after
+    an entry the chain sits in a known accept state.
+
+    The tables are the joint laws of (first entry time, accept state):
+    ``init_*`` from ``chain.nu`` at times >= 0, and ``gap_tables[j]`` from
+    accept state j at times >= 1.  They come from blocked powers of the
+    chain killed on the accept states: K^k H for k < B and K^B, one matrix
+    product per block of B steps for all tables.  B is the smallest power
+    of two that covers the horizon, at most ``_GAP_BLOCK``, halved until
+    the B x live x accept cells of the blocked powers fit in
+    ``_ENGINE_CELL_BUDGET``.  The dense event tables, (1 + accept) x steps
+    x accept cells, must fit in the same budget.  Either overrun raises
+    ``ResourceError`` before the array is allocated.
+
+    A table stops at the first time t whose survival mass (no entry in
+    [t0, t]) is below ``_GAP_TAIL_TOL``, or at the horizon.  The mass left
+    off the cdf is a draw of "no further hit".  ``tail_mass[k]`` is the
+    survival mass that the tolerance cut drops from table k (0 when the
+    table reaches the horizon first); it is below ``_GAP_TAIL_TOL``, and it
+    bounds the probability that one draw from that table misses a hit
+    within the horizon, so a replicate's hit set differs from an exact one
+    with probability at most ``_GAP_TAIL_TOL`` times its expected number of
+    hits plus one.  ``horizon_mass[k]`` is the survival mass at the horizon
+    (0 when the tolerance cut comes first): hits past the horizon, which
+    the sampler discards anyway.  Table 0 is ``init_*``, table k >= 1 is
+    ``gap_tables[k - 1]``.
+    """
+
+    def __init__(self, chain: FiniteMarkovChain, accept, horizon: int):
+        self.horizon = horizon
+        accept = np.asarray(accept, dtype=np.int64)
+        live = np.setdiff1d(np.arange(chain.M), accept)
+        A = accept.size
+        B = min(_GAP_BLOCK, 1 << max(0, horizon - 1).bit_length())
+        while B > 1 and B * live.size * A > _ENGINE_CELL_BUDGET:
+            B //= 2
+        _check_cells("blocked powers", B * live.size * A)
+        _check_cells("event tables", (1 + A) * (1 + B) * A)
+        K = chain.P[np.ix_(live, live)]
+        H = chain.P[np.ix_(live, accept)]
+        # the initial table starts at time 0 from nu, gap tables at time 1
+        # from one step out of each accept state
+        first = np.vstack([chain.nu[accept], chain.P[np.ix_(accept, accept)]])
+        U = np.vstack([chain.nu[live], chain.P[np.ix_(accept, live)]])
+        t0 = np.array([0] + [1] * A)
+        # E[:, k*A:(k+1)*A] = K^k H (entries at step k + 1), R[:, k] = K^(k+1) 1;
+        # E is filled in place, in the layout the block products read
+        E = np.empty((live.size, B, A))
+        R = np.empty((live.size, B))
+        E[:, 0], R[:, 0] = H, K.sum(axis=1)
+        for k in range(1, B):
+            E[:, k], R[:, k] = K @ E[:, k - 1], K @ R[:, k - 1]
+        E = E.reshape(live.size, B * A)
+        KB = None  # K^B, squared out only when a second block is needed
+        events, survival = [first[:, None, :]], [U.sum(axis=1)[:, None]]
+        steps = 0  # steps taken past each table's t0
+        cut = self._cuts(survival[0], t0, 0)
+        while np.any(cut < 0):
+            if steps:
+                _check_cells("event tables", (1 + A) * (steps + 1 + B) * A)
+                if KB is None:
+                    KB = K
+                    for _ in range(B.bit_length() - 1):
+                        KB = KB @ KB
+                U = U @ KB
+            events.append((U @ E).reshape(-1, B, A))
+            survival.append(U @ R)
+            cut = np.where(cut < 0, self._cuts(survival[-1], t0, steps + 1), cut)
+            steps += B
+        del E, KB
+        survival = np.concatenate(survival, axis=1)
+        tables = []
+        left = survival[np.arange(t0.size), cut]
+        at_horizon = t0 + cut >= horizon
+        self.tail_mass = np.where(at_horizon, 0.0, left)
+        self.horizon_mass = np.where(at_horizon, left, 0.0)
+        for k in range(t0.size):
+            # table k's events, one block at a time, so that the blocks are
+            # never copied whole
+            ev = np.concatenate([blk[k] for blk in events])[: cut[k] + 1]
+            steps_k, states = np.nonzero(ev > 0)
+            tables.append((steps_k + t0[k], states, np.cumsum(ev[steps_k, states])))
+        (self.init_times, self.init_blocks, self.init_cdf), *self.gap_tables = tables
+
+    def _cuts(self, survival, t0, start):
+        """Per table, the first column j of ``survival`` (step start + j)
+        where the table stops, or -1."""
+        j = np.arange(survival.shape[1])
+        stop = (survival < _GAP_TAIL_TOL) | (t0[:, None] + start + j >= self.horizon)
+        return np.where(stop.any(axis=1), start + stop.argmax(axis=1), -1)
+
+    def sample_hits(self, rng, replicates: int):
+        """Hit positions for a batch: returns (rep_ids, positions), unsorted."""
+        rep_chunks, pos_chunks = [], []
+        idx = np.searchsorted(self.init_cdf, rng.random(replicates), side="right")
+        alive = idx < len(self.init_cdf)
+        cur_rep = np.nonzero(alive)[0].astype(np.int64)
+        cur_pos = self.init_times[idx[alive]]
+        cur_blk = self.init_blocks[idx[alive]]
+        keep = cur_pos <= self.horizon
+        cur_rep, cur_pos, cur_blk = cur_rep[keep], cur_pos[keep], cur_blk[keep]
+        while cur_rep.size:
+            rep_chunks.append(cur_rep)
+            pos_chunks.append(cur_pos)
+            nxt_pos = np.empty_like(cur_pos)
+            nxt_blk = np.empty_like(cur_blk)
+            alive = np.zeros(cur_rep.size, dtype=bool)
+            for b, (times, blocks, cdf) in enumerate(self.gap_tables):
+                sel = np.nonzero(cur_blk == b)[0]
+                if sel.size == 0:
+                    continue
+                j = np.searchsorted(cdf, rng.random(sel.size), side="right")
+                ok = j < len(cdf)
+                okj = j[ok]
+                alive[sel[ok]] = True
+                nxt_pos[sel[ok]] = cur_pos[sel[ok]] + times[okj]
+                nxt_blk[sel[ok]] = blocks[okj]
+            alive &= nxt_pos <= self.horizon
+            cur_rep = cur_rep[alive]
+            cur_pos = nxt_pos[alive]
+            cur_blk = nxt_blk[alive]
+        if not rep_chunks:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        rep_ids = np.concatenate(rep_chunks)
+        del rep_chunks  # one list of chunks at a time beside its copy
+        return rep_ids, np.concatenate(pos_chunks)
+
+
+def _check_cells(what: str, cells: int):
+    if cells > _ENGINE_CELL_BUDGET:
+        raise ResourceError(
+            f"hit engine {what} need {cells} cells, over the budget of {_ENGINE_CELL_BUDGET}"
+        )
+
+
+def _counts_and_first(q_cols, rep_ids, positions, replicates):
+    """Per-replicate arrival count and first arriving term l (0 = none).
+
+    The hits are sorted once by (position, replicate), so the search of
+    q_1 for the hits that start a term runs over sorted positions.  The
+    needles (q_j(l), replicate) then come out sorted as well, since q_j
+    increases in l, and each replicate's first arriving term is its first
+    surviving candidate.  Memory is O(hits + N), whatever the horizon.
+    """
+    N, ell = q_cols.shape
+    q1 = q_cols[:, 0]
+    key = positions * replicates + rep_ids
+    key.sort()
+    pos = key // replicates
+    li = np.minimum(np.searchsorted(q1, pos), N - 1)
+    cand = q1[li] == pos
+    del pos
+    reps, l_val = key[cand] % replicates, li[cand] + 1
+    ok = np.ones(l_val.size, dtype=bool)
+    for j in range(1, ell):
+        needle = q_cols[l_val - 1, j] * replicates + reps
+        k = np.minimum(np.searchsorted(key, needle), key.size - 1)
+        ok &= key[k] == needle
+    reps, l_val = reps[ok], l_val[ok]
+    counts = np.bincount(reps, minlength=replicates)
+    first = np.zeros(replicates, dtype=np.int64)
+    arrived, lead = np.unique(reps, return_index=True)
+    first[arrived] = l_val[lead]
+    return counts, first
+
+
+def sample_counts(chain, accept, q_cols, rng, replicates: int, expected_hits: float):
+    """Per-replicate (arrival count, first arriving term l or 0) of the
+    terms whose positions ``q_cols`` all fall where ``chain`` sits in
+    ``accept``, started from ``chain.nu``.
+
+    Replicates run in batches of about 2e7 expected hits; each batch draws
+    its hits from one ``_HitEngine`` over the horizon q_ell(N).
+    """
+    engine = _HitEngine(chain, accept, int(q_cols[-1, -1]))
+    batch = max(64, min(replicates, int(2e7 / expected_hits)))
+    counts = np.empty(replicates, dtype=np.int64)
+    first = np.empty(replicates, dtype=np.int64)
+    for done in range(0, replicates, batch):
+        r = min(batch, replicates - done)
+        rep_ids, positions = engine.sample_hits(rng, r)
+        counts[done : done + r], first[done : done + r] = _counts_and_first(
+            q_cols, rep_ids, positions, r
+        )
+    return counts, first
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +548,7 @@ def word_lift(chain: FiniteMarkovChain, k: int):
     if k < 1:
         raise ValidationError("lift order must be >= 1")
     if k == 1:
-        return chain, [(s,) for s in range(chain.M)]
+        return FiniteMarkovChain(chain.P, chain.mu), [(s,) for s in range(chain.M)]
     # words ending in each state, from the adjacency's powers; saturating
     # at budget + 1 keeps the counts in int64 and the verdict unchanged
     adjacency = (chain.P > 0).astype(np.int64)

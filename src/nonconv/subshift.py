@@ -16,7 +16,8 @@ occurrence positions of the target blocks.  After an occurrence the pattern
 chain sits in a known accept state, so inter-occurrence gaps are i.i.d.
 draws from first-passage laws computed once on that chain; the resulting
 hit set has the law of the hit set of a simulated path, up to the survival
-mass the tables drop (``_HitEngine``).  The b-oracle runs
+mass the tables drop.  The sampler is ``markov.sample_counts``, the hit
+engine shared with the Bernoulli and Markov models.  The b-oracle runs
 ``markov.exact_b`` on the same chain.
 """
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .distributions import CountDistribution
 from .errors import CertificationError, ResourceError, ValidationError
-from .markov import FiniteMarkovChain, lex_words
+from .markov import FiniteMarkovChain, lex_words, sample_counts
 from .markov import word_lift  # noqa: F401  the benchmark's traced run wraps this name
 from .rng import (
     STREAM_HITTING,
@@ -42,7 +43,6 @@ from .rng import (
 )
 from .schedules import QSchedule, logpow_cutoff
 
-_GAP_TAIL_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -471,160 +471,6 @@ def pattern_chain(measure: MarkovGibbsMeasure, target: CylinderTarget):
     return chain, [int(pos[iota + v - 1]) for v in leaves]
 
 
-# ---------------------------------------------------------------------------
-# Sparse hit engine
-# ---------------------------------------------------------------------------
-
-_GAP_BLOCK = 512  # steps of the killed chain per blocked power (a power of two)
-
-
-class _HitEngine:
-    """Exact sampler for the times at which a chain enters its accept states.
-
-    On a pattern chain (see ``pattern_chain``) these are the positions
-    where the sliding window lands in B_n.  Built once per (chain, accept,
-    horizon); replicates then draw i.i.d. first-passage gaps, since after
-    an occurrence the chain sits in a known accept state.
-
-    The tables are the joint laws of (first entry time, accept state):
-    ``init_*`` from ``chain.nu`` at times >= 0, and ``gap_tables[j]`` from
-    accept state j at times >= 1.  They come from blocked powers of the
-    chain killed on the accept states: K^k H for k < ``_GAP_BLOCK`` and
-    K^_GAP_BLOCK, one matrix product per block of steps for all tables.
-
-    A table stops at the first time t whose survival mass (no entry in
-    [t0, t]) is below ``_GAP_TAIL_TOL``, or at the horizon.  The mass left
-    off the cdf is a draw of "no further hit".  ``tail_mass[k]`` is the
-    survival mass that the tolerance cut drops from table k (0 when the
-    table reaches the horizon first); it is below ``_GAP_TAIL_TOL``, and it
-    bounds the probability that one draw from that table misses a hit
-    within the horizon, so a replicate's hit set differs from an exact one
-    with probability at most ``_GAP_TAIL_TOL`` times its expected number of
-    hits plus one.  ``horizon_mass[k]`` is the survival mass at the horizon
-    (0 when the tolerance cut comes first): hits past the horizon, which
-    the sampler discards anyway.  Table 0 is ``init_*``, table k >= 1 is
-    ``gap_tables[k - 1]``.
-    """
-
-    def __init__(self, chain: FiniteMarkovChain, accept, horizon: int):
-        self.horizon = horizon
-        accept = np.asarray(accept, dtype=np.int64)
-        live = np.setdiff1d(np.arange(chain.M), accept)
-        K = chain.P[np.ix_(live, live)]
-        H = chain.P[np.ix_(live, accept)]
-        # the initial table starts at time 0 from nu, gap tables at time 1
-        # from one step out of each accept state
-        first = np.vstack([chain.nu[accept], chain.P[np.ix_(accept, accept)]])
-        U = np.vstack([chain.nu[live], chain.P[np.ix_(accept, live)]])
-        t0 = np.array([0] + [1] * accept.size)
-        # E[:, k*A:(k+1)*A] = K^k H (entries at step k + 1), R[:, k] = K^(k+1) 1
-        B, A = _GAP_BLOCK, accept.size
-        E = np.empty((B, live.size, A))
-        R = np.empty((live.size, B))
-        E[0], R[:, 0] = H, K.sum(axis=1)
-        for k in range(1, B):
-            E[k], R[:, k] = K @ E[k - 1], K @ R[:, k - 1]
-        E = E.transpose(1, 0, 2).reshape(live.size, B * A)
-        KB = K
-        for _ in range(B.bit_length() - 1):
-            KB = KB @ KB
-        events, survival = [first[:, None, :]], [U.sum(axis=1)[:, None]]
-        steps = 0  # steps taken past each table's t0
-        cut = self._cuts(survival[0], t0, 0)
-        while np.any(cut < 0):
-            events.append((U @ E).reshape(-1, B, A))
-            survival.append(U @ R)
-            U = U @ KB
-            cut = np.where(cut < 0, self._cuts(survival[-1], t0, steps + 1), cut)
-            steps += B
-        events = np.concatenate(events, axis=1)
-        survival = np.concatenate(survival, axis=1)
-        tables = []
-        left = survival[np.arange(t0.size), cut]
-        at_horizon = t0 + cut >= horizon
-        self.tail_mass = np.where(at_horizon, 0.0, left)
-        self.horizon_mass = np.where(at_horizon, left, 0.0)
-        for k in range(t0.size):
-            steps_k, states = np.nonzero(events[k, : cut[k] + 1] > 0)
-            tables.append((
-                steps_k + t0[k],
-                states,
-                np.cumsum(events[k, steps_k, states]),
-            ))
-        (self.init_times, self.init_blocks, self.init_cdf), *self.gap_tables = tables
-
-    def _cuts(self, survival, t0, start):
-        """Per table, the first column j of ``survival`` (step start + j)
-        where the table stops, or -1."""
-        j = np.arange(survival.shape[1])
-        stop = (survival < _GAP_TAIL_TOL) | (t0[:, None] + start + j >= self.horizon)
-        return np.where(stop.any(axis=1), start + stop.argmax(axis=1), -1)
-
-    def sample_hits(self, rng, replicates: int):
-        """Hit positions for a batch: returns (rep_ids, positions), unsorted."""
-        rep_chunks, pos_chunks = [], []
-        idx = np.searchsorted(self.init_cdf, rng.random(replicates), side="right")
-        alive = idx < len(self.init_cdf)
-        cur_rep = np.nonzero(alive)[0].astype(np.int64)
-        cur_pos = self.init_times[idx[alive]]
-        cur_blk = self.init_blocks[idx[alive]]
-        keep = cur_pos <= self.horizon
-        cur_rep, cur_pos, cur_blk = cur_rep[keep], cur_pos[keep], cur_blk[keep]
-        while cur_rep.size:
-            rep_chunks.append(cur_rep)
-            pos_chunks.append(cur_pos)
-            nxt_pos = np.empty_like(cur_pos)
-            nxt_blk = np.empty_like(cur_blk)
-            alive = np.zeros(cur_rep.size, dtype=bool)
-            for b, (times, blocks, cdf) in enumerate(self.gap_tables):
-                sel = np.nonzero(cur_blk == b)[0]
-                if sel.size == 0:
-                    continue
-                j = np.searchsorted(cdf, rng.random(sel.size), side="right")
-                ok = j < len(cdf)
-                okj = j[ok]
-                alive[sel[ok]] = True
-                nxt_pos[sel[ok]] = cur_pos[sel[ok]] + times[okj]
-                nxt_blk[sel[ok]] = blocks[okj]
-            alive &= nxt_pos <= self.horizon
-            cur_rep = cur_rep[alive]
-            cur_pos = nxt_pos[alive]
-            cur_blk = nxt_blk[alive]
-        if not rep_chunks:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        return np.concatenate(rep_chunks), np.concatenate(pos_chunks)
-
-
-def _counts_and_first(q_cols, rep_ids, positions, replicates):
-    """Per-replicate arrival count and first arriving term l (0 = none).
-
-    The hits are sorted once by (position, replicate), so the search of
-    q_1 for the hits that start a term runs over sorted positions.  The
-    needles (q_j(l), replicate) then come out sorted as well, since q_j
-    increases in l, and each replicate's first arriving term is its first
-    surviving candidate.  Memory is O(hits + N), whatever the horizon.
-    """
-    N, ell = q_cols.shape
-    q1 = q_cols[:, 0]
-    key = positions * replicates + rep_ids
-    key.sort()
-    pos, reps = np.divmod(key, replicates)
-    li = np.minimum(np.searchsorted(q1, pos), N - 1)
-    cand = q1[li] == pos
-    reps, l_val = reps[cand], li[cand] + 1
-    ok = np.ones(l_val.size, dtype=bool)
-    for j in range(1, ell):
-        needle = q_cols[l_val - 1, j] * replicates + reps
-        k = np.minimum(np.searchsorted(key, needle), key.size - 1)
-        ok &= key[k] == needle
-    reps, l_val = reps[ok], l_val[ok]
-    counts = np.bincount(reps, minlength=replicates)
-    first = np.zeros(replicates, dtype=np.int64)
-    arrived, lead = np.unique(reps, return_index=True)
-    first[arrived] = l_val[lead]
-    return counts, first
-
-
 def _check_preconditions(schedule: QSchedule, target: CylinderTarget):
     if not target.short_return_clear:
         raise ValidationError(
@@ -644,27 +490,17 @@ def simulate_nonconventional_batch(
     lam: float,
     seed: int,
     replicates: int,
-    batch: int | None = None,
 ):
     """Arrival-count draws; returns (samples, N, realized_lambda)."""
     _check_preconditions(schedule, target)
     N = replicate_count(target, schedule.ell, lam)
     horizon = schedule.max_index(N)
-    engine = _HitEngine(*pattern_chain(target.measure, target), horizon)
-    q_cols = schedule.columns(N)
-    rng = derive_rng(seed, STREAM_SUBSHIFT)
-    expected_hits = max(1.0, horizon * target.prob)
-    if batch is None:
-        batch = max(64, min(replicates, int(2e7 / expected_hits)))
-    out = np.empty(replicates, dtype=np.int64)
-    done = 0
-    while done < replicates:
-        r = min(batch, replicates - done)
-        rep_ids, positions = engine.sample_hits(rng, r)
-        counts, _ = _counts_and_first(q_cols, rep_ids, positions, r)
-        out[done : done + r] = counts
-        done += r
-    return out, N, float(N * target.prob**schedule.ell)
+    chain, accept = pattern_chain(target.measure, target)
+    counts, _ = sample_counts(
+        chain, accept, schedule.columns(N), derive_rng(seed, STREAM_SUBSHIFT),
+        replicates, max(1.0, horizon * target.prob),
+    )
+    return counts, N, float(N * target.prob**schedule.ell)
 
 
 def hitting_time_batch(
@@ -684,24 +520,13 @@ def hitting_time_batch(
     _check_preconditions(schedule, target)
     N_cap = replicate_count(target, schedule.ell, lam_cap)
     horizon = schedule.max_index(N_cap)
-    engine = _HitEngine(*pattern_chain(target.measure, target), horizon)
-    q_cols = schedule.columns(N_cap)
-    rng = derive_rng(seed, STREAM_HITTING)
-    expected_hits = max(1.0, horizon * target.prob)
-    batch = max(64, min(replicates, int(2e7 / expected_hits)))
-    scale = target.prob**schedule.ell
-    scaled = np.empty(replicates)
-    censored = np.empty(replicates, dtype=bool)
-    done = 0
-    while done < replicates:
-        r = min(batch, replicates - done)
-        rep_ids, positions = engine.sample_hits(rng, r)
-        _, first = _counts_and_first(q_cols, rep_ids, positions, r)
-        cen = first == 0
-        scaled[done : done + r] = np.where(cen, lam_cap, first * scale)
-        censored[done : done + r] = cen
-        done += r
-    return scaled, censored
+    chain, accept = pattern_chain(target.measure, target)
+    _, first = sample_counts(
+        chain, accept, schedule.columns(N_cap), derive_rng(seed, STREAM_HITTING),
+        replicates, max(1.0, horizon * target.prob),
+    )
+    censored = first == 0
+    return np.where(censored, lam_cap, first * target.prob**schedule.ell), censored
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,18 @@
 import csv
 import hashlib
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nonconv.cli import TABLES, load_config, main, run, validate_config
-from nonconv.errors import ConfigError
+from nonconv.errors import ConfigError, NonconvError
 
 BERNOULLI_CFG = """\
 model: bernoulli
@@ -47,6 +51,9 @@ model_params:
   omega_seed: 11
 hitting: {lambdas: [0.5, 1.0]}
 """
+
+
+_P = [[0.7, 0.3], [0.1, 0.9]]
 
 
 def _write(tmp_path, text, name="cfg.yaml"):
@@ -139,6 +146,30 @@ def test_validate_rejects_booleans_as_numbers():
         ("hitting", {"lambdas": [True]}, "hitting.lambdas must be a nonempty list"),
         ("model_params", [[0.7, 0.3], [0.1, 0.9]], "model_params must be a mapping"),
         ("model_params", 3, "model_params must be a mapping"),
+        ("model_params", {"transition": _P, "lift_tolerance": "abc"},
+         "model_params.lift_tolerance must be a positive number"),
+        ("model_params", {"transition": _P, "lift_tolerance": 0},
+         "model_params.lift_tolerance must be a positive number"),
+        ("model_params", {"transition": _P, "max_lift": 0}, "model_params.max_lift must be an integer >= 1"),
+        ("model_params", {"transition": _P, "max_lift": 2.5}, "model_params.max_lift must be an integer >= 1"),
+        ("model_params", {"transition": _P, "s": -1.0}, "model_params.s must be a number >= 0"),
+        ("model_params", {"transition": _P, "s": "x"}, "model_params.s must be a number >= 0"),
+        ("model_params", {"transition": _P, "eps": "x"}, "model_params.eps must be a positive number"),
+        ("model_params", {"transition": _P, "eps": 0}, "model_params.eps must be a positive number"),
+        ("model_params", {"transition": _P, "omega_seed": -3}, "model_params.omega_seed must be an integer >= 0"),
+        ("model_params", {"transition": _P, "omega_seed": "11"}, "model_params.omega_seed must be an integer >= 0"),
+        ("model_params", {"transition": _P, "omega_star": [0, "1"]},
+         "model_params.omega_star must be a nonempty list of integer symbols >= 0"),
+        ("model_params", {"transition": _P, "omega_star": []},
+         "model_params.omega_star must be a nonempty list of integer symbols >= 0"),
+        ("model_params", {"transition": [[0.7, 0.3], [0.1]]}, "model_params.transition must be a square matrix"),
+        ("model_params", {"transition": [[0.7, 0.2], [0.1, 0.9]]}, "model_params.transition must be a square matrix"),
+        ("model_params", {"transition": "P"}, "model_params.transition must be a square matrix"),
+        ("model_params", {"transition": _P, "adjacency": [[1, 2], [1, 0]]},
+         "model_params.adjacency must be a square 0-1 integer matrix"),
+        ("model_params", {"transition": _P, "adjacency": [[0, 0], [1, 1]]},
+         "model_params.adjacency must be a square 0-1 integer matrix"),
+        ("model_params", {"transition": _P, "initial": [0.5, 0.5]}, "unknown model_params key 'initial'"),
     ],
 )
 def test_validate_lists_section_faults(tmp_path, section, value, fault):
@@ -150,6 +181,17 @@ def test_validate_lists_section_faults(tmp_path, section, value, fault):
     del cfg["_raw_bytes"]
     with pytest.raises(ConfigError):
         run(_write(tmp_path, yaml.safe_dump(cfg), "bad.yaml"), tmp_path / "out")
+
+
+def test_validate_subshift_transition_on_the_adjacency_edges(tmp_path):
+    cfg = load_config(_write(tmp_path, SUBSHIFT_CFG))
+    cfg["model_params"]["adjacency"] = [[1, 1], [1, 0]]
+    cfg["model_params"]["transition"] = [[0.5, 0.5], [0.5, 0.5]]
+    assert validate_config(cfg) == [
+        "model_params.transition must be positive exactly on the adjacency's edges"
+    ]
+    cfg["model_params"]["transition"] = [[0.5, 0.5], [1.0, 0.0]]
+    assert validate_config(cfg) == []
 
 
 def test_validate_accepts_empty_optional_sections(tmp_path):
@@ -306,3 +348,112 @@ def test_run_rejects_invalid_config(tmp_path):
     bad = _write(tmp_path, "model: nosuch\n", "bad.yaml")
     with pytest.raises(ConfigError):
         run(bad, tmp_path / "out")
+
+
+# -- random invalid configs -------------------------------------------------
+
+_BASES = {
+    "bernoulli": {"model": "bernoulli", "seed": 7, "lambda": 1.0, "n_grid": [8],
+                  "replicates": 50, "schedule": {"family": "linear", "ell": 2},
+                  "outputs": ["pmf_vs_poisson"]},
+    "markov": {"model": "markov", "seed": 3, "lambda": 1.0, "n_grid": [8],
+               "replicates": 50, "schedule": {"family": "linear", "ell": 1},
+               "outputs": ["pmf_vs_poisson"], "model_params": {"transition": _P}},
+    "subshift": {"model": "subshift", "seed": 5, "lambda": 1.0, "n_grid": [4],
+                 "replicates": 50, "schedule": {"family": "linear", "ell": 2},
+                 "outputs": ["pmf_vs_poisson"], "model_params": {"omega_seed": 11}},
+}
+
+# field: (values the grammar forbids, prefixes of the fault that names it)
+_BAD_FIELDS = {
+    "model": (["nosuch", 3, None, ["markov"]], ("model must be",)),
+    "seed": (["7", 1.5, True, -1, None], ("seed",)),
+    "lambda": ([0, -1.0, "one", math.nan, math.inf, True, [1.0], 10**400], ("lambda",)),
+    "n_grid": ([[], [0], ["8"], 8, [1.5], [True], None], ("n_grid",)),
+    "replicates": ([-1, 1.5, "many", True], ("replicates",)),
+    "outputs": ([[], ["nosuch"], "pmf_vs_poisson", [["pmf_vs_poisson"]], [{"a": 1}], None],
+                ("outputs", "unknown table")),
+    "schedule": ([None, "linear", {"family": "mystery"}, {"family": ["linear"]},
+                  {"family": "linear", "ell": "2"}, {"family": "table"},
+                  {"family": "table", "rows": [[1, 2], [3]]}, {"family": "table", "rows": "abc"},
+                  {"family": "table", "rows": {"a": [1]}},
+                  {"family": "arithmetic_gap", "ell": 2, "c": "4", "gamma": 0.5},
+                  {"family": "polynomial", "ell": 2, "degree": 2.5}],
+                 ("schedule", "unknown schedule", "table schedule", "arithmetic_gap schedule",
+                  "polynomial schedule")),
+    "budgets": ([[1], {"nosuch": 1}, {"paths": 0}, {"paths": "many"}, {"enumeration": True}],
+                ("budget", "unknown budget")),
+    "sevastyanov": ([[2], {"r": 1}, {"rare_params": "sometimes"}, {"pair_samples": 0}],
+                    ("sevastyanov",)),
+    "hitting": ([[0.5], {"lambdas": []}, {"lambdas": [-1.0]}, {"lambdas": "all"}], ("hitting",)),
+    "model_params": ([[_P], 3, "transition"], ("model_params must be a mapping",)),
+}
+_BAD_PARAMS = {
+    "transition": [[[0.7, 0.3], [0.1]], [[0.7, 0.2], [0.1, 0.9]], [[-0.5, 1.5], [0.5, 0.5]],
+                   "P", [], [[1.0, math.nan], [0.5, 0.5]]],
+    "lift_tolerance": ["abc", 0, -0.1, math.inf, True],
+    "max_lift": [0, 2.5, "12", True],
+    "adjacency": [[[1, 2], [1, 0]], [[1, 1]], [[0, 0], [1, 1]], [[1.0, 1.0], [1.0, 1.0]], "full"],
+    "omega_star": [[], [0, "1"], [-1, 0], "0101", [0.5]],
+    "omega_seed": [-3, 1.5, "11", True],
+    "s": [-1.0, "x", math.nan, True],
+    "eps": [0, -0.25, "x", math.inf],
+    "initial": [[0.5, 0.5]],  # not a key of the grammar
+}
+# values the grammar allows but the run rejects, per model
+_RUN_FAULTS = {
+    "bernoulli": [("lambda", 100.0)],
+    "markov": [("transition", [[0.0, 1.0], [1.0, 0.0]]), ("transition", [[1.0]]),
+               ("max_lift", 1)],
+    "subshift": [("omega_star", [0, 1]), ("omega_star", [0, 1, 5, 0])],
+}
+
+
+@st.composite
+def _invalid_configs(draw):
+    """A base config with some grammar faults and at most one run-time fault;
+    returns (config, {field: fault prefixes})."""
+    model = draw(st.sampled_from(sorted(_BASES)))
+    cfg = json.loads(json.dumps(_BASES[model]))
+    expect = {}
+    fields = draw(st.sets(st.sampled_from(sorted(_BAD_FIELDS))))
+    params = set()
+    if "model_params" not in fields:
+        params = draw(st.sets(st.sampled_from(sorted(_BAD_PARAMS))))
+    runtime = draw(st.sampled_from([None] + _RUN_FAULTS[model]))
+    if runtime is not None:
+        key, val = runtime
+        if key == "lambda":
+            cfg["lambda"] = val
+        else:
+            cfg.setdefault("model_params", {})[key] = val
+    for f in sorted(fields):
+        values, prefixes = _BAD_FIELDS[f]
+        cfg[f] = draw(st.sampled_from(values))
+        expect[f] = prefixes
+    for k in sorted(params):
+        mp = cfg.setdefault("model_params", {})
+        mp[k] = draw(st.sampled_from(_BAD_PARAMS[k]))
+        expect[k] = (f"unknown model_params key {k!r}" if k == "initial"
+                     else f"model_params.{k} must be",)
+    assume(expect or runtime is not None)
+    return cfg, expect
+
+
+@given(_invalid_configs())
+@settings(max_examples=150, deadline=None)
+def test_invalid_configs_are_listed_and_refused(case):
+    cfg, expect = case
+    faults = validate_config(cfg)
+    # every injected fault is listed, and every listed fault is one of them
+    for f, prefixes in expect.items():
+        assert any(fault.startswith(prefixes) for fault in faults), (f, faults)
+    all_prefixes = tuple(p for prefixes in expect.values() for p in prefixes)
+    assert all(fault.startswith(all_prefixes) for fault in faults), faults
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bad.yaml"
+        path.write_text(yaml.safe_dump(cfg, sort_keys=False))
+        with pytest.raises(NonconvError) as err:
+            run(path, Path(tmp) / "out")
+    if faults:
+        assert isinstance(err.value, ConfigError) and err.value.faults == faults

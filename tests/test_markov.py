@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nonconv
 from nonconv import (
     CertificationError,
     FiniteMarkovChain,
@@ -22,9 +23,24 @@ from nonconv import (
     simulate_arrival_sum,
     word_lift,
 )
+from nonconv.bernoulli import BernoulliScheme, exact_distribution, simulate_batch
 from nonconv.errors import ResourceError
-from nonconv.markov import exact_b, exact_sum_distribution
-from nonconv.schedules import QSchedule, table_schedule
+from nonconv.markov import _HitEngine, exact_b, exact_sum_distribution
+from nonconv.schedules import (
+    QSchedule,
+    arithmetic_gap_schedule,
+    exponential_gap_schedule,
+    table_schedule,
+)
+from nonconv.subshift import (
+    MarkovGibbsMeasure,
+    exact_sum_distribution_subshift,
+    full_shift,
+    golden_mean_shift,
+    make_target,
+    simulate_nonconventional_batch,
+    uniform_measure,
+)
 
 P_AB = [[0.7, 0.3], [0.1, 0.9]]  # a = 0.3, b = 0.1
 
@@ -166,13 +182,16 @@ def test_exact_sum_distribution_budget():
 
 
 def test_word_lift_marginals():
-    chain = FiniteMarkovChain(P_AB)
-    lifted, words = word_lift(chain, 2)
-    assert len(words) == 4
-    # stationary word law matches pairwise products of the base chain
-    for s, w in enumerate(words):
-        expect = chain.mu[w[0]] * chain.P[w[0], w[1]]
-        assert lifted.mu[s] == pytest.approx(expect, rel=1e-9)
+    chain = FiniteMarkovChain(P_AB)  # nu uniform, mu = (0.25, 0.75)
+    for k in (1, 2):
+        lifted, words = word_lift(chain, k)
+        assert len(words) == 2**k
+        # the stationary word law is mu times the path weight; every lift
+        # starts from it, order 1 included
+        for s, w in enumerate(words):
+            expect = chain.mu[w[0]] * math.prod(chain.P[a, b] for a, b in zip(w, w[1:]))
+            assert lifted.mu[s] == pytest.approx(expect, rel=1e-9)
+            assert lifted.nu[s] == pytest.approx(expect, rel=1e-9)
 
 
 @pytest.mark.parametrize("M, k", [(3, 10), (3, 12), (2, 13)])
@@ -318,10 +337,10 @@ def test_propagate_block_rows():
 
 
 def test_simulate_arrival_memory_is_bounded_on_wide_chains():
-    # a 1024-state lift with horizon 2: chunks of 4e6 // (horizon + 1) rows
-    # would make each step's inverse-CDF compare 40,000 x 1024 cells (about
-    # 370 MB of float gather and bool compare); capped at 4e6 // M = 3906
-    # rows, each step stays near 36 MB
+    # a 1024-state lift with horizon 2 and 40,000 replicates: the memory
+    # must not grow with replicates x states (40,000 x 1024 cells would be
+    # about 370 MB per step of a path sampler); the hit engine's tables cover
+    # two steps of the 1022 live states (K itself is 8 MB), peak near 10 MB
     lifted, _ = word_lift(FiniteMarkovChain([[0.5, 0.5], [0.5, 0.5]]), 10)
     assert lifted.M == 1024
     replicates = 40_000
@@ -333,3 +352,132 @@ def test_simulate_arrival_memory_is_bounded_on_wide_chains():
         tracemalloc.stop()
     assert draws.shape == (replicates,) and draws.min() >= 0 and draws.max() <= 2
     assert peak < 64 * 2**20, peak
+
+
+def test_hit_engine_memory_on_wide_lift():
+    # 256 of the 1024 lifted 10-words accept (those that start 00), horizon
+    # 600: the block length halves from 512 to 64 so that the blocked powers
+    # fit the cell budget (64 x 768 x 256 cells, 96 MiB), and the event
+    # tables run to 193 steps (257 x 193 x 256 cells, 97 MiB) before the
+    # survival mass falls below the tolerance.  Measured peak: 208 MiB
+    # (1,548 MiB with a fixed 512-step block).
+    lifted, _ = word_lift(FiniteMarkovChain([[0.5, 0.5], [0.5, 0.5]]), 10)
+    gamma = range(256)
+    tracemalloc.start()
+    try:
+        draws = simulate_arrival_batch(lifted, linear_schedule(1), gamma, 600, 5, 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # each of the 600 terms arrives with probability 1/4
+    assert abs(draws.mean() - 150.0) < 5.0
+    assert peak < 256 * 2**20, peak
+
+
+def test_hit_engine_refuses_over_budget_before_allocating():
+    # 1023 of 1024 states accept and the horizon asks for a 512-step block:
+    # the first block of event tables alone would be 1024 x 513 x 1023 cells
+    chain = FiniteMarkovChain(np.full((1024, 1024), 1.0 / 1024))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="event tables"):
+            simulate_arrival_batch(chain, linear_schedule(1), range(1, 1024), 600, 5, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+# -- the hit engine's exact count law ------------------------------------------
+
+def _engine_count_law(engine, q_cols):
+    """Exact law of the count of terms whose positions are all hits, over
+    every hit sequence the engine's tables can emit within the horizon."""
+    terms = [frozenset(row) for row in q_cols.tolist()]
+    pmf = np.zeros(len(terms) + 1)
+    tables = [(engine.init_times, engine.init_blocks, engine.init_cdf), *engine.gap_tables]
+
+    def walk(table, start, hits, weight):
+        times, states, cdf = tables[table]
+        stop = weight * (1.0 - (cdf[-1] if len(cdf) else 0.0))  # no further hit
+        for t, b, pr in zip((times + start).tolist(), states.tolist(), np.diff(cdf, prepend=0.0)):
+            if t > engine.horizon:
+                stop += weight * pr
+            else:
+                walk(1 + b, t, hits | {t}, weight * pr)
+        pmf[sum(term <= hits for term in terms)] += stop
+
+    walk(0, 0, frozenset(), 1.0)
+    return pmf
+
+
+_CHAIN1 = [[0.7, 0.3], [0.1, 0.9]]
+_CHAIN3 = [[0.2, 0.5, 0.3], [0.4, 0.2, 0.4], [0.3, 0.3, 0.4]]
+_GOLDEN_Q = [[2 / 3, 1 / 3], [1.0, 0.0]]
+
+# the A3 configurations, then gamma = every state, gamma empty and p near 1
+_ENGINE_CASES = {
+    "bernoulli-a3-0": ("bernoulli", 6, 2, 0.35, linear_schedule(2)),
+    "bernoulli-a3-1": ("bernoulli", 10, 1, 0.10, linear_schedule(1)),
+    "bernoulli-a3-2": ("bernoulli", 4, 3, 0.30, linear_schedule(3)),
+    "bernoulli-a3-3": ("bernoulli", 8, 2, 0.20, exponential_gap_schedule(2)),
+    "bernoulli-a3-4": ("bernoulli", 5, 2, 0.50, arithmetic_gap_schedule(2, 1.0, 0.5)),
+    "bernoulli-p-near-1": ("bernoulli", 5, 2, 1.0 - 1e-6, linear_schedule(2)),
+    "markov-a3-0": ("markov", _CHAIN1, linear_schedule(1), {0}, 6),
+    "markov-a3-1": ("markov", _CHAIN1, linear_schedule(2), {0}, 2),
+    "markov-a3-2": ("markov", [[0.5, 0.5], [0.5, 0.5]], linear_schedule(2), {1}, 3),
+    "markov-a3-3": ("markov", _CHAIN3, linear_schedule(1), {0, 2}, 4),
+    "markov-a3-4": ("markov", _CHAIN1, table_schedule({1: (1, 3), 2: (2, 5), 3: (4, 7)}), {0}, 3),
+    "markov-all-states": ("markov", _CHAIN3, linear_schedule(2), {0, 1, 2}, 3),
+    "markov-empty": ("markov", _CHAIN1, linear_schedule(2), set(), 3),
+    "subshift-a3-0": ("subshift", "golden", linear_schedule(2), (0, 1), 4),
+    "subshift-a3-1": ("subshift", "golden", linear_schedule(1), (0, 0), 6),
+    "subshift-a3-2": ("subshift", "uniform", linear_schedule(1), (0, 1, 0), 8),
+    "subshift-a3-3": ("subshift", "uniform", linear_schedule(2), (1, 0), 5),
+    "subshift-a3-4": ("subshift", "golden", arithmetic_gap_schedule(2, 1.0, 0.5), (0, 1), 4),
+}
+
+
+@pytest.mark.parametrize("case", list(_ENGINE_CASES))
+def test_engine_count_law_matches_exact_oracles(monkeypatch, case):
+    # each sampler's engine input, captured at its call into sample_counts,
+    # gives by enumeration the exact count law the sampler draws from
+    model, *args = _ENGINE_CASES[case]
+    module = getattr(nonconv, model)
+    seen = []
+
+    def capture(chain, accept, q_cols, rng, replicates, expected_hits):
+        seen.append(_engine_count_law(_HitEngine(chain, accept, int(q_cols[-1, -1])), q_cols))
+        return np.zeros(replicates, dtype=np.int64), np.zeros(replicates, dtype=np.int64)
+
+    monkeypatch.setattr(module, "sample_counts", capture)
+    if model == "bernoulli":
+        n, ell, p, sched = args
+        scheme = BernoulliScheme(n=n, ell=ell, p=p, schedule=sched)
+        draws = simulate_batch(scheme, 1, 10)
+        exact = exact_distribution(scheme)
+    elif model == "markov":
+        P, sched, gamma, n = args
+        chain = FiniteMarkovChain(P)
+        draws = simulate_arrival_batch(chain, sched, gamma, n, 1, 10)
+        exact = exact_sum_distribution(chain, sched, gamma, n)
+    else:
+        which, sched, word, N = args
+        measure = (
+            MarkovGibbsMeasure(golden_mean_shift(), _GOLDEN_Q)
+            if which == "golden" else uniform_measure(full_shift(2))
+        )
+        target = make_target(measure, word, len(word))
+        lam = N * target.prob**sched.ell
+        draws, N_used, _ = simulate_nonconventional_batch(measure, sched, target, lam, 1, 10)
+        assert N_used == N
+        exact = exact_sum_distribution_subshift(measure, sched, target, N)
+    if case == "markov-empty":
+        # nothing can arrive: the sampler returns zeros without an engine
+        assert seen == [] and not draws.any()
+        law = np.array([1.0])
+    else:
+        (law,) = seen
+    want = np.array([exact.prob(k) for k in range(max(len(law), exact.max_count() + 1))])
+    law = np.pad(law, (0, len(want) - len(law)))
+    assert np.max(np.abs(law - want)) <= 1e-12

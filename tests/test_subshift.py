@@ -29,12 +29,9 @@ from nonconv import (
     simulate_nonconventional_batch,
     uniform_measure,
 )
-from nonconv.markov import exact_b, word_lift
+from nonconv.markov import _GAP_TAIL_TOL, _counts_and_first, _HitEngine, exact_b, word_lift
 from nonconv.schedules import arithmetic_gap_schedule, polynomial_schedule, table_schedule
 from nonconv.subshift import (
-    _GAP_TAIL_TOL,
-    _counts_and_first,
-    _HitEngine,
     exact_b_subshift,
     exact_sum_distribution_subshift,
     pattern_chain,
