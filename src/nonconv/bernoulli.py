@@ -204,20 +204,6 @@ def chen_stein_terms(scheme: BernoulliScheme) -> ChenSteinTerms:
     return ChenSteinTerms(I1=I1, I2=I2, I3=I3, bound=bound)
 
 
-def exact_b(scheme: BernoulliScheme, indices) -> float:
-    """Joint success probability P(all terms in ``indices`` equal 1).
-
-    Equals p to the number of distinct xi-sites the terms touch.
-    """
-    idx = tuple(indices)
-    if len(set(idx)) != len(idx):
-        raise ValidationError(f"duplicate entries in {idx}")
-    sites = set()
-    for l in idx:
-        sites.update(scheme.schedule.evaluate(l))
-    return scheme.p ** len(sites)
-
-
 # ---------------------------------------------------------------------------
 # End-to-end verification report
 # ---------------------------------------------------------------------------

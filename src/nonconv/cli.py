@@ -13,7 +13,8 @@ a boolean.
   seed:        integer >= 0, required (no wall-clock default)
   lambda:      positive number (default 1.0)
   n_grid:      nonempty list of positive integers, required
-  replicates:  integer >= 0 (default 0; 0 = exact-only tables)
+  replicates:  integer >= 0 (default 0; 0 = exact-only tables, and
+               hitting_time_survival needs replicates > 0)
   schedule:    {family: linear|arithmetic_gap|polynomial|exponential_gap|table,
                 ell: int (not for table), c: num and gamma: num (arithmetic_gap),
                 degree: int (polynomial),
@@ -57,7 +58,7 @@ import yaml
 
 from . import __version__
 from .distributions import PoissonLaw, empirical_distribution, tv_distance
-from .errors import ConfigError, NonconvError, ValidationError
+from .errors import ConfigError, NonconvError
 from .markov import ROW_SUM_TOL
 from .rng import STREAM_HITTING, derive_seed
 from .schedules import (
@@ -210,6 +211,8 @@ def validate_config(cfg: dict) -> list[str]:
                 faults.append(f"unknown table {name!r}")
             elif model in ("bernoulli", "markov", "subshift") and model not in TABLES[name]:
                 faults.append(f"table {name!r} is not defined for model {model!r}")
+            elif name == "hitting_time_survival" and _is_int(reps) and reps == 0:
+                faults.append("hitting_time_survival requires replicates > 0")
     sched = cfg.get("schedule")
     if not isinstance(sched, dict):
         faults.append("schedule section is required")
@@ -550,21 +553,28 @@ def table_mixing_certificates(ctx: _RunContext):
 
 
 def table_hitting_time_survival(ctx: _RunContext):
-    from .subshift import simulate_nonconventional_batch
+    """Survival P(no arrival among terms l <= N(lambda)) per n and lambda.
+
+    One ``hitting_time_batch`` per n, censored at the largest lambda, gives
+    each replicate's first arriving term; a replicate survives lambda when
+    it is censored or that term exceeds N(lambda) = ``replicate_count``.
+    """
+    from .subshift import hitting_time_batch, replicate_count
 
     lambdas = [float(v) for v in (ctx.cfg.get("hitting", {}) or {}).get("lambdas", [0.5, 1.0, 2.0])]
     header = ("n", "lambda", "survival", "exp_neg_lambda", "std_error", "replicates")
     rows = []
-    if ctx.replicates <= 0:
-        raise ValidationError("hitting_time_survival requires replicates > 0")
+    ell = ctx.schedule.ell
     for n in ctx.n_grid:
         target = ctx.subshift_target(n)
-        for k, lam in enumerate(lambdas):
-            samples, _, _ = simulate_nonconventional_batch(
-                ctx.subshift_measure(), ctx.schedule, target, lam,
-                derive_seed(ctx.seed, STREAM_HITTING, k), ctx.replicates,
-            )
-            surv = float((samples == 0).mean())
+        scaled, censored = hitting_time_batch(
+            ctx.subshift_measure(), ctx.schedule, target,
+            derive_seed(ctx.seed, STREAM_HITTING, n), ctx.replicates, lam_cap=max(lambdas),
+        )
+        # scaled = first * P(B)^ell, so the term is recovered exactly
+        first = np.rint(scaled / target.prob**ell).astype(np.int64)
+        for lam in lambdas:
+            surv = float((censored | (first > replicate_count(target, ell, lam))).mean())
             limit = math.exp(-lam)
             se = math.sqrt(limit * (1.0 - limit) / ctx.replicates)
             rows.append((n, lam, surv, limit, se, ctx.replicates))

@@ -22,11 +22,11 @@ import numpy as np
 from .distributions import CountDistribution
 from .errors import CertificationError, ResourceError, ValidationError
 from .rng import STREAM_MARKOV, derive_rng
-from .schedules import QSchedule
 
 ROW_SUM_TOL = 1e-12
 DEFAULT_PATH_BUDGET = 10**7
 LIFT_STATE_BUDGET = 1 << 12  # most lifted states: a dense S-by-S P of 128 MiB
+EXACT_B_TIME_BUDGET = 4096  # most restriction times per exact_b call
 _PROJECTION_TOL = 1e-15
 
 
@@ -444,23 +444,23 @@ def sample_counts(chain, accept, q_cols, rng, replicates: int, expected_hits: fl
 # Exact oracles
 # ---------------------------------------------------------------------------
 
-def exact_b(chain, schedule, gamma, indices, index_budget: int = 4096) -> float:
-    """P(X in gamma at every position q_j(i), i in indices), exact.
+def exact_b(chain, gamma, times) -> float:
+    """P(X_t in gamma at every t in ``times``), exact, for sorted distinct
+    times >= 0.
 
-    Sorts the merged positions t1 < ... < tk; between two restriction times
-    only the gamma-by-gamma block of P^d matters, so
-    b = (nu P^{t1})[gamma] B(t2 - t1) ... B(tk - t(k-1)) 1 with the memoized
-    blocks B(d) = P^d[gamma, gamma] of ``chain.restricted_block``.
+    Between two restriction times only the gamma-by-gamma block of P^d
+    matters, so b = (nu P^{t1})[gamma] B(t2 - t1) ... B(tk - t(k-1)) 1 with
+    the memoized blocks B(d) = P^d[gamma, gamma] of
+    ``chain.restricted_block``.  Raises ``ResourceError`` on more than
+    ``EXACT_B_TIME_BUDGET`` times.
     """
-    idx = tuple(int(i) for i in indices)
-    if len(set(idx)) != len(idx):
-        raise ValidationError(f"duplicate entries in {idx}")
     gamma = tuple(sorted({int(g) for g in gamma}))
     if any(g < 0 or g >= chain.M for g in gamma):
         raise ValidationError("gamma contains out-of-range states")
-    times = sorted({t for i in idx for t in schedule.evaluate(i)})
-    if len(times) > index_budget:
-        raise ResourceError(f"{len(times)} restriction times exceed budget {index_budget}")
+    if len(times) > EXACT_B_TIME_BUDGET:
+        raise ResourceError(
+            f"{len(times)} restriction times exceed budget {EXACT_B_TIME_BUDGET}"
+        )
     if not times:
         return float(chain.nu.sum())
     v = chain.propagate(chain.nu, times[0])[list(gamma)]

@@ -1,7 +1,10 @@
 """Numerical verification of the Poisson-factorization hypotheses.
 
-A model exposes the exact joint-arrival oracle b(indices); the checker
-evaluates, along an n-grid,
+A model exposes one stage oracle per grid point (``StageOracle``): the
+exact joint-arrival probability ``b_at(times)`` at sorted, distinct schedule
+positions.  Every model here is stationary, so ``b_at`` is shift-invariant,
+and b of an index tuple depends only on its positions up to a common shift.
+The checker evaluates, along an n-grid,
 
   (i)   max_i b_i -> 0 and sum_i b_i -> lambda,
   (ii)  sums of b over the rare index tuples -> 0 (jointly and as products),
@@ -14,10 +17,10 @@ are never skipped) and reports its coverage.
 
 A schedule run is a maximal interval of term indices over which every q
 column steps by 1, so the positions of a pair (i, j) shift together while
-i and j stay in their runs.  For a translation-invariant oracle the sampled
-mode therefore evaluates the singles once per run, and sums the clustered
-pairs above the cutoff over (run, run, offset) classes, one oracle row per
-class weighted by its pair count, instead of over every pair.
+i and j stay in their runs.  The singles are therefore evaluated once per
+run, and in sampled mode the clustered pairs above the cutoff are summed
+over (run, run, offset) classes, one oracle row per class weighted by its
+pair count, instead of over every pair.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .schedules import QSchedule
 
 DEFAULT_ENUMERATION_BUDGET = 200_000
 _STREAM_SEVASTYANOV = 7
-_MAX_DIRECT_SINGLES = 200_000
 _CHUNK = 65_536  # tuple rows per vectorized block
 
 
@@ -43,16 +45,33 @@ _CHUNK = 65_536  # tuple rows per vectorized block
 class StageOracle:
     """Exact b-oracle for one grid point.
 
-    ``b(indices)`` returns the joint arrival probability of the given term
-    indices (1-based, distinct).  ``term_count`` is the number of summands.
-    ``translation_invariant`` declares that b depends on the index tuple
-    only through the multiset of schedule positions up to a common shift;
-    stationary models set it so repeated patterns are evaluated once.
+    ``b_at(times)`` returns the joint arrival probability at the sorted,
+    distinct schedule positions ``times`` (a list of ints >= 0).  It must be
+    shift-invariant: adding one integer to every time leaves b unchanged, so
+    that the checker may evaluate each pattern of relative positions once
+    and reuse the value for every shifted copy.  ``term_count`` is the
+    number of summands and ``schedule`` maps term indices to positions.
+
+    ``b(indices)`` is the index front end: b of the given term indices
+    (1-based, distinct, in any order), that is ``b_at`` at their merged
+    positions.  The checker calls ``b_at`` only; ``b`` is a field so that
+    ``dataclasses.replace`` can swap in another front end.
     """
 
-    b: Callable
+    b_at: Callable
     term_count: int
-    translation_invariant: bool = False
+    schedule: QSchedule
+    b: Callable | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.b is None:
+            object.__setattr__(self, "b", self._b_of_indices)
+
+    def _b_of_indices(self, indices) -> float:
+        idx = tuple(int(i) for i in indices)
+        if len(set(idx)) != len(idx):
+            raise ValidationError(f"duplicate entries in {idx}")
+        return self.b_at(sorted({t for i in idx for t in self.schedule.evaluate(i)}))
 
 
 @dataclass(frozen=True)
@@ -133,14 +152,14 @@ def _group_rows(rows: np.ndarray):
 
 
 class _BCache:
-    """Oracle front end over arrays of index tuples.
+    """Stage oracle front end over arrays of index tuples.
 
-    A translation-invariant oracle is evaluated once per distinct signature
-    (a tuple's sorted positions minus their minimum), on one row that
-    carries it, and memoized for the stage; any other oracle once per row.
-    Sampled mode passes such an oracle one row per schedule run (singles)
-    or per pair class (stratum B), since every row of a run or class has
-    the same signature.
+    A tuple's signature is its sorted positions minus their minimum.  By
+    the oracle's shift invariance every tuple with one signature has the
+    same b, so ``b_at`` runs once per signature, at the positions of one
+    row that carries it, and the value is memoized for the stage.  Sampled
+    mode passes one row per schedule run (singles) or per pair class
+    (stratum B), since every row of a run or class has the same signature.
     """
 
     def __init__(self, stage: StageOracle, q: np.ndarray):
@@ -150,8 +169,6 @@ class _BCache:
 
     def __call__(self, tups: np.ndarray) -> np.ndarray:
         """b for each row of a (K, r) array of 1-based index tuples."""
-        if not self.stage.translation_invariant:
-            return np.array([self.stage.b(tuple(t)) for t in tups.tolist()], dtype=float)
         # positions column by column, minus each row's minimum; rows with
         # equal unsorted relative positions share a signature, so only each
         # group's first row is sorted into the memo key
@@ -160,13 +177,16 @@ class _BCache:
         for c, col in enumerate(tups.T - 1):
             for a in range(ell):
                 pos[c * ell + a] = self.q[col, a]
-        pos -= np.minimum.reduce(pos)
+        low = np.minimum.reduce(pos)
+        pos -= low
         first, inverse = _group_rows(pos.T)
         vals = []
-        for tup, key in zip(tups[first].tolist(), np.sort(pos[:, first].T, axis=1).tolist()):
+        for lo, key in zip(low[first].tolist(), np.sort(pos[:, first].T, axis=1).tolist()):
             key = tuple(key)
             if key not in self._memo:
-                self._memo[key] = float(self.stage.b(tuple(tup)))
+                # at the row's own positions, not shifted to 0: shift
+                # invariance holds in exact arithmetic, not bit for bit
+                self._memo[key] = float(self.stage.b_at(sorted({lo + t for t in key})))
             vals.append(self._memo[key])
         return np.array(vals, dtype=float)[inverse]
 
@@ -188,15 +208,8 @@ def _runs(q: np.ndarray) -> np.ndarray:
 
 
 def _singles(cache: _BCache, starts: np.ndarray, N: int) -> np.ndarray:
-    if cache.stage.translation_invariant:
-        # the positions of a single index shift together along its run
-        return np.repeat(cache(starts[:, None]), np.diff(np.append(starts, N + 1)))
-    if N > _MAX_DIRECT_SINGLES:
-        raise ResourceError(
-            f"{N} single-index oracle calls exceed the direct cap "
-            f"{_MAX_DIRECT_SINGLES}; the oracle must declare translation invariance"
-        )
-    return cache(np.arange(1, N + 1, dtype=np.int64)[:, None])
+    # the positions of a single index shift together along its run
+    return np.repeat(cache(starts[:, None]), np.diff(np.append(starts, N + 1)))
 
 
 def _rare_mask(q: np.ndarray, tups: np.ndarray, threshold: int, cutoff: int) -> np.ndarray:
@@ -419,32 +432,16 @@ def _stage_sampled(
             joint += rest * float(cache(_pairs(i, js)).sum()) / k
             sampled_a += k
     coverage["low_index"] = 1.0 if count_a == 0 else min(1.0, sampled_a / count_a)
-    # stratum B: clustered pairs with both indices above the cutoff.  An
-    # invariant oracle's b and b1 are constant on a run class, so each class
-    # is summed exactly from its first pair times its size; otherwise the
-    # pair list is enumerated and b subsampled per block.
+    # stratum B: clustered pairs with both indices above the cutoff.  b and
+    # b1 are constant on a run class, so each class is summed exactly from
+    # its first pair times its size.
     count_b = 0
-    if cache.stage.translation_invariant:
-        for pairs, w in _pair_classes(q, starts, threshold, cutoff):
-            count_b += int(w.sum())
-            product += float((w * b1[pairs[:, 0] - 1] * b1[pairs[:, 1] - 1]).sum())
-            if w.size:
-                joint += float((w * cache(pairs)).sum())
-                coverage["cluster"] = 1.0
-    else:
-        for start in range(cutoff + 1, N + 1, _CHUNK):
-            i_arr = np.arange(start, min(start + _CHUNK - 1, N) + 1, dtype=np.int64)
-            pi, pj = _clustered_partners(q, i_arr, threshold)
-            # each unordered pair is kept once, from its smaller endpoint's chunk
-            mask = (pj > pi) & (pj > cutoff)
-            pi, pj = pi[mask], pj[mask]
-            count_b += int(pi.size)
-            product += float((b1[pi - 1] * b1[pj - 1]).sum())
-            if pi.size:
-                k = min(int(pi.size), pair_samples)
-                sel = rng.choice(pi.size, size=k, replace=False)
-                joint += pi.size * float(np.mean(cache(np.stack([pi[sel], pj[sel]], axis=1))))
-                coverage["cluster"] = min(1.0, k / pi.size)
+    for pairs, w in _pair_classes(q, starts, threshold, cutoff):
+        count_b += int(w.sum())
+        product += float((w * b1[pairs[:, 0] - 1] * b1[pairs[:, 1] - 1]).sum())
+        if w.size:
+            joint += float((w * cache(pairs)).sum())
+            coverage["cluster"] = 1.0
     coverage.setdefault("cluster", 1.0)  # no clustered pair above the cutoff
     # ratio band over the non-rare pairs, if there are any
     non_rare = N * (N - 1) // 2 - count_a - count_b
@@ -478,7 +475,7 @@ def check_conditions(
 ) -> ConditionReport:
     """Evaluate the three conditions along the grid.
 
-    ``model_oracle(n)`` yields the stage's b-oracle and term count;
+    ``model_oracle(n)`` yields the stage's ``StageOracle``;
     ``rare_params`` is a (threshold, cutoff) pair or a callable of n.
     Grids whose r-subset count exceeds the budget fall back to stratified
     subsampling, which is implemented for r = 2 only.
@@ -587,32 +584,37 @@ def rare_sum_envelope_iid(p_n: float, lam_n: float, r: int, ell: int) -> float:
 # ---------------------------------------------------------------------------
 
 def bernoulli_model_oracle(ell: int, lam: float, schedule: QSchedule):
-    """Stage factory for the i.i.d. 0-1 array with p = (lam/n)^(1/ell)."""
-    from .bernoulli import BernoulliScheme, exact_b
+    """Stage factory for the i.i.d. 0-1 array with p = (lam/n)^(1/ell).
+
+    b is p to the number of distinct sites the terms touch.
+    """
+    from .bernoulli import BernoulliScheme
 
     def factory(n: int) -> StageOracle:
-        scheme = BernoulliScheme.from_lambda(n, ell, lam, schedule)
-        return StageOracle(
-            b=lambda idx: exact_b(scheme, idx),
-            term_count=n,
-            translation_invariant=True,
-        )
+        p = BernoulliScheme.from_lambda(n, ell, lam, schedule).p
+        return StageOracle(b_at=lambda times: p ** len(times), term_count=n, schedule=schedule)
 
     return factory
 
 
 def markov_model_oracle(targets, schedule: QSchedule):
-    """Stage factory over a TargetSetSequence of lifted chains."""
+    """Stage factory over a TargetSetSequence of lifted chains.
+
+    Each target chain must start from its invariant measure, which makes b
+    shift-invariant; ``ValidationError`` otherwise.
+    """
     from .markov import exact_b
+
+    for n, entry in targets.entries.items():
+        if not np.allclose(entry.chain.nu, entry.chain.mu, atol=1e-12):
+            raise ValidationError(f"the target chain at n={n} does not start stationary")
 
     def factory(n: int) -> StageOracle:
         entry = targets.entries[n]
-        chain = entry.chain
-        stationary = bool(np.allclose(chain.nu, chain.mu, atol=1e-12))
         return StageOracle(
-            b=lambda idx: exact_b(chain, schedule, entry.states, idx),
+            b_at=lambda times: exact_b(entry.chain, entry.states, times),
             term_count=n,
-            translation_invariant=stationary,
+            schedule=schedule,
         )
 
     return factory
@@ -631,11 +633,10 @@ def subshift_model_oracle(measure, schedule: QSchedule, lam: float, target_fn):
     def factory(n: int) -> StageOracle:
         target = target_fn(n)
         chain, gamma = pattern_chain(target.measure, target)
-        N = replicate_count(target, schedule.ell, lam)
         return StageOracle(
-            b=lambda idx: exact_b(chain, schedule, gamma, idx),
-            term_count=N,
-            translation_invariant=True,
+            b_at=lambda times: exact_b(chain, gamma, times),
+            term_count=replicate_count(target, schedule.ell, lam),
+            schedule=schedule,
         )
 
     return factory

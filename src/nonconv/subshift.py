@@ -17,8 +17,9 @@ chain sits in a known accept state, so inter-occurrence gaps are i.i.d.
 draws from first-passage laws computed once on that chain; the resulting
 hit set has the law of the hit set of a simulated path, up to the survival
 mass the tables drop.  The sampler is ``markov.sample_counts``, the hit
-engine shared with the Bernoulli and Markov models.  The b-oracle runs
-``markov.exact_b`` on the same chain.
+engine shared with the Bernoulli and Markov models.  The b-oracle,
+``sevastyanov.subshift_model_oracle``, runs ``markov.exact_b`` on the same
+chain.
 """
 
 from __future__ import annotations
@@ -532,23 +533,6 @@ def hitting_time_batch(
 # ---------------------------------------------------------------------------
 # Exact oracles
 # ---------------------------------------------------------------------------
-
-def exact_b_subshift(
-    measure: MarkovGibbsMeasure,
-    schedule: QSchedule,
-    target: CylinderTarget,
-    indices,
-) -> float:
-    """Joint arrival probability for the given term indices, exact.
-
-    Runs the restricted matrix-product oracle ``markov.exact_b`` on the
-    pattern chain, whose time t is the window at position t.
-    """
-    from .markov import exact_b
-
-    chain, accept = pattern_chain(measure, target)
-    return exact_b(chain, schedule, accept, indices)
-
 
 def exact_sum_distribution_subshift(
     measure: MarkovGibbsMeasure,

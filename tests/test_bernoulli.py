@@ -18,9 +18,9 @@ from nonconv import (
     tv_distance,
     verify_poisson_bound,
 )
-from nonconv.bernoulli import exact_b
 from nonconv.errors import ResourceError, ValidationError
 from nonconv.schedules import QSchedule, exponential_gap_schedule
+from nonconv.sevastyanov import bernoulli_model_oracle
 
 
 def _scheme(n, ell, p):
@@ -128,10 +128,11 @@ def test_verify_poisson_bound_single_term():
 
 
 def test_exact_b_is_site_count_power():
-    scheme = _scheme(4, 2, 0.5)
+    stage = bernoulli_model_oracle(2, 1.0, linear_schedule(2))(4)  # p = 1/2
     # tuple (1, 2) shares the site 2, so the union is {1, 2, 4}
-    assert exact_b(scheme, (1, 2)) == pytest.approx(0.5**3, rel=1e-12)
-    assert exact_b(scheme, (2, 1)) == exact_b(scheme, (1, 2))
+    assert stage.b((1, 2)) == pytest.approx(0.5**3, rel=1e-12)
+    assert stage.b((2, 1)) == stage.b((1, 2))
+    assert stage.b_at([5, 9, 10]) == stage.b((1, 2))
 
 
 def test_component_cap_resource_error():
@@ -154,9 +155,11 @@ def test_invalid_scheme_rejected():
 )
 @settings(max_examples=40, deadline=None)
 def test_exact_mean_equals_sum_of_b(n, ell, p):
-    scheme = BernoulliScheme(n=n, ell=ell, p=p, schedule=linear_schedule(ell))
+    lam = n * p**ell
+    scheme = BernoulliScheme.from_lambda(n, ell, lam, linear_schedule(ell))
+    stage = bernoulli_model_oracle(ell, lam, linear_schedule(ell))(n)
     dist = exact_distribution(scheme)
-    mean_b = sum(exact_b(scheme, (l,)) for l in range(1, n + 1))
+    mean_b = sum(stage.b((l,)) for l in range(1, n + 1))
     assert dist.mean() == pytest.approx(mean_b, abs=1e-10)
 
 

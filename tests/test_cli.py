@@ -170,10 +170,12 @@ def test_validate_rejects_booleans_as_numbers():
         ("model_params", {"transition": _P, "adjacency": [[0, 0], [1, 1]]},
          "model_params.adjacency must be a square 0-1 integer matrix"),
         ("model_params", {"transition": _P, "initial": [0.5, 0.5]}, "unknown model_params key 'initial'"),
+        ("replicates", 0, "hitting_time_survival requires replicates > 0"),
     ],
 )
 def test_validate_lists_section_faults(tmp_path, section, value, fault):
-    cfg = load_config(_write(tmp_path, MARKOV_CFG))
+    # only the subshift config has a table that needs replicates
+    cfg = load_config(_write(tmp_path, SUBSHIFT_CFG if section == "replicates" else MARKOV_CFG))
     assert validate_config(cfg) == []
     cfg[section] = value
     faults = validate_config(cfg)
@@ -284,33 +286,62 @@ def test_run_subshift_tables(tmp_path):
 
 
 def test_hitting_seeds_do_not_collide(tmp_path, monkeypatch):
-    # the former seed + int(1000 * lambda) gave 1005 for both seed 5 at
-    # lambda 1.0 and seed 505 at lambda 0.5
+    # one hitting stream per (config seed, n); a rule like seed + n would
+    # give 9 for both seed 5 at n = 4 and seed 3 at n = 6
     import nonconv.subshift
 
-    real = nonconv.subshift.simulate_nonconventional_batch
+    real = nonconv.subshift.hitting_time_batch
     drawn = {}
 
-    def recording(measure, schedule, target, lam, seed, replicates):
-        samples, N, lam_n = real(measure, schedule, target, lam, seed, replicates)
-        drawn[(cfg_seed, lam)] = (seed, samples)
-        return samples, N, lam_n
+    def recording(measure, schedule, target, seed, replicates, **kw):
+        out = real(measure, schedule, target, seed, replicates, **kw)
+        drawn[(cfg_seed, target.n)] = (seed, out[0])
+        return out
 
-    monkeypatch.setattr(nonconv.subshift, "simulate_nonconventional_batch", recording)
-    for cfg_seed in (5, 505):
-        text = SUBSHIFT_CFG.replace("seed: 5", f"seed: {cfg_seed}").replace(
-            "outputs: [pmf_vs_poisson, mixing_certificates, hitting_time_survival]",
-            "outputs: [hitting_time_survival]",
-        )
+    monkeypatch.setattr(nonconv.subshift, "hitting_time_batch", recording)
+    for cfg_seed in (3, 5):
+        text = _hitting_only(SUBSHIFT_CFG.replace("seed: 5", f"seed: {cfg_seed}"), [4, 6])
         run(_write(tmp_path, text, f"c{cfg_seed}.yaml"), tmp_path / f"out{cfg_seed}")
-    assert 5 + int(1000 * 1.0) == 505 + int(1000 * 0.5)
-    seed_a, samples_a = drawn[(5, 1.0)]
-    seed_b, samples_b = drawn[(505, 0.5)]
-    assert seed_a != seed_b
     assert len({seed for seed, _ in drawn.values()}) == len(drawn) == 4
-    # lambda = 0.5 counts arrivals over half the terms of lambda = 1.0; one
-    # shared stream would make those counts never exceed the other's
-    assert np.any(samples_b > samples_a)
+    assert not np.array_equal(drawn[(5, 4)][1], drawn[(3, 4)][1])
+
+
+def _hitting_only(text, n_grid):
+    return text.replace("n_grid: [4]", f"n_grid: {n_grid}").replace(
+        "outputs: [pmf_vs_poisson, mixing_certificates, hitting_time_survival]",
+        "outputs: [hitting_time_survival]",
+    )
+
+
+def test_hitting_survival_is_a_recount_of_one_hitting_batch(tmp_path):
+    from nonconv.rng import STREAM_HITTING, derive_seed
+    from nonconv.schedules import linear_schedule
+    from nonconv.subshift import (
+        full_shift, hitting_time_batch, make_target, replicate_count, sample_clear_word,
+        uniform_measure,
+    )
+
+    out = tmp_path / "out"
+    run(_write(tmp_path, _hitting_only(SUBSHIFT_CFG, [4, 6])), out)
+    with (out / "hitting_time_survival.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["n"], r["lambda"]) for r in rows] == [
+        ("4", "0.5"), ("4", "1"), ("6", "0.5"), ("6", "1")
+    ]
+    um = uniform_measure(full_shift(2))
+    for n in (4, 6):
+        target = make_target(um, sample_clear_word(um, n, 0.25, 11 + n), n=n)
+        scaled, censored = hitting_time_batch(
+            um, linear_schedule(2), target, derive_seed(5, STREAM_HITTING, n), 1000,
+            lam_cap=1.0,
+        )
+        for row in rows:
+            if row["n"] == str(n):
+                N = replicate_count(target, 2, float(row["lambda"]))
+                # the first arriving term exceeds N exactly when its scaled
+                # time exceeds N P(B)^2
+                survived = censored | (scaled > N * target.prob**2)
+                assert float(row["survival"]) == pytest.approx(survived.mean(), abs=1e-12)
 
 
 def test_csv_uses_crlf(tmp_path):

@@ -13,6 +13,7 @@ import nonconv
 from nonconv import (
     CertificationError,
     FiniteMarkovChain,
+    StageOracle,
     ValidationError,
     choose_target_sets,
     doeblin_certificate,
@@ -25,7 +26,7 @@ from nonconv import (
 )
 from nonconv.bernoulli import BernoulliScheme, exact_distribution, simulate_batch
 from nonconv.errors import ResourceError
-from nonconv.markov import _HitEngine, exact_b, exact_sum_distribution
+from nonconv.markov import EXACT_B_TIME_BUDGET, _HitEngine, exact_b, exact_sum_distribution
 from nonconv.schedules import (
     QSchedule,
     arithmetic_gap_schedule,
@@ -119,19 +120,18 @@ def test_simulate_arrival_iid_reduction():
 
 def test_exact_b_iid_chain():
     chain = FiniteMarkovChain([[0.25, 0.75], [0.25, 0.75]], nu=[0.25, 0.75])
-    sched = linear_schedule(2)
-    assert exact_b(chain, sched, {0}, (3,)) == pytest.approx(0.25**2, rel=1e-10)
+    # term 3 of linear_schedule(2) sits at positions 3 and 6
+    assert exact_b(chain, {0}, [3, 6]) == pytest.approx(0.25**2, rel=1e-10)
 
 
 def test_exact_b_full_space_is_one():
     chain = FiniteMarkovChain(P_AB)
-    assert exact_b(chain, linear_schedule(2), {0, 1}, (1, 3)) == pytest.approx(1.0)
+    assert exact_b(chain, {0, 1}, [1, 2, 3, 6]) == pytest.approx(1.0)
 
 
 def test_exact_b_against_path_enumeration():
     chain = FiniteMarkovChain(P_AB)
-    sched = linear_schedule(1)
-    got = exact_b(chain, sched, {0}, (1, 2))
+    got = exact_b(chain, {0}, [1, 2])
     brute = 0.0
     P = np.array(P_AB)
     for path in itertools.product((0, 1), repeat=3):
@@ -143,8 +143,16 @@ def test_exact_b_against_path_enumeration():
 
 def test_exact_b_permutation_invariant():
     chain = FiniteMarkovChain(P_AB)
-    sched = linear_schedule(2)
-    assert exact_b(chain, sched, {0}, (4, 1, 2)) == exact_b(chain, sched, {0}, (2, 4, 1))
+    stage = StageOracle(
+        b_at=lambda times: exact_b(chain, {0}, times), term_count=4, schedule=linear_schedule(2)
+    )
+    assert stage.b((4, 1, 2)) == stage.b((2, 4, 1)) == exact_b(chain, {0}, [1, 2, 4, 8])
+
+
+def test_exact_b_refuses_too_many_times():
+    chain = FiniteMarkovChain(P_AB)
+    with pytest.raises(ResourceError):
+        exact_b(chain, {0}, list(range(EXACT_B_TIME_BUDGET + 1)))
 
 
 def test_exact_sum_distribution_full_space():
@@ -156,7 +164,7 @@ def test_exact_sum_distribution_full_space():
 def test_exact_sum_distribution_single_term():
     chain = FiniteMarkovChain(P_AB)
     sched = linear_schedule(2)
-    b1 = exact_b(chain, sched, {0}, (1,))
+    b1 = exact_b(chain, {0}, [1, 2])
     dist = exact_sum_distribution(chain, sched, {0}, 1)
     assert dist.prob(1) == pytest.approx(b1, rel=1e-10)
     assert dist.prob(0) == pytest.approx(1 - b1, rel=1e-10)
@@ -289,9 +297,9 @@ def _dense_b(chain, gamma, times):
 @settings(max_examples=200, deadline=None)
 def test_exact_b_matches_dense_reference(case):
     chain, gammas, sched, idx = case
-    times = {t for i in idx for t in sched.evaluate(i)}
+    times = sorted({t for i in idx for t in sched.evaluate(i)})
     for gamma in gammas:  # both on one chain, so one memo serves two gammas
-        got = exact_b(chain, sched, gamma, idx)
+        got = exact_b(chain, gamma, times)
         assert got == pytest.approx(_dense_b(chain, gamma, times), rel=1e-12, abs=0)
         if not idx:
             assert got == chain.nu.sum()
@@ -300,15 +308,15 @@ def test_exact_b_matches_dense_reference(case):
 def test_restricted_blocks_share_one_block_past_projection():
     chain = FiniteMarkovChain(P_AB)
     gaps = [1, 2, 3, 1000, 2500, 7000, 123_457]
-    sched = table_schedule(np.cumsum([1] + gaps)[:, None].tolist())
-    for i in range(1, len(gaps) + 1):
-        exact_b(chain, sched, {0}, (i, i + 1))
+    times = np.cumsum([1] + gaps).tolist()
+    for i in range(len(gaps)):
+        exact_b(chain, {0}, times[i : i + 2])
     level = chain._projection_level
     assert level is not None and level < 1000
     # one block per short gap, one shared by every gap past the level
     assert sorted(chain._blocks[(0,)]) == [1, 2, 3, level]
-    got = exact_b(chain, sched, {0}, tuple(range(1, len(gaps) + 2)))
-    ref = _dense_b(chain, {0}, np.cumsum([1] + gaps).tolist())
+    got = exact_b(chain, {0}, times)
+    ref = _dense_b(chain, {0}, times)
     assert got == pytest.approx(ref, rel=1e-12)
 
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonconv import (
-    BernoulliScheme,
     FiniteMarkovChain,
     StageOracle,
     Tolerances,
@@ -24,9 +23,9 @@ from nonconv import (
     table_schedule,
     uniform_measure,
 )
-from nonconv.bernoulli import exact_b as bern_exact_b
 from nonconv.errors import ResourceError, ValidationError
-from nonconv.schedules import classify_tuple
+from nonconv.markov import TargetSet, TargetSetSequence
+from nonconv.schedules import QSchedule, classify_tuple
 from nonconv.sevastyanov import (
     _BCache,
     _group_rows,
@@ -54,8 +53,8 @@ def test_exact_stage_values_against_direct_enumeration():
     n = 8
     report = check_conditions(factory, sched, r=2, n_grid=[n], rare_params=(0, 0))
     stage = report.stage(n)
-    scheme = BernoulliScheme.from_lambda(n, 2, 1.0, sched)
-    b1 = [bern_exact_b(scheme, (l,)) for l in range(1, n + 1)]
+    oracle = factory(n)
+    b1 = [oracle.b((l,)) for l in range(1, n + 1)]
     assert stage.mode == "exact"
     assert stage.max_b == pytest.approx(max(b1), rel=1e-12)
     assert stage.sum_b == pytest.approx(1.0, rel=1e-12)
@@ -64,7 +63,7 @@ def test_exact_stage_values_against_direct_enumeration():
     lo, hi = math.inf, -math.inf
     for tup in combinations(range(1, n + 1), 2):
         _, rare = classify_tuple(sched, tup, 0, 0)
-        bj = bern_exact_b(scheme, tup)
+        bj = oracle.b(tup)
         bp = b1[tup[0] - 1] * b1[tup[1] - 1]
         if rare:
             joint += bj
@@ -76,28 +75,20 @@ def test_exact_stage_values_against_direct_enumeration():
     assert stage.ratio_band == pytest.approx((lo, hi), rel=1e-12)
 
 
-@pytest.mark.parametrize("invariant", [True, False])
-def test_exact_stage_r3_against_direct_enumeration(invariant):
+def test_exact_stage_r3_against_direct_enumeration():
     sched = linear_schedule(2)
     n, threshold, cutoff = 14, 1, 2
-    scheme = BernoulliScheme.from_lambda(n, 2, 1.0, sched)
-    calls = []
-
-    def b(idx):
-        calls.append(idx)
-        return bern_exact_b(scheme, idx)
-
-    stage_oracle = StageOracle(b=b, term_count=n, translation_invariant=invariant)
+    oracle = _bern_factory()(n)
     report = check_conditions(
-        lambda _: stage_oracle, sched, r=3, n_grid=[n], rare_params=(threshold, cutoff)
+        lambda _: oracle, sched, r=3, n_grid=[n], rare_params=(threshold, cutoff)
     )
     stage = report.stage(n)
-    b1 = [bern_exact_b(scheme, (l,)) for l in range(1, n + 1)]
+    b1 = [oracle.b((l,)) for l in range(1, n + 1)]
     joint = product = 0.0
     ratios = []
     for tup in combinations(range(1, n + 1), 3):
         _, rare = classify_tuple(sched, tup, threshold, cutoff)
-        bj = bern_exact_b(scheme, tup)
+        bj = oracle.b(tup)
         bp = math.prod(b1[i - 1] for i in tup)
         if rare:
             joint += bj
@@ -109,17 +100,13 @@ def test_exact_stage_r3_against_direct_enumeration(invariant):
     assert stage.rare_sum_joint == pytest.approx(joint, rel=1e-12)
     assert stage.rare_sum_product == pytest.approx(product, rel=1e-12)
     assert stage.ratio_band == pytest.approx((min(ratios), max(ratios)), rel=1e-12)
-    # without invariance every single and every triple costs one call
-    assert invariant or len(calls) == n + math.comb(n, 3)
 
 
 def test_exact_stage_memory_is_chunked():
     # C(3000, 2) ~ 4.5M pairs: one (K, 2) int64 array of them is 72 MB
     N = 3000
     sched = linear_schedule(1)
-    stage = StageOracle(
-        b=lambda idx: 1e-4 ** len(idx), term_count=N, translation_invariant=True
-    )
+    stage = StageOracle(b_at=lambda times: 1e-4 ** len(times), term_count=N, schedule=sched)
     full_bytes = math.comb(N, 2) * 2 * 8
     tracemalloc.start()
     try:
@@ -177,35 +164,35 @@ def test_group_rows_first_rows_and_inverse(big):
     assert inverse.tolist() == [1, 0, 1, 0]
 
 
+def _signature_b(times):
+    # a function of the relative positions alone
+    return 1.0 / (1.0 + sum(k * (t - times[0]) for k, t in enumerate(times, start=1)))
+
+
 @given(_small_schedules(), _tuple_rows(r_max=3, max_rows=60))
 @settings(max_examples=150, deadline=None)
 def test_bcache_groups_rows_by_sorted_signature(sched, rows):
-    # an oracle that tells signatures apart and counts its calls by signature
-    calls = {}
+    # a shift-invariant oracle that records the positions it is called at
+    calls = []
 
-    def signature(idx):
-        pos = sorted(t for i in idx for t in sched.evaluate(i))
-        return tuple(t - pos[0] for t in pos)
+    def b_at(times):
+        calls.append(tuple(times))
+        return _signature_b(times)
 
-    def b(idx):
-        sig = signature(idx)
-        calls[sig] = calls.get(sig, 0) + 1
-        return 1.0 / (1.0 + sum((k + 1) * v for k, v in enumerate(sig)))
-
-    q = sched.columns(40)
-    cache = _BCache(StageOracle(b=b, term_count=40, translation_invariant=True), q)
+    stage = StageOracle(b_at=b_at, term_count=40, schedule=sched)
+    cache = _BCache(stage, sched.columns(40))
     # a reversed row has the row's sorted signature but other unsorted
     # relative positions, so it lands in another group
     rows = rows + [row[::-1] for row in rows]
     tups = np.array(rows, dtype=np.int64)
     half = len(tups) // 2  # two calls share the stage memo
     got = np.concatenate([cache(tups[:half]), cache(tups[half:])])
-    expected = [b(tuple(t)) for t in rows]
-    assert got.tolist() == expected
-    # the oracle ran once per distinct signature in the cache, then once
-    # per row for the expected values
-    assert calls == {sig: 1 + sum(signature(t) == sig for t in rows) for sig in calls}
-    assert set(calls) == {signature(t) for t in rows}
+    positions = [sorted(t for i in row for t in sched.evaluate(i)) for row in rows]
+    # one call per signature (sorted positions with repeats, minus their
+    # minimum), at the distinct sorted positions of a row that carries it
+    assert len(calls) == len({tuple(t - p[0] for t in p) for p in positions})
+    assert set(calls) <= {tuple(sorted(set(p))) for p in positions}
+    assert got.tolist() == [stage.b(row) for row in rows]
 
 
 @st.composite
@@ -243,14 +230,8 @@ def _class_cases(draw):
 
 
 def _signatures(q, tups):
-    """Sorted positions minus their minimum, one row per tuple."""
-    pos = np.sort(q[tups - 1].reshape(len(tups), tups.shape[1] * q.shape[1]), axis=1)
-    return pos - pos[:, :1]
-
-
-def _signature_b(sig):
-    # distinct signatures get distinct values
-    return 1.0 / (1.0 + (sig * np.arange(1, sig.shape[-1] + 1)).sum(axis=-1))
+    """Distinct sorted positions, one tuple per index tuple."""
+    return [tuple(sorted({t for i in tup for t in q[i - 1]})) for tup in tups.tolist()]
 
 
 @given(_class_cases())
@@ -260,15 +241,15 @@ def test_pair_classes_match_clustered_pairs(case):
     N = len(q)
     calls = set()
 
-    def b(idx):
-        sig = _signatures(q, np.array([idx]))[0]
-        calls.add(tuple(sig.tolist()))
-        return float(_signature_b(sig))
+    def b_at(times):
+        calls.add(tuple(t - times[0] for t in times))
+        return _signature_b(times)
 
-    cache = _BCache(StageOracle(b=b, term_count=N, translation_invariant=True), q)
+    stage = StageOracle(b_at=b_at, term_count=N, schedule=table_schedule(q.tolist()))
+    cache = _BCache(stage, q)
     starts = _runs(q)
     b1 = _singles(cache, starts, N)
-    assert b1.tolist() == [b((l,)) for l in range(1, N + 1)]
+    assert b1.tolist() == [stage.b((l,)) for l in range(1, N + 1)]
     calls.clear()
     count, joint, product = 0, 0.0, 0.0
     for pairs, w in _pair_classes(q, starts, threshold, cutoff):
@@ -284,11 +265,11 @@ def test_pair_classes_match_clustered_pairs(case):
     pairs = pairs[_rare_mask(q, pairs, threshold, cutoff)]
     sigs = _signatures(q, pairs)
     assert count == len(pairs)
-    assert joint == pytest.approx(float(_signature_b(sigs).sum()), rel=1e-12)
+    assert joint == pytest.approx(sum(_signature_b(s) for s in sigs), rel=1e-12)
     assert product == pytest.approx(
         float((b1[pairs[:, 0] - 1] * b1[pairs[:, 1] - 1]).sum()), rel=1e-12
     )
-    assert calls == set(map(tuple, sigs.tolist()))
+    assert calls == {tuple(t - s[0] for t in s) for s in sigs}
 
 
 @given(_small_schedules(), st.integers(0, 12), st.integers(0, 37), st.integers(0, 2**32 - 1))
@@ -336,8 +317,7 @@ def test_sampled_mode_matches_exact_mode():
     assert ss.mode == "sampled"
     assert ss.max_b == pytest.approx(se.max_b, rel=1e-12)
     assert ss.sum_b == pytest.approx(se.sum_b, rel=1e-12)
-    # the i.i.d. oracle is translation invariant, so the stratified pass
-    # covers the clustered mass exactly
+    # the stratified pass sums the clustered mass over run classes, exactly
     assert ss.rare_sum_joint == pytest.approx(se.rare_sum_joint, rel=1e-9)
     assert ss.rare_sum_product == pytest.approx(se.rare_sum_product, rel=1e-9)
     assert ss.ratio_band[0] >= se.ratio_band[0] - 1e-12
@@ -499,6 +479,68 @@ def test_markov_oracle_adapter():
     for n in (8, 16):
         stage = report.stage(n)
         assert stage.sum_b == pytest.approx(targets.entries[n].realized_lambda, rel=0.05)
+
+
+def test_markov_oracle_refuses_a_chain_not_started_stationary():
+    chain = FiniteMarkovChain([[0.7, 0.3], [0.1, 0.9]])  # uniform nu, mu = (1/4, 3/4)
+    targets = TargetSetSequence(
+        lam=1.0, ell=1,
+        entries={8: TargetSet(chain=chain, states=(0,), mass=0.25,
+                              realized_lambda=2.0, lift_order=1)},
+    )
+    with pytest.raises(ValidationError, match="stationary"):
+        markov_model_oracle(targets, linear_schedule(1))
+
+
+def test_stage_oracle_b_runs_b_at_on_the_merged_positions():
+    calls = []
+
+    def b_at(times):
+        calls.append(times)
+        return 0.5 ** len(times)
+
+    stage = StageOracle(b_at=b_at, term_count=8, schedule=linear_schedule(2))
+    # terms 3, 1 and 2 sit at (3, 6), (1, 2) and (2, 4)
+    assert stage.b((3, 1, 2)) == b_at([1, 2, 3, 4, 6])
+    assert calls == [[1, 2, 3, 4, 6]] * 2
+    with pytest.raises(ValidationError, match="duplicate"):
+        stage.b((2, 1, 2))
+    assert len(calls) == 2
+
+
+def test_check_conditions_evaluates_no_schedule_row_per_oracle_call(monkeypatch):
+    # the benchmark's subshift factorization inputs at n = 6, 8 (seed 1)
+    um = uniform_measure(full_shift(2))
+    sched = arithmetic_gap_schedule(2, 4.0, 0.5)
+    targets = {
+        n: make_target(um, sample_clear_word(um, n, 0.25, seed=1_000_003 + n), n)
+        for n in (6, 8)
+    }
+    factory = subshift_model_oracle(um, sched, 1.0, targets.__getitem__)
+    oracle_calls = []
+
+    def model_oracle(n):
+        stage = factory(n)
+
+        def b_at(times):
+            oracle_calls.append(n)
+            return stage.b_at(times)
+
+        return StageOracle(b_at=b_at, term_count=stage.term_count, schedule=stage.schedule)
+
+    evaluations = []
+    evaluate = QSchedule.evaluate
+
+    def counting(self, l):
+        evaluations.append(l)
+        return evaluate(self, l)
+
+    monkeypatch.setattr(QSchedule, "evaluate", counting)
+    check_conditions(model_oracle, sched, 2, [6, 8], _a6_rare_params, seed=1_000_003)
+    # one row per stage (the top of its columns), against thousands of
+    # oracle calls
+    assert len(evaluations) == 2
+    assert oracle_calls.count(6) > 1000 and oracle_calls.count(8) > 1000
 
 
 def test_subshift_oracle_adapter():

@@ -31,8 +31,8 @@ from nonconv import (
 )
 from nonconv.markov import _GAP_TAIL_TOL, _counts_and_first, _HitEngine, exact_b, word_lift
 from nonconv.schedules import arithmetic_gap_schedule, polynomial_schedule, table_schedule
+from nonconv.sevastyanov import subshift_model_oracle
 from nonconv.subshift import (
-    exact_b_subshift,
     exact_sum_distribution_subshift,
     pattern_chain,
     replicate_count,
@@ -41,6 +41,12 @@ from nonconv.subshift import (
 
 def _golden_measure():
     return MarkovGibbsMeasure(golden_mean_shift(), [[2 / 3, 1 / 3], [1.0, 0.0]])
+
+
+def _stage_b(measure, sched, target, indices):
+    """b of the given term indices from the subshift stage oracle of ``target``."""
+    stage = subshift_model_oracle(measure, sched, 1.0, lambda n: target)(target.n)
+    return stage.b(indices)
 
 
 def test_sft_validation():
@@ -214,7 +220,7 @@ def test_exact_b_subshift_singleton_and_bruteforce():
     gm = _golden_measure()
     sched = linear_schedule(2)
     target = make_target(gm, (0, 1), n=2)
-    got = exact_b_subshift(gm, sched, target, (3,))
+    got = _stage_b(gm, sched, target, (3,))
     # windows at positions 3 and 6, both equal to the block (0, 1)
     brute = 0.0
     for w in gm.sft.words(8):
@@ -227,9 +233,9 @@ def test_exact_b_subshift_long_block():
     # m = 24, past any sliding-block lift; the pattern chain has 25 states
     um = uniform_measure(full_shift(2))
     target = make_target(um, tuple([0, 1] * 12), n=24)
-    assert exact_b_subshift(um, linear_schedule(1), target, (1,)) == 2.0**-24
+    assert _stage_b(um, linear_schedule(1), target, (1,)) == 2.0**-24
     # windows at 1 and 3 overlap consistently (period 2): 26 symbols fixed
-    assert exact_b_subshift(um, linear_schedule(1), target, (1, 3)) == 2.0**-26
+    assert _stage_b(um, linear_schedule(1), target, (1, 3)) == 2.0**-26
 
 
 def test_simulation_requires_clear_target():
@@ -288,7 +294,7 @@ def test_exact_b_gap_factorization_bound():
     cert = psi_mixing_check(gm, l_max=4, gap_max=16)
     p = target.prob
     for l in (2, 3, 5):
-        b = exact_b_subshift(gm, sched, target, (l,))
+        b = _stage_b(gm, sched, target, (l,))
         gap = l - target.m + 1  # separation between the two windows
         tol = cert.C * math.exp(-cert.beta * max(gap, 1)) if gap >= 1 else cert.C
         assert abs(b - p * p) <= (tol + 1e-12) * p * p + 1e-12
@@ -426,8 +432,9 @@ def test_pattern_chain_matches_word_lift(case):
     pos = {w: i for i, w in enumerate(words)}
     lifted_accept = [pos[b] for b in target.blocks]
     for idx in tuples:
-        want = exact_b(lifted, sched, lifted_accept, idx)
-        assert exact_b(chain, sched, accept, idx) == pytest.approx(want, rel=1e-12, abs=0)
+        times = sorted({t for i in idx for t in sched.evaluate(i)})
+        want = exact_b(lifted, lifted_accept, times)
+        assert exact_b(chain, accept, times) == pytest.approx(want, rel=1e-12, abs=0)
     engine = _HitEngine(chain, accept, horizon)
     got = [(engine.init_times, engine.init_blocks, engine.init_cdf)] + engine.gap_tables
     for k, ((times, states, cdf), (rtimes, rstates, rcdf, left, at_horizon)) in enumerate(
