@@ -132,7 +132,7 @@ def test_exact_b_is_site_count_power():
     # tuple (1, 2) shares the site 2, so the union is {1, 2, 4}
     assert stage.b((1, 2)) == pytest.approx(0.5**3, rel=1e-12)
     assert stage.b((2, 1)) == stage.b((1, 2))
-    assert stage.b_at([5, 9, 10]) == stage.b((1, 2))
+    assert stage.b_at([6, 7, 9]) == stage.b((1, 2))  # the same sites shifted by 5
 
 
 def test_component_cap_resource_error():
