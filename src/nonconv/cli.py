@@ -22,8 +22,7 @@ a boolean.
                 of equal-length nonempty lists of integers}
   outputs:     nonempty list of table names defined for the model
                (see `nonconv list-tables`)
-  budgets:     {enumeration: int > 0, paths: int > 0, component_cap: int > 0}
-               (optional)
+  budgets:     {enumeration: int > 0, component_cap: int > 0}  (optional)
   model_params: mapping with no keys but these (optional for bernoulli)
     markov:    {transition: [[..]] square, entries >= 0, rows summing to 1
                 (required), lift_tolerance: num > 0 (default 0.2),
@@ -78,7 +77,7 @@ TABLES = {
     "hitting_time_survival": ("subshift",),
 }
 
-_DEFAULT_BUDGETS = {"enumeration": 200_000, "paths": 10**7, "component_cap": 25}
+_DEFAULT_BUDGETS = {"enumeration": 200_000, "component_cap": 25}
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +541,7 @@ def table_mixing_certificates(ctx: _RunContext):
         from .subshift import gibbs_constant, psi_mixing_check
 
         measure = ctx.subshift_measure()
-        cert = psi_mixing_check(measure, l_max=4, gap_max=16)
+        cert = psi_mixing_check(measure, gap_max=16)
         rows += [
             ("psi_C", cert.C),
             ("psi_beta", cert.beta),
@@ -614,14 +613,14 @@ def run(config_path, out_dir) -> dict:
     if faults:
         raise ConfigError(faults)
     ctx = _RunContext(cfg)
+    # every table before the first write: a run that raises leaves no output
+    results = {name: _TABLE_FNS[name](ctx) for name in cfg["outputs"]}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tables = {}
-    for name in cfg["outputs"]:
-        header, rows = _TABLE_FNS[name](ctx)
-        fname = f"{name}.csv"
-        _write_csv(out / fname, header, rows)
-        tables[name] = fname
+    for name, (header, rows) in results.items():
+        tables[name] = f"{name}.csv"
+        _write_csv(out / tables[name], header, rows)
     manifest = {
         "config_hash": hashlib.sha256(cfg["_raw_bytes"]).hexdigest(),
         "seed": ctx.seed,

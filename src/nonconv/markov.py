@@ -173,13 +173,36 @@ class MixingCertificate:
     distances: tuple[float, ...]  # d(n) for n = 1..horizon
 
 
-def mixing_rate(chain: FiniteMarkovChain, horizon: int = 64) -> MixingCertificate:
-    """Fit the tightest exponential envelope on density discrepancies.
+def envelope_fit(d) -> tuple[float, float]:
+    """Tightest envelope C e^{-beta g} over distances d(g), g = 1..len(d).
 
-    d(n) = max_{x,y} |M * P^n(x,y) - M * mu(y)| (densities against uniform).
-    beta comes from a least-squares fit of log d(n) over the tail half of
-    the horizon; C1 is then raised until C1 e^{-beta n} dominates every d(n).
-    Chains that mix exactly report beta = inf.
+    beta comes from a least-squares fit of log d(g) over the usable points
+    (d(g) > 1e-12; smaller values are float noise near the stationary
+    projection) in the tail g > len(d) // 2, or over every usable point when
+    the tail has fewer than two.  C is then raised until C e^{-beta g}
+    dominates every d(g).  Fewer than two usable points mean exact mixing:
+    (0, inf).
+    """
+    usable = [g for g in range(1, len(d) + 1) if d[g - 1] > 1e-12]
+    if len(usable) < 2:
+        return 0.0, math.inf
+    tail = [g for g in usable if g > len(d) // 2]
+    fit = tail if len(tail) >= 2 else usable
+    slope, _ = np.polyfit(fit, [math.log(d[g - 1]) for g in fit], 1)
+    beta = -float(slope)
+    if beta <= 0:
+        raise CertificationError("mixing distances are not geometrically decaying")
+    # the scalar exp: np.exp moves C in the last bit
+    C = max(d[g - 1] * math.exp(beta * g) for g in range(1, len(d) + 1))
+    return float(C), beta
+
+
+def mixing_rate(chain: FiniteMarkovChain, horizon: int = 64) -> MixingCertificate:
+    """Tightest exponential envelope on density discrepancies.
+
+    d(n) = max_{x,y} |M * P^n(x,y) - M * mu(y)| (densities against uniform),
+    for n = 1..horizon, fit by ``envelope_fit``.  Chains that mix exactly
+    report C1 = 0 and beta = inf.
     """
     M = chain.M
     target = np.tile(chain.mu, (M, 1))
@@ -188,23 +211,8 @@ def mixing_rate(chain: FiniteMarkovChain, horizon: int = 64) -> MixingCertificat
     for _ in range(horizon):
         Pk = Pk @ chain.P
         d.append(float(M * np.max(np.abs(Pk - target))))
-    d_arr = np.array(d)
-    if np.all(d_arr < 1e-14):
-        return MixingCertificate(C1=0.0, beta=math.inf, distances=tuple(d))
-    tail_start = horizon // 2
-    # points below ~1e-12 are float noise near the stationary projection
-    usable = [i for i in range(horizon) if d_arr[i] > 1e-12]
-    fit = [i for i in usable if i >= tail_start] or usable
-    ns = [i + 1 for i in fit]
-    logs = [math.log(d_arr[i]) for i in fit]
-    if len(ns) < 2:
-        return MixingCertificate(C1=0.0, beta=math.inf, distances=tuple(d))
-    slope, _ = np.polyfit(ns, logs, 1)
-    beta = -float(slope)
-    if beta <= 0:
-        raise CertificationError("mixing distances are not eventually decreasing")
-    C1 = max(d_arr[i] * math.exp(beta * (i + 1)) for i in range(horizon))
-    return MixingCertificate(C1=float(C1), beta=beta, distances=tuple(d))
+    C1, beta = envelope_fit(d)
+    return MixingCertificate(C1=C1, beta=beta, distances=tuple(d))
 
 
 # ---------------------------------------------------------------------------

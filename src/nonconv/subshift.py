@@ -33,7 +33,7 @@ import numpy as np
 
 from .distributions import CountDistribution
 from .errors import CertificationError, ResourceError, ValidationError
-from .markov import FiniteMarkovChain, lex_words, sample_counts
+from .markov import FiniteMarkovChain, envelope_fit, lex_words, sample_counts
 from .markov import word_lift  # noqa: F401  the benchmark's traced run wraps this name
 from .rng import (
     STREAM_HITTING,
@@ -169,22 +169,22 @@ def gibbs_constant(measure: MarkovGibbsMeasure, n_max: int) -> float:
     The potential is phi(w) = ln Q_{w0 w1} with zero pressure; the Birkhoff
     sum over a length-n word needs one continuation symbol, taken as the
     periodic wrap when admissible and otherwise the most likely admissible
-    successor.  Returns max(ratio, 1/ratio) over all scanned words.
+    successor.  The ratio pi[first] / Q[last, next] depends on the word only
+    through its (first, last) symbols, so the scan runs over the pairs that
+    some admissible word of length <= n_max joins: the identity or-ed with
+    the 0-1 powers A^1..A^(n_max-1).  Returns max(ratio, 1/ratio) over them.
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
-    worst = 1.0
-    for n in range(1, n_max + 1):
-        for w in measure.sft.words(n):
-            last, first = w[-1], w[0]
-            if measure.sft._A[last, first]:
-                nxt = first
-            else:
-                nxt = int(np.argmax(measure.Q[last]))
-            # ratio = P([w]) / exp(sum_{i<n} ln Q_{w_i w_{i+1}}) with w_n = nxt
-            ratio = measure.pi[first] / measure.Q[last, nxt]
-            worst = max(worst, ratio, 1.0 / ratio)
-    return float(worst)
+    A = measure.sft._A
+    joined = Ak = np.eye(len(A), dtype=np.int64)
+    for _ in range(n_max - 1):
+        Ak = np.minimum(Ak @ A, 1)
+        joined = joined | Ak
+    first, last = np.nonzero(joined)
+    nxt = np.where(A[last, first] == 1, first, np.argmax(measure.Q, axis=1)[last])
+    ratio = measure.pi[first] / measure.Q[last, nxt]
+    return float(max(1.0, ratio.max(), (1.0 / ratio).max()))
 
 
 @dataclass(frozen=True)
@@ -192,19 +192,19 @@ class PsiMixingCertificate:
     C: float
     beta: float
     spectral_beta: float
-    worst_pair: tuple
+    worst_pair: tuple | None  # (a, b, g) of the first largest error; None if all are 0
     envelope: tuple[float, ...]  # max relative error per effective gap 1..gap_max
 
 
-def psi_mixing_check(
-    measure: MarkovGibbsMeasure, l_max: int, gap_max: int
-) -> PsiMixingCertificate:
-    """Exhaustive multiplicative-mixing scan over cylinder pairs.
+def psi_mixing_check(measure: MarkovGibbsMeasure, gap_max: int) -> PsiMixingCertificate:
+    """Exact psi-mixing table of the Markov measure and its envelope.
 
-    For every admissible pair U (length <= l_max), V (length <= l_max) and
-    shift n >= len(U), the exact relative error
-    |P(U n T^{-n} V) - P(U) P(V)| / (P(U) P(V)) is evaluated; the tightest
-    envelope C e^{-beta g} in the effective gap g = n - len(U) + 1 is fit.
+    For cylinders U, V and a shift that leaves an effective gap g between
+    U's last symbol a and V's first symbol b, the relative error
+    |P(U n T^{-n} V) - P(U) P(V)| / (P(U) P(V)) equals
+    psi(g, a, b) = |Q^g(a, b) / pi(b) - 1|, whatever the rest of U and V.
+    The envelope is psi(g) = max_{a,b} psi(g, a, b) for g = 1..gap_max, and
+    ``markov.envelope_fit`` gives its tightest C e^{-beta g}.
     """
     iota = measure.sft.iota
     errs = np.zeros((gap_max, iota, iota))
@@ -212,45 +212,17 @@ def psi_mixing_check(
     for g in range(1, gap_max + 1):
         errs[g - 1] = np.abs(Qg / measure.pi[None, :] - 1.0)
         Qg = Qg @ measure.Q
-    # relative error depends on the cylinder pair only through U's last
-    # symbol and V's first; scan all pairs to locate the worst one
-    envelope = []
-    worst = (0.0, None)
-    reachable = np.zeros((iota, iota), dtype=bool)
-    for lu in range(1, l_max + 1):
-        for u in measure.sft.words(lu):
-            for v0 in range(iota):
-                reachable[u[-1], v0] = True
-    for g in range(1, gap_max + 1):
-        e = 0.0
-        for a in range(iota):
-            for b in range(iota):
-                if reachable[a, b] and errs[g - 1, a, b] > e:
-                    e = errs[g - 1, a, b]
-                    if e > worst[0]:
-                        worst = (e, (a, b, g))
-        envelope.append(e)
-    env = np.array(envelope)
+    envelope = tuple(errs.max(axis=(1, 2)))
+    worst_pair = None
+    if errs.any():
+        g, a, b = np.unravel_index(np.argmax(errs), errs.shape)
+        worst_pair = (int(a), int(b), int(g) + 1)
     eigs = np.sort(np.abs(np.linalg.eigvals(measure.Q)))[::-1]
     lam2 = eigs[1] if len(eigs) > 1 else 0.0
     spectral_beta = math.inf if lam2 < 1e-14 else -math.log(lam2)
-    if np.all(env < 1e-12):
-        return PsiMixingCertificate(
-            C=0.0, beta=math.inf, spectral_beta=spectral_beta,
-            worst_pair=worst[1], envelope=tuple(envelope),
-        )
-    usable = [g for g in range(1, gap_max + 1) if env[g - 1] > 1e-12]
-    fit = [g for g in usable if g > gap_max // 2] or usable
-    if len(fit) < 2:
-        fit = usable
-    slope, _ = np.polyfit(fit, [math.log(env[g - 1]) for g in fit], 1)
-    beta = -float(slope)
-    if beta <= 0:
-        raise CertificationError("psi-mixing envelope is not geometrically decaying")
-    C = max(env[g - 1] * math.exp(beta * g) for g in range(1, gap_max + 1))
+    C, beta = envelope_fit(envelope)
     return PsiMixingCertificate(
-        C=float(C), beta=beta, spectral_beta=spectral_beta,
-        worst_pair=worst[1], envelope=tuple(envelope),
+        C=C, beta=beta, spectral_beta=spectral_beta, worst_pair=worst_pair, envelope=envelope,
     )
 
 

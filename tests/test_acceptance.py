@@ -353,7 +353,7 @@ def test_a7_mixing_certificates(capsys):
     rel_markov = abs(cert.beta - beta_true) / beta_true
 
     gm = MarkovGibbsMeasure(golden_mean_shift(), [[2 / 3, 1 / 3], [1.0, 0.0]])
-    psi = psi_mixing_check(gm, l_max=4, gap_max=16)
+    psi = psi_mixing_check(gm, gap_max=16)
     rel_psi = abs(psi.beta - math.log(3)) / math.log(3)
 
     violations = 0

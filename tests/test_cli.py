@@ -100,7 +100,7 @@ def test_validate_rejects_booleans_as_numbers():
         "n_grid": [8, True],
         "replicates": False,
         "outputs": ["tv_and_bounds"],
-        "budgets": {"enumeration": True, "paths": 10, "component_cap": False},
+        "budgets": {"enumeration": True, "component_cap": False},
     }
     gap = {**base, "schedule": {"family": "arithmetic_gap", "ell": True, "c": True, "gamma": 0.5}}
     poly = {**base, "schedule": {"family": "polynomial", "ell": 2, "degree": True}}
@@ -283,6 +283,56 @@ def test_run_subshift_tables(tmp_path):
     assert len(surv) >= 3  # header + one row per lambda
     mix = (out / "mixing_certificates.csv").read_text()
     assert "psi_beta" in mix and "gibbs_constant" in mix
+
+
+GOLDEN_MIXING_CFG = """\
+model: subshift
+seed: 0
+n_grid: [4, 6]
+schedule: {family: linear, ell: 2}
+outputs: [mixing_certificates]
+model_params:
+  adjacency: [[1, 1], [1, 0]]
+  transition: [[0.6, 0.4], [1.0, 0.0]]
+  omega_star: [0, 1, 0, 0, 1, 0, 0, 0, 1]
+"""
+
+
+def test_subshift_mixing_certificates_bytes(tmp_path):
+    # psi(g) = |Q^g(a, b) / pi(b) - 1| decays as (2/5)^g (Q's second
+    # eigenvalue is -0.4); the Gibbs constant is Q(1, 0) / pi(1) = 7/2
+    out = tmp_path / "out"
+    run(_write(tmp_path, GOLDEN_MIXING_CFG), out)
+    assert (out / "mixing_certificates.csv").read_bytes() == b"".join(
+        line + b"\r\n"
+        for line in (
+            b"quantity,value",
+            b"psi_C,2.50000000031",
+            b"psi_beta,0.916290731881",
+            b"psi_spectral_beta,0.916290731874",
+            b"gibbs_constant,3.5",
+        )
+    )
+
+
+def test_run_fault_leaves_no_output(tmp_path):
+    # the grammar accepts an omega_star shorter than n; the run refuses it
+    # only at the pmf table, after the certificates are computed
+    text = """\
+model: subshift
+seed: 1
+n_grid: [6]
+schedule: {family: linear, ell: 2}
+outputs: [mixing_certificates, pmf_vs_poisson]
+model_params:
+  omega_star: [0, 1]
+"""
+    cfg = _write(tmp_path, text)
+    assert validate_config(load_config(cfg)) == []
+    out = tmp_path / "out"
+    with pytest.raises(NonconvError):
+        run(cfg, out)
+    assert not out.exists()
 
 
 def test_hitting_seeds_do_not_collide(tmp_path, monkeypatch):
@@ -486,5 +536,6 @@ def test_invalid_configs_are_listed_and_refused(case):
         path.write_text(yaml.safe_dump(cfg, sort_keys=False))
         with pytest.raises(NonconvError) as err:
             run(path, Path(tmp) / "out")
+        assert not (Path(tmp) / "out").exists()
     if faults:
         assert isinstance(err.value, ConfigError) and err.value.faults == faults

@@ -90,6 +90,15 @@ def test_mixing_rate_one_step_chain():
     assert cert.beta == math.inf
 
 
+def test_mixing_rate_fits_past_a_one_point_tail():
+    # d(n) = 0.44^n falls below the 1e-12 noise floor at n = 34, so only
+    # n = 33 is usable in the tail n > 32; the fit uses every usable point
+    cert = mixing_rate(FiniteMarkovChain([[0.72, 0.28], [0.28, 0.72]]))
+    assert abs(cert.beta + math.log(0.44)) / -math.log(0.44) < 0.01
+    for n, d in enumerate(cert.distances, start=1):
+        assert cert.C1 * math.exp(-cert.beta * n) + 1e-12 >= d
+
+
 def test_mixing_rate_two_state_closed_form():
     cert = mixing_rate(FiniteMarkovChain(P_AB))
     beta_true = -math.log(0.6)

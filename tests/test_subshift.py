@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from nonconv import (
     hitting_time_batch,
     linear_schedule,
     make_target,
+    mixing_rate,
     psi_mixing_check,
     sample_clear_word,
     sample_point,
@@ -94,14 +96,14 @@ def test_gibbs_constant_values():
 
 
 def test_psi_mixing_full_shift_uniform():
-    cert = psi_mixing_check(uniform_measure(full_shift(2)), l_max=3, gap_max=8)
+    cert = psi_mixing_check(uniform_measure(full_shift(2)), gap_max=8)
     assert cert.beta == math.inf
     assert cert.C == 0.0
 
 
 def test_psi_mixing_golden_mean():
     gm = _golden_measure()
-    cert = psi_mixing_check(gm, l_max=4, gap_max=16)
+    cert = psi_mixing_check(gm, gap_max=16)
     # second transfer eigenvalue is -1/3, so the decay rate is ln 3
     assert abs(cert.beta - math.log(3)) / math.log(3) < 0.05
     for g, err in enumerate(cert.envelope, start=1):
@@ -110,7 +112,7 @@ def test_psi_mixing_golden_mean():
 
 def test_psi_mixing_envelope_is_exact_worst_case():
     gm = _golden_measure()
-    cert = psi_mixing_check(gm, l_max=3, gap_max=6)
+    cert = psi_mixing_check(gm, gap_max=6)
     # brute-force the relative errors over all cylinder pairs at gap 1
     Q, pi = gm.Q, gm.pi
     worst = 0.0
@@ -123,6 +125,63 @@ def test_psi_mixing_envelope_is_exact_worst_case():
                     joint = pu * np.linalg.matrix_power(Q, 1)[u[-1], v[0]] / pi[v[0]] * pv
                     worst = max(worst, abs(joint - pu * pv) / (pu * pv))
     assert cert.envelope[0] == pytest.approx(worst, rel=1e-9)
+
+
+def test_mixing_certificates_of_a_chain_exact_at_gap_two():
+    # Q = 1/3 + 0.05 u v^T with v^T u = 0: Q^2 has every row equal to pi,
+    # so psi(g) and d(n) are float noise past the first step
+    u, v = np.array([1.0, -1.0, 0.0]), np.array([1.0, 1.0, -2.0])
+    measure = MarkovGibbsMeasure(full_shift(3), 1.0 / 3.0 + 0.05 * np.outer(u, v))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi = psi_mixing_check(measure, gap_max=16)
+        mix = mixing_rate(measure.chain)
+    assert (psi.C, psi.beta) == (0.0, math.inf)
+    assert (mix.C1, mix.beta) == (0.0, math.inf)
+    assert psi.envelope[0] == pytest.approx(0.3, rel=1e-12)
+
+
+def _gibbs_by_words(measure, n_max):
+    """gibbs_constant by scanning every admissible word of length <= n_max."""
+    A, Q, pi = measure.sft._A, measure.Q, measure.pi
+    worst = 1.0
+    for n in range(1, n_max + 1):
+        for w in measure.sft.words(n):
+            nxt = w[0] if A[w[-1], w[0]] else int(np.argmax(Q[w[-1]]))
+            ratio = pi[w[0]] / Q[w[-1], nxt]
+            worst = max(worst, ratio, 1.0 / ratio)
+    return float(worst)
+
+
+def _random_measure(rng):
+    iota = int(rng.integers(2, 5))
+    while True:
+        A = (rng.random((iota, iota)) < 0.6).astype(int)
+        try:
+            SubshiftSFT.from_matrix(A).wp  # primitive
+            break
+        except (ValidationError, CertificationError):
+            pass
+    Q = A * rng.uniform(0.05, 1.0, (iota, iota))
+    return MarkovGibbsMeasure(SubshiftSFT.from_matrix(A), Q / Q.sum(axis=1, keepdims=True))
+
+
+def test_gibbs_constant_equals_word_scan():
+    rng = np.random.default_rng(2026)
+    for _ in range(30):
+        measure = _random_measure(rng)
+        for n_max in range(1, 7):
+            assert gibbs_constant(measure, n_max) == _gibbs_by_words(measure, n_max)
+
+
+def test_certificates_enumerate_no_words(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("a certificate enumerated words")
+
+    gm = _golden_measure()
+    monkeypatch.setattr("nonconv.subshift.lex_words", no_enumeration)
+    assert psi_mixing_check(gm, gap_max=16).beta == pytest.approx(math.log(3), rel=0.05)
+    assert gibbs_constant(gm, 8) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_short_return_examples():
@@ -291,7 +350,7 @@ def test_exact_b_gap_factorization_bound():
     gm = _golden_measure()
     sched = linear_schedule(2)
     target = make_target(gm, (0, 1), n=2)
-    cert = psi_mixing_check(gm, l_max=4, gap_max=16)
+    cert = psi_mixing_check(gm, gap_max=16)
     p = target.prob
     for l in (2, 3, 5):
         b = _stage_b(gm, sched, target, (l,))
