@@ -250,8 +250,8 @@ def simulate_arrival_batch(chain, schedule, gamma, n, seed, replicates) -> np.nd
 
 _GAP_TAIL_TOL = 1e-15
 _GAP_BLOCK = 512  # most steps of the killed chain per blocked power (a power of two)
-# most float64 cells held in the blocked powers, and again in the event
-# tables: 128 MiB each
+# most 8-byte cells held in the blocked powers, again in the event tables
+# and again in the guide tables: 128 MiB each
 _ENGINE_CELL_BUDGET = 1 << 24
 
 
@@ -274,6 +274,19 @@ class _HitEngine:
     ``_ENGINE_CELL_BUDGET``.  The dense event tables, (1 + accept) x steps
     x accept cells, must fit in the same budget.  Either overrun raises
     ``ResourceError`` before the array is allocated.
+
+    Draws use indexed search (Chen & Asau 1974; Devroye 1986, III.2.4).
+    The tables are also stored flat, in the order gap table 0, ..., gap
+    table A - 1, initial table, so that an entry's accept state is the
+    flat index of the table of the next gap.  Each table is followed by a
+    sentinel slot, the draw of "no further hit", whose time lies past the
+    horizon.  A table of L entries has a guide of G + 1 cells, G the
+    smallest power of two >= 2 L: guide[k] = searchsorted(cdf, k / G,
+    "right").  A uniform u in bucket k = floor(u G) draws guide[k] when
+    guide[k + 1] equals it, and otherwise bisects between the two; k / G
+    and u G are exact in float64, so every draw equals
+    ``searchsorted(cdf, u, "right")``.  The guides' cells are checked by
+    ``_check_cells`` before they are allocated.
 
     A table stops at the first time t whose survival mass (no entry in
     [t0, t]) is below ``_GAP_TAIL_TOL``, or at the horizon.  The mass left
@@ -332,18 +345,46 @@ class _HitEngine:
             steps += B
         del E, KB
         survival = np.concatenate(survival, axis=1)
-        tables = []
         left = survival[np.arange(t0.size), cut]
         at_horizon = t0 + cut >= horizon
         self.tail_mass = np.where(at_horizon, 0.0, left)
         self.horizon_mass = np.where(at_horizon, left, 0.0)
+        tables = []
         for k in range(t0.size):
             # table k's events, one block at a time, so that the blocks are
             # never copied whole
             ev = np.concatenate([blk[k] for blk in events])[: cut[k] + 1]
             steps_k, states = np.nonzero(ev > 0)
             tables.append((steps_k + t0[k], states, np.cumsum(ev[steps_k, states])))
-        (self.init_times, self.init_blocks, self.init_cdf), *self.gap_tables = tables
+        del events, ev
+        self._store(tables[1:] + tables[:1])
+
+    def _store(self, tables):
+        """Lay the tables out flat in the given order, each followed by a
+        sentinel slot, and build their guides; the last is the initial
+        table."""
+        sizes = np.array([cdf.size for _, _, cdf in tables])
+        # G: the smallest power of two >= 2 L
+        G = np.array([1 << max(1, (2 * L - 1).bit_length()) for L in sizes.tolist()])
+        _check_cells("guide tables", int(G.sum()) + G.size)
+        start = np.cumsum(sizes + 1) - (sizes + 1)
+        self._gstart = np.cumsum(G + 1) - (G + 1)
+        self._buckets = G.astype(float)
+        self._init = len(tables) - 1
+        total = int(sizes.sum()) + sizes.size
+        # a sentinel's time is past any horizon, so drawing it ends the replicate
+        self._time = np.full(total, self.horizon + 1, dtype=np.int64)
+        self._next = np.zeros(total, dtype=np.int64)
+        self._cdf = np.full(total, np.inf)
+        self._guide = np.empty(int(G.sum()) + G.size, dtype=np.int64)
+        views = []
+        for (times, blocks, cdf), a, g, n in zip(tables, start, self._gstart, G):
+            b = a + cdf.size
+            self._time[a:b], self._next[a:b], self._cdf[a:b] = times, blocks, cdf
+            edges = np.arange(n + 1) / n
+            self._guide[g : g + n + 1] = a + np.searchsorted(cdf, edges, side="right")
+            views.append((self._time[a:b], self._next[a:b], self._cdf[a:b]))
+        *self.gap_tables, (self.init_times, self.init_blocks, self.init_cdf) = views
 
     def _cuts(self, survival, t0, start):
         """Per table, the first column j of ``survival`` (step start + j)
@@ -352,41 +393,52 @@ class _HitEngine:
         stop = (survival < _GAP_TAIL_TOL) | (t0[:, None] + start + j >= self.horizon)
         return np.where(stop.any(axis=1), start + stop.argmax(axis=1), -1)
 
-    def sample_hits(self, rng, replicates: int):
-        """Hit positions for a batch: returns (rep_ids, positions), unsorted."""
-        rep_chunks, pos_chunks = [], []
-        idx = np.searchsorted(self.init_cdf, rng.random(replicates), side="right")
-        alive = idx < len(self.init_cdf)
-        cur_rep = np.nonzero(alive)[0].astype(np.int64)
-        cur_pos = self.init_times[idx[alive]]
-        cur_blk = self.init_blocks[idx[alive]]
-        keep = cur_pos <= self.horizon
-        cur_rep, cur_pos, cur_blk = cur_rep[keep], cur_pos[keep], cur_blk[keep]
-        while cur_rep.size:
-            rep_chunks.append(cur_rep)
-            pos_chunks.append(cur_pos)
-            nxt_pos = np.empty_like(cur_pos)
-            nxt_blk = np.empty_like(cur_blk)
-            alive = np.zeros(cur_rep.size, dtype=bool)
-            for b, (times, blocks, cdf) in enumerate(self.gap_tables):
-                sel = np.nonzero(cur_blk == b)[0]
-                if sel.size == 0:
-                    continue
-                j = np.searchsorted(cdf, rng.random(sel.size), side="right")
-                ok = j < len(cdf)
-                okj = j[ok]
-                alive[sel[ok]] = True
-                nxt_pos[sel[ok]] = cur_pos[sel[ok]] + times[okj]
-                nxt_blk[sel[ok]] = blocks[okj]
-            alive &= nxt_pos <= self.horizon
-            cur_rep = cur_rep[alive]
-            cur_pos = nxt_pos[alive]
-            cur_blk = nxt_blk[alive]
-        if not rep_chunks:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        rep_ids = np.concatenate(rep_chunks)
-        del rep_chunks  # one list of chunks at a time beside its copy
-        return rep_ids, np.concatenate(pos_chunks)
+    def _draw(self, table, u):
+        """Flat index of the entry that each uniform ``u`` draws from its
+        table, or of the table's sentinel: ``searchsorted(cdf, u, "right")``
+        by the guide.  u G is exact in float64, so u's bucket k holds
+        k/G <= u < (k+1)/G and its index lies in [guide[k], guide[k+1]]."""
+        g = self._gstart[table] + (u * self._buckets[table]).astype(np.int64)
+        idx, hi = self._guide[g], self._guide[g + 1]
+        open_ = np.flatnonzero(idx < hi)
+        if open_.size:
+            # bisect [lo, lo + n) for the first cdf value above u; lo + n
+            # is at most the sentinel, whose cdf is inf
+            lo, n, uo = idx[open_], hi[open_] - idx[open_], u[open_]
+            while n.any():
+                half = n >> 1
+                right = (self._cdf[lo + half] <= uo) & (n > 0)
+                lo = np.where(right, lo + half + 1, lo)
+                n = np.where(right, n - half - 1, half)
+            idx[open_] = lo
+        return idx
+
+    def sample_hits(self, rng, replicates: int) -> np.ndarray:
+        """Packed hit keys (position << s) | replicate of a batch, s from
+        ``_key_shift``, unsorted.
+
+        Round k draws every live replicate's k-th hit from one
+        ``rng.random`` call, handed out in (table, replicate) order.
+        """
+        shift = _key_shift(self.horizon, replicates)
+        limit = (self.horizon + 1) << shift  # keys of positions past the horizon
+        many = len(self.gap_tables) > 1
+        key = np.arange(replicates, dtype=np.int64)
+        table = np.full(replicates, self._init)
+        chunks = []
+        while key.size:
+            u = rng.random(key.size)
+            if many:  # with one gap table, replicate order is table order
+                by_table = np.empty_like(u)
+                by_table[np.argsort(table, kind="stable")] = u
+                u = by_table
+            idx = self._draw(table, u)
+            step = self._time[idx] << shift
+            ok = step < limit - key
+            key = key[ok] + step[ok]
+            table = self._next[idx[ok]]
+            chunks.append(key)
+        return np.concatenate(chunks)
 
 
 def _check_cells(what: str, cells: int):
@@ -396,34 +448,63 @@ def _check_cells(what: str, cells: int):
         )
 
 
-def _counts_and_first(q_cols, rep_ids, positions, replicates):
-    """Per-replicate arrival count and first arriving term l (0 = none).
+def _key_shift(horizon: int, replicates: int) -> int:
+    """Bits s of the replicate field of the packed hit keys (position << s)
+    | replicate: the bit length of the largest replicate id.  Raises
+    ``ResourceError`` when (horizon + 1) << s does not fit in int64."""
+    shift = max(0, replicates - 1).bit_length()
+    if (horizon + 1) << shift > np.iinfo(np.int64).max:
+        raise ResourceError(
+            f"hit keys of horizon {horizon} and {replicates} replicates overflow int64"
+        )
+    return shift
 
-    The hits are sorted once by (position, replicate), so the search of
-    q_1 for the hits that start a term runs over sorted positions.  The
-    needles (q_j(l), replicate) then come out sorted as well, since q_j
-    increases in l, and each replicate's first arriving term is its first
-    surviving candidate.  Memory is O(hits + N), whatever the horizon.
+
+def _counts_and_first(q_cols, keys, replicates):
+    """Per-replicate arrival count and first arriving term l (0 = none),
+    from packed hit keys (position << s) | replicate (see ``_key_shift``).
+
+    The keys are sorted once, in place, so each distinct position is a
+    run.  Each q_j is inverted on the distinct positions only, and turns
+    the hits at q_j-positions into the sorted list of (l << s) | replicate.
+    A term arrives in a replicate when its key is in all ell lists: one
+    sort of the lists side by side puts its ell copies together.  Sorted
+    by (l, replicate), each replicate's first arrival is its first term.
+    Memory is O(hits + N), whatever the horizon.
     """
     N, ell = q_cols.shape
-    q1 = q_cols[:, 0]
-    key = positions * replicates + rep_ids
-    key.sort()
-    pos = key // replicates
-    li = np.minimum(np.searchsorted(q1, pos), N - 1)
-    cand = q1[li] == pos
+    shift = _key_shift(int(q_cols[-1, -1]), replicates)
+    keys.sort()
+    pos = keys >> shift
+    new = np.empty(pos.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(pos[1:], pos[:-1], out=new[1:])
+    run_start = np.flatnonzero(new)
+    del new
+    at = pos[run_start]
     del pos
-    reps, l_val = key[cand] % replicates, li[cand] + 1
-    ok = np.ones(l_val.size, dtype=bool)
-    for j in range(1, ell):
-        needle = q_cols[l_val - 1, j] * replicates + reps
-        k = np.minimum(np.searchsorted(key, needle), key.size - 1)
-        ok &= key[k] == needle
-    reps, l_val = reps[ok], l_val[ok]
+    runs = np.diff(run_start, append=keys.size)
+    mask = (1 << shift) - 1
+    terms, on = [], []
+    for j in range(ell):
+        li = np.minimum(np.searchsorted(q_cols[:, j], at), N - 1)
+        on.append(q_cols[li, j] == at)
+        terms.append(li[on[j]] + 1)
+    lists = np.empty(sum(int(runs[o].sum()) for o in on), dtype=np.int64)
+    end = 0
+    for term, o in zip(terms, on):
+        seg = lists[end : end + int(runs[o].sum())]
+        np.bitwise_and(keys[np.repeat(o, runs)], mask, out=seg)
+        seg |= np.repeat(term << shift, runs[o])
+        end += seg.size
+    lists.sort(kind="stable")  # ell sorted runs: a merge
+    m = max(0, lists.size - ell + 1)
+    arrivals = lists[:m][lists[ell - 1 :] == lists[:m]]
+    reps = arrivals & mask
     counts = np.bincount(reps, minlength=replicates)
     first = np.zeros(replicates, dtype=np.int64)
     arrived, lead = np.unique(reps, return_index=True)
-    first[arrived] = l_val[lead]
+    first[arrived] = arrivals[lead] >> shift
     return counts, first
 
 
@@ -433,17 +514,22 @@ def sample_counts(chain, accept, q_cols, rng, replicates: int, expected_hits: fl
     ``accept``, started from ``chain.nu``.
 
     Replicates run in batches of about 2e7 expected hits; each batch draws
-    its hits from one ``_HitEngine`` over the horizon q_ell(N).
+    its hits from one ``_HitEngine`` over the horizon q_ell(N) as packed
+    int64 keys, which ``_counts_and_first`` counts.  A batch peaks near
+    35 B per hit under ``tracemalloc`` (634 MiB for the 2.0e7 hits of the
+    A4 target at n = 8).  Raises ``ResourceError`` before building the
+    engine when a batch's keys would overflow int64 (see ``_key_shift``).
     """
-    engine = _HitEngine(chain, accept, int(q_cols[-1, -1]))
+    horizon = int(q_cols[-1, -1])
     batch = max(64, min(replicates, int(2e7 / expected_hits)))
+    _key_shift(horizon, min(batch, replicates))
+    engine = _HitEngine(chain, accept, horizon)
     counts = np.empty(replicates, dtype=np.int64)
     first = np.empty(replicates, dtype=np.int64)
     for done in range(0, replicates, batch):
         r = min(batch, replicates - done)
-        rep_ids, positions = engine.sample_hits(rng, r)
         counts[done : done + r], first[done : done + r] = _counts_and_first(
-            q_cols, rep_ids, positions, r
+            q_cols, engine.sample_hits(rng, r), r
         )
     return counts, first
 

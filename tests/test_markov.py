@@ -405,6 +405,47 @@ def test_hit_engine_refuses_over_budget_before_allocating():
     assert peak < 1 << 20, peak
 
 
+def _adversarial_cdf(rng, kind):
+    L = 1 if kind == "single" else int(rng.integers(2, 2000))
+    p = rng.exponential(size=L)
+    p /= p.sum()
+    if kind == "short":  # the table keeps mass for "no further hit"
+        p *= rng.uniform(0.2, 0.999)
+    elif kind == "tail":  # a tail below 1e-15: flat cdf runs in one bucket
+        cut = int(rng.integers(1, L))
+        p[cut:] = 10.0 ** rng.uniform(-22, -15, L - cut)
+    elif kind == "single":
+        p[0] = rng.choice([1.0, rng.uniform(0.0, 1.0)])
+    return np.cumsum(p)
+
+
+def test_guide_draws_equal_binary_search():
+    # every draw of the guide tables equals searchsorted(cdf, u, "right")
+    # on the uniforms where they could differ: bucket edges, cdf values and
+    # their neighbours, and the mass past cdf[-1]
+    rng = np.random.default_rng(2024)
+    kinds = ["full", "short", "tail", "single"] * 6
+    cdfs = [_adversarial_cdf(rng, kind) for kind in kinds]
+    engine = _HitEngine.__new__(_HitEngine)
+    engine.horizon = 10
+    engine._store([(np.zeros(c.size, dtype=np.int64),) * 2 + (c,) for c in cdfs])
+    start = 0
+    for k, cdf in enumerate(cdfs):
+        K = int(engine._buckets[k])
+        assert K >= 2 * cdf.size and K & (K - 1) == 0
+        edges = np.arange(1, K) / K
+        u = np.concatenate([
+            [0.0], edges, np.nextafter(edges, 0.0),
+            cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
+            [np.nextafter(1.0, 0.0)], rng.uniform(min(cdf[-1], 1.0), 1.0, 100),
+        ])
+        u = u[u < 1.0]
+        want = np.searchsorted(cdf, u, side="right")
+        assert np.array_equal(engine._draw(k, u) - start, want)
+        assert np.array_equal(engine._draw(np.full(u.size, k), u) - start, want)
+        start += cdf.size + 1  # each table is followed by its sentinel
+
+
 # -- the hit engine's exact count law ------------------------------------------
 
 def _engine_count_law(engine, q_cols):

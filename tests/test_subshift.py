@@ -31,7 +31,18 @@ from nonconv import (
     simulate_nonconventional_batch,
     uniform_measure,
 )
-from nonconv.markov import _GAP_TAIL_TOL, _counts_and_first, _HitEngine, exact_b, word_lift
+from nonconv.errors import ResourceError
+from nonconv.markov import (
+    _GAP_TAIL_TOL,
+    FiniteMarkovChain,
+    _counts_and_first,
+    _HitEngine,
+    _key_shift,
+    exact_b,
+    sample_counts,
+    word_lift,
+)
+from nonconv.rng import derive_rng
 from nonconv.schedules import arithmetic_gap_schedule, polynomial_schedule, table_schedule
 from nonconv.sevastyanov import subshift_model_oracle
 from nonconv.subshift import (
@@ -382,18 +393,15 @@ def test_counts_and_first_match_brute_force(sched, data):
         sorted(data.draw(st.sets(st.sampled_from(candidates)), label=f"hits[{r}]"))
         for r in range(replicates)
     ]
-    # emitted as sample_hits does: round k holds the k-th hit of every
-    # replicate that has one, replicate ids sorted within the round
-    rep_ids, positions = [], []
+    # emitted as sample_hits does: round k holds the packed key of the k-th
+    # hit of every replicate that has one, replicate ids sorted within the round
+    shift = _key_shift(horizon, replicates)
+    keys = []
     for k in range(max(map(len, hit_sets))):
         for r, hits in enumerate(hit_sets):
             if k < len(hits):
-                rep_ids.append(r)
-                positions.append(hits[k])
-    counts, first = _counts_and_first(
-        q, np.array(rep_ids, dtype=np.int64),
-        np.array(positions, dtype=np.int64), replicates,
-    )
+                keys.append((hits[k] << shift) | r)
+    counts, first = _counts_and_first(q, np.array(keys, dtype=np.int64), replicates)
     for r, hits in enumerate(hit_sets):
         arrived = [l for l in range(1, N + 1) if set(q[l - 1].tolist()) <= set(hits)]
         assert counts[r] == len(arrived)
@@ -407,13 +415,66 @@ def test_counts_and_first_memory_is_free_of_the_horizon():
     horizon = int(q[-1, -1])
     rep_ids = np.array([0, 1, 0, 1, 1], dtype=np.int64)
     positions = np.array([8, 27, 9, 1000, horizon], dtype=np.int64)
+    keys = (positions << _key_shift(horizon, 2)) | rep_ids
     tracemalloc.start()
-    counts, first = _counts_and_first(q, rep_ids, positions, 2)
+    counts, first = _counts_and_first(q, keys, 2)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert counts.tolist() == [1, 3]
     assert first.tolist() == [2, 3]
     assert peak < 1 << 20
+
+
+
+def test_counts_and_first_refuses_keys_that_overflow():
+    # horizon 2^60: with 4 replicates a key needs 62 bits, with 16 it needs
+    # 64, where (position << s) | replicate used to wrap round silently
+    q = polynomial_schedule(1, 3).columns(2**20)
+    horizon = int(q[-1, -1])
+    assert horizon == 2**60
+    keys = np.array([horizon << _key_shift(horizon, 4)], dtype=np.int64)
+    counts, first = _counts_and_first(q, keys, 4)
+    assert counts.tolist() == [1, 0, 0, 0]
+    assert first.tolist() == [2**20, 0, 0, 0]
+    with pytest.raises(ResourceError, match="overflow"):
+        _counts_and_first(q, np.array([horizon], dtype=np.int64), 16)
+    # the sampler refuses before it builds an engine or draws
+    chain = FiniteMarkovChain([[0.5, 0.5], [0.5, 0.5]])
+    rng = derive_rng(1, 0)
+    state = rng.bit_generator.state
+    with pytest.raises(ResourceError, match="overflow"):
+        sample_counts(chain, [1], q, rng, 16, 1.0)
+    assert rng.bit_generator.state == state
+
+
+def test_hit_sampling_memory_per_hit():
+    # the A4 target at n = 8 (65,536 terms, horizon 65,684) and 5,000
+    # replicates, about 1.3e6 hits in one batch: sampled as 8-byte packed
+    # keys and counted by one sort, the call peaks near 35 B per hit
+    # (75 B with per-round replicate and position chunks and a search over
+    # every hit)
+    measure = uniform_measure(full_shift(2))
+    sched = arithmetic_gap_schedule(2, 4.0, 0.5)
+    target = make_target(measure, sample_clear_word(measure, 8, 0.25, seed=108), 8)
+    q = sched.columns(replicate_count(target, 2, 1.0))
+    chain, accept = pattern_chain(measure, target)
+    hits = []
+
+    def count(q_cols, keys, replicates):
+        hits.append(keys.size)
+        return _counts_and_first(q_cols, keys, replicates)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("nonconv.markov._counts_and_first", count)
+        tracemalloc.start()
+        try:
+            sample_counts(chain, accept, q, derive_rng(42, 0), 5000,
+                          (q[-1, -1] + 1) * target.prob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert len(hits) == 1 and hits[0] > 10**6
+    assert peak <= 48 * hits[0], peak / hits[0]
 
 
 # -- pattern chain against the sliding-block lift ------------------------------
