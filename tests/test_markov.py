@@ -431,9 +431,9 @@ def test_guide_draws_equal_binary_search():
     engine._store([(np.zeros(c.size, dtype=np.int64),) * 2 + (c,) for c in cdfs])
     start = 0
     for k, cdf in enumerate(cdfs):
-        K = int(engine._buckets[k])
-        assert K >= 2 * cdf.size and K & (K - 1) == 0
-        edges = np.arange(1, K) / K
+        G = int(engine._buckets[k])
+        assert G >= 2 * cdf.size and G & (G - 1) == 0
+        edges = np.arange(1, G) / G
         u = np.concatenate([
             [0.0], edges, np.nextafter(edges, 0.0),
             cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),

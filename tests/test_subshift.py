@@ -425,10 +425,9 @@ def test_counts_and_first_memory_is_free_of_the_horizon():
     assert peak < 1 << 20
 
 
-
 def test_counts_and_first_refuses_keys_that_overflow():
-    # horizon 2^60: with 4 replicates a key needs 62 bits, with 16 it needs
-    # 64, where (position << s) | replicate used to wrap round silently
+    # horizon 2^60: with 4 replicates a key (position << s) | replicate
+    # needs 62 bits; with 16 it needs 64, which int64 cannot hold
     q = polynomial_schedule(1, 3).columns(2**20)
     horizon = int(q[-1, -1])
     assert horizon == 2**60
@@ -447,12 +446,10 @@ def test_counts_and_first_refuses_keys_that_overflow():
     assert rng.bit_generator.state == state
 
 
-def test_hit_sampling_memory_per_hit():
+def test_hit_sampling_memory_per_hit(monkeypatch):
     # the A4 target at n = 8 (65,536 terms, horizon 65,684) and 5,000
     # replicates, about 1.3e6 hits in one batch: sampled as 8-byte packed
-    # keys and counted by one sort, the call peaks near 35 B per hit
-    # (75 B with per-round replicate and position chunks and a search over
-    # every hit)
+    # keys and counted by one sort, the call peaks near 37 B per hit
     measure = uniform_measure(full_shift(2))
     sched = arithmetic_gap_schedule(2, 4.0, 0.5)
     target = make_target(measure, sample_clear_word(measure, 8, 0.25, seed=108), 8)
@@ -464,15 +461,13 @@ def test_hit_sampling_memory_per_hit():
         hits.append(keys.size)
         return _counts_and_first(q_cols, keys, replicates)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("nonconv.markov._counts_and_first", count)
-        tracemalloc.start()
-        try:
-            sample_counts(chain, accept, q, derive_rng(42, 0), 5000,
-                          (q[-1, -1] + 1) * target.prob)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    monkeypatch.setattr("nonconv.markov._counts_and_first", count)
+    tracemalloc.start()
+    try:
+        sample_counts(chain, accept, q, derive_rng(42, 0), 5000, (q[-1, -1] + 1) * target.prob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert len(hits) == 1 and hits[0] > 10**6
     assert peak <= 48 * hits[0], peak / hits[0]
 
