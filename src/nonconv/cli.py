@@ -26,7 +26,7 @@ a boolean.
   model_params: mapping with no keys but these (optional for bernoulli)
     markov:    {transition: [[..]] square, entries >= 0, rows summing to 1
                 (required), lift_tolerance: num > 0 (default 0.2),
-                max_lift: int >= 1 (default 12)}
+                max_lift: int >= 1, the longest target word (default 12)}
     subshift:  {adjacency: [[..]] square 0-1 ints, no all-zero row or column
                 (default full 2-shift),
                 transition: [[..]] as for markov, positive exactly on the
@@ -338,6 +338,15 @@ class _RunContext:
             )
         return self._cache["targets"]
 
+    def markov_stage(self, n: int):
+        """(pattern chain, accept states) of Gamma_n's words, built once."""
+        from .subshift import pattern_chain
+
+        if ("stage", n) not in self._cache:
+            targets = self.markov_targets()
+            self._cache["stage", n] = pattern_chain(targets.measure, targets.entries[n].words)
+        return self._cache["stage", n]
+
     # -- subshift ---------------------------------------------------------
 
     def subshift_measure(self):
@@ -420,13 +429,13 @@ def table_pmf_vs_poisson(ctx: _RunContext):
 
         targets = ctx.markov_targets()
         for n in ctx.n_grid:
-            entry = targets.entries[n]
             if ctx.replicates > 0:
+                chain, accept = ctx.markov_stage(n)
                 samples = simulate_arrival_batch(
-                    entry.chain, ctx.schedule, entry.states, n, ctx.seed, ctx.replicates
+                    chain, ctx.schedule, accept, n, ctx.seed, ctx.replicates
                 )
                 emp = empirical_distribution(samples)
-                rows += _pmf_rows(n, emp, entry.realized_lambda, "empirical")
+                rows += _pmf_rows(n, emp, targets.entries[n].realized_lambda, "empirical")
     else:
         from .subshift import simulate_nonconventional_batch
 
@@ -488,7 +497,7 @@ def table_sevastyanov_report(ctx: _RunContext):
         Tolerances,
         bernoulli_model_oracle,
         check_conditions,
-        markov_model_oracle,
+        pattern_chain_oracle,
         report_rows,
         subshift_model_oracle,
         poisson_limit_verdict,
@@ -501,7 +510,7 @@ def table_sevastyanov_report(ctx: _RunContext):
     if ctx.model == "bernoulli":
         factory = bernoulli_model_oracle(ctx.schedule.ell, ctx.lam, ctx.schedule)
     elif ctx.model == "markov":
-        factory = markov_model_oracle(ctx.markov_targets(), ctx.schedule)
+        factory = pattern_chain_oracle(ctx.schedule, lambda n: (*ctx.markov_stage(n), n))
     else:
         factory = subshift_model_oracle(
             ctx.subshift_measure(), ctx.schedule, ctx.lam, ctx.subshift_target

@@ -6,8 +6,8 @@ nonconventional arrival sum sum_l prod_j 1_Gamma(X_{q_j(l)}), and exact
 joint-arrival probabilities (b-coefficients) via restricted matrix products.
 
 The hit engine here (``_HitEngine`` and its batch loop ``sample_counts``)
-samples all three models: a Markov chain in gamma, the i.i.d. Bernoulli
-sites as the chain whose rows are all (1 - p, p), and a subshift target
+samples all three models: the i.i.d. Bernoulli sites as the chain whose
+rows are all (1 - p, p), and a Markov word set or a subshift target
 through its pattern chain.
 """
 
@@ -59,6 +59,10 @@ class FiniteMarkovChain:
         # the level test compares with mu, which is known to about the
         # solve's residual
         resid = float(np.max(np.abs(self.mu @ P - self.mu)))
+        if np.max(np.abs(nu @ P - nu)) <= resid:
+            # a start law that is invariant to within the solve's residual
+            # is the better mu: a pattern chain's nu is exact
+            self.mu = nu / nu.sum()
         self._projection_tol = max(_PROJECTION_TOL, 8.0 * resid)
         self._pow_cache: dict[int, np.ndarray] = {1: P}
         self._projection_level: int | None = None
@@ -601,17 +605,16 @@ def exact_sum_distribution(
 
 @dataclass(frozen=True)
 class TargetSet:
-    chain: FiniteMarkovChain  # possibly a word-lift of the base chain
-    states: tuple[int, ...]
-    mass: float
+    words: tuple[tuple[int, ...], ...]  # Gamma_n: k-words, in lexicographic order
+    mass: float  # mu(Gamma_n), the sum of the words' cylinder masses
     realized_lambda: float
-    lift_order: int
 
 
 @dataclass(frozen=True)
 class TargetSetSequence:
     lam: float
     ell: int
+    measure: object  # the chain's MarkovGibbsMeasure, whose cylinders the words are
     entries: dict[int, TargetSet]
 
 
@@ -630,7 +633,7 @@ def lex_words(adjacency, starts, length: int):
 
 
 def word_lift(chain: FiniteMarkovChain, k: int):
-    """Lift to the chain of sliding k-words.
+    """Lift to the chain of sliding k-words: the tests' reference embedding.
 
     States are admissible words (w_0..w_{k-1}) with positive path weight;
     transitions shift by one symbol.  Returns (lifted chain, word list).
@@ -641,8 +644,6 @@ def word_lift(chain: FiniteMarkovChain, k: int):
     """
     if k < 1:
         raise ValidationError("lift order must be >= 1")
-    if k == 1:
-        return FiniteMarkovChain(chain.P, chain.mu), [(s,) for s in range(chain.M)]
     # words ending in each state, from the adjacency's powers; saturating
     # at budget + 1 keeps the counts in int64 and the verdict unchanged
     adjacency = (chain.P > 0).astype(np.int64)
@@ -678,14 +679,22 @@ def choose_target_sets(
     tolerance: float = 0.2,
     max_lift: int = 12,
 ) -> TargetSetSequence:
-    """Pick sets Gamma_n with n * mu(Gamma_n)^ell close to lam.
+    """Pick sets Gamma_n of k-words with n * mu(Gamma_n)^ell close to lam.
 
-    A small alphabet cannot realize arbitrarily small masses, so the chain
-    is lifted to its k-word chain and Gamma_n assembled greedily from word
-    cylinders, raising k until the realized lambda is within tolerance.
+    A small alphabet cannot realize arbitrarily small masses, so Gamma_n is
+    assembled greedily from the k-word cylinders, raising k up to
+    ``max_lift`` until the realized lambda is within tolerance: by
+    descending mass, ties colexicographic (from the last symbol), a word
+    joins while the total stays within target + 1e-15.  The masses of the
+    M^k words form one array; an array over ``_ENGINE_CELL_BUDGET`` cells
+    raises ``ResourceError`` before it is allocated.
     """
-    if chain.M < 2:
+    from .subshift import MarkovGibbsMeasure, SubshiftSFT
+
+    M = chain.M
+    if M < 2:
         raise ValidationError("need at least 2 states")
+    measure = MarkovGibbsMeasure(SubshiftSFT.from_matrix(chain.P > 0), chain.P)
     entries = {}
     for n in sorted(set(int(v) for v in n_grid)):
         target_mass = (lam / n) ** (1.0 / ell)
@@ -695,31 +704,33 @@ def choose_target_sets(
             )
         best = None
         for k in range(1, max_lift + 1):
-            lifted, _ = word_lift(chain, k)
-            order = np.argsort(-lifted.mu)
-            mass = 0.0
-            chosen = []
-            for s in order:
-                if mass + lifted.mu[s] <= target_mass + 1e-15:
-                    chosen.append(int(s))
-                    mass += lifted.mu[s]
-                if mass >= target_mass:
-                    break
+            if M**k > _ENGINE_CELL_BUDGET:
+                raise ResourceError(f"{M}^{k} words exceed the cell budget {_ENGINE_CELL_BUDGET}")
+            # pi(w_0) Q(w_0, w_1) ... left to right; w_(k-1) is the top digit
+            mass = measure.pi
+            for _ in range(k - 1):
+                mass = (measure.Q.T[:, :, None] * mass.reshape(M, -1)).reshape(-1)
+            total, chosen = 0.0, []
+            for i in np.argsort(-mass, kind="stable")[: np.count_nonzero(mass)]:
+                if total + mass[i] <= target_mass + 1e-15:
+                    chosen.append(i)
+                    total += mass[i]
+                    if total >= target_mass:
+                        break
             if not chosen:
                 continue
-            realized = n * mass**ell
+            realized = n * total**ell
             err = abs(realized - lam) / lam
             if best is None or err < best[0]:
-                best = (err, k, lifted, tuple(chosen), mass, realized)
+                best = (err, k, chosen, total, realized)
             if err <= tolerance:
                 break
         if best is None or best[0] > tolerance:
             raise ValidationError(
                 f"cannot reach lambda tolerance {tolerance} at n={n}; raise max_lift"
             )
-        _, k, lifted, chosen, mass, realized = best
-        entries[n] = TargetSet(
-            chain=lifted, states=chosen, mass=float(mass),
-            realized_lambda=float(realized), lift_order=k,
-        )
-    return TargetSetSequence(lam=lam, ell=ell, entries=entries)
+        _, k, chosen, total, realized = best
+        # unravel_index reads the most significant digit, w_(k-1), first
+        words = sorted(tuple(int(a) for a in np.unravel_index(i, (M,) * k)[::-1]) for i in chosen)
+        entries[n] = TargetSet(tuple(words), float(total), float(realized))
+    return TargetSetSequence(lam=lam, ell=ell, measure=measure, entries=entries)

@@ -19,6 +19,9 @@ import numpy as np
 from .errors import ResourceError, ScheduleError, ValidationError
 
 _INT64_MAX = np.iinfo(np.int64).max
+# most int64 cells of one ``QSchedule.columns`` table (256 MiB): the n = 12
+# factorization stage of an ell = 2 arithmetic-gap schedule has N = 2^24
+COLUMN_CELL_BUDGET = 1 << 25
 # Vectorized checks flag a row for the scalar check within this margin of the
 # gap bound, so that np.log and math.log rounding apart cannot change a verdict.
 _GAP_SCREEN_SLACK = 1e-6
@@ -101,8 +104,14 @@ class QSchedule:
         Built-in families are computed in closed form and checked like
         ``evaluate`` checks rows past ``validation_horizon``; other
         schedules evaluate row by row.  Raises ``ResourceError`` when
-        q_ell(N) does not fit in int64.
+        q_ell(N) does not fit in int64, or before any O(N) array is
+        allocated when the table has more than ``COLUMN_CELL_BUDGET`` cells.
         """
+        if N * self.ell > COLUMN_CELL_BUDGET:
+            raise ResourceError(
+                f"schedule {self.name!r}: {N} x {self.ell} columns exceed the budget "
+                f"of {COLUMN_CELL_BUDGET} cells"
+            )
         top = self.evaluate(N)[-1]
         if top > _INT64_MAX:
             raise ResourceError(

@@ -597,46 +597,40 @@ def bernoulli_model_oracle(ell: int, lam: float, schedule: QSchedule):
     return factory
 
 
-def markov_model_oracle(targets, schedule: QSchedule):
-    """Stage factory over a TargetSetSequence of lifted chains.
-
-    Each target chain must start from its invariant measure, which makes b
-    shift-invariant; ``ValidationError`` otherwise.
-    """
+def pattern_chain_oracle(schedule: QSchedule, stage):
+    """Stage factory of the Markov and subshift models: ``stage(n)`` gives
+    (pattern chain, accept states, term count).  A pattern chain starts
+    stationary, so b = ``markov.exact_b`` on it is shift-invariant."""
     from .markov import exact_b
 
-    for n, entry in targets.entries.items():
-        if not np.allclose(entry.chain.nu, entry.chain.mu, atol=1e-12):
-            raise ValidationError(f"the target chain at n={n} does not start stationary")
-
     def factory(n: int) -> StageOracle:
-        entry = targets.entries[n]
+        chain, accept, term_count = stage(n)
         return StageOracle(
-            b_at=lambda times: exact_b(entry.chain, entry.states, times),
-            term_count=n,
+            b_at=lambda times: exact_b(chain, accept, times),
+            term_count=term_count,
             schedule=schedule,
         )
 
     return factory
+
+
+def markov_model_oracle(targets, schedule: QSchedule):
+    """Stage factory over a TargetSetSequence, with n summands."""
+    from .subshift import pattern_chain
+
+    return pattern_chain_oracle(
+        schedule, lambda n: (*pattern_chain(targets.measure, targets.entries[n].words), n)
+    )
 
 
 def subshift_model_oracle(measure, schedule: QSchedule, lam: float, target_fn):
-    """Stage factory for shrinking cylinder targets.
-
-    ``target_fn(n)`` builds the CylinderTarget; its pattern chain is
-    constructed once per stage, and the number of summands is the N with
-    N * P(B_n)^ell closest to lam.
-    """
-    from .markov import exact_b
+    """Stage factory for the cylinder targets ``target_fn(n)``, with the N
+    summands whose N * P(B_n)^ell is closest to lam."""
     from .subshift import pattern_chain, replicate_count
 
-    def factory(n: int) -> StageOracle:
+    def stage(n):
         target = target_fn(n)
-        chain, gamma = pattern_chain(target.measure, target)
-        return StageOracle(
-            b_at=lambda times: exact_b(chain, gamma, times),
-            term_count=replicate_count(target, schedule.ell, lam),
-            schedule=schedule,
-        )
+        chain, accept = pattern_chain(target.measure, target.blocks)
+        return chain, accept, replicate_count(target, schedule.ell, lam)
 
-    return factory
+    return pattern_chain_oracle(schedule, stage)

@@ -18,8 +18,8 @@ draws from first-passage laws computed once on that chain; the resulting
 hit set has the law of the hit set of a simulated path, up to the survival
 mass the tables drop.  The sampler is ``markov.sample_counts``, the hit
 engine shared with the Bernoulli and Markov models.  The b-oracle,
-``sevastyanov.subshift_model_oracle``, runs ``markov.exact_b`` on the same
-chain.
+``sevastyanov.pattern_chain_oracle``, runs ``markov.exact_b`` on the same
+chain, as it does for the word sets of the Markov model.
 """
 
 from __future__ import annotations
@@ -137,9 +137,6 @@ class MarkovGibbsMeasure:
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.where(self.Q > 0, np.log(np.where(self.Q > 0, self.Q, 1.0)), 0.0)
         return float(-np.sum(self.pi[:, None] * self.Q * logs))
-
-    def to_chain(self) -> FiniteMarkovChain:
-        return FiniteMarkovChain(self.Q, nu=self.pi)
 
 
 def uniform_measure(sft: SubshiftSFT) -> MarkovGibbsMeasure:
@@ -372,8 +369,8 @@ def replicate_count(target: CylinderTarget, ell: int, lam: float) -> int:
     return max(1, int(round(lam / target.prob**ell)))
 
 
-def pattern_chain(measure: MarkovGibbsMeasure, target: CylinderTarget):
-    """Markov-chain embedding of the occurrences of ``target.blocks``.
+def pattern_chain(measure: MarkovGibbsMeasure, blocks):
+    """Markov-chain embedding of the occurrences of ``blocks``, equal-length words.
 
     A state is (node of the Aho-Corasick automaton of the blocks, last
     symbol): the node is the longest suffix of the symbols read so far that
@@ -389,9 +386,9 @@ def pattern_chain(measure: MarkovGibbsMeasure, target: CylinderTarget):
     there; the chain is restricted to that support.  Chain time t therefore
     stands for the window at position t, and b stays translation invariant.
 
-    Returns (chain, accept states in the order of ``target.blocks``).
+    Returns (chain, accept states in the order of ``blocks``).
     """
-    blocks, m, iota = target.blocks, target.m, measure.sft.iota
+    m, iota = len(blocks[0]), measure.sft.iota
     if any(len(b) != m for b in blocks):
         raise ValidationError("target blocks must all have the same length")
     bad = [b for b in blocks if not measure.sft.admissible(b)]
@@ -444,7 +441,8 @@ def pattern_chain(measure: MarkovGibbsMeasure, target: CylinderTarget):
     return chain, [int(pos[iota + v - 1]) for v in leaves]
 
 
-def _check_preconditions(schedule: QSchedule, target: CylinderTarget):
+def _sample_target(schedule: QSchedule, target: CylinderTarget, N: int, rng, replicates: int):
+    """``sample_counts`` over terms l <= N on the target's pattern chain."""
     if not target.short_return_clear:
         raise ValidationError(
             "target fails short_return_check: the reference word self-overlaps "
@@ -454,6 +452,9 @@ def _check_preconditions(schedule: QSchedule, target: CylinderTarget):
         raise ValidationError(
             "schedules with ell >= 2 must declare gap_params (c, gamma) growth"
         )
+    chain, accept = pattern_chain(target.measure, target.blocks)
+    expected_hits = max(1.0, schedule.max_index(N) * target.prob)
+    return sample_counts(chain, accept, schedule.columns(N), rng, replicates, expected_hits)
 
 
 def simulate_nonconventional_batch(
@@ -465,14 +466,8 @@ def simulate_nonconventional_batch(
     replicates: int,
 ):
     """Arrival-count draws; returns (samples, N, realized_lambda)."""
-    _check_preconditions(schedule, target)
     N = replicate_count(target, schedule.ell, lam)
-    horizon = schedule.max_index(N)
-    chain, accept = pattern_chain(target.measure, target)
-    counts, _ = sample_counts(
-        chain, accept, schedule.columns(N), derive_rng(seed, STREAM_SUBSHIFT),
-        replicates, max(1.0, horizon * target.prob),
-    )
+    counts, _ = _sample_target(schedule, target, N, derive_rng(seed, STREAM_SUBSHIFT), replicates)
     return counts, N, float(N * target.prob**schedule.ell)
 
 
@@ -490,14 +485,8 @@ def hitting_time_batch(
     arrival among terms l <= lam_cap / P(B)^ell and their scaled value is
     reported as lam_cap (a lower bound).
     """
-    _check_preconditions(schedule, target)
     N_cap = replicate_count(target, schedule.ell, lam_cap)
-    horizon = schedule.max_index(N_cap)
-    chain, accept = pattern_chain(target.measure, target)
-    _, first = sample_counts(
-        chain, accept, schedule.columns(N_cap), derive_rng(seed, STREAM_HITTING),
-        replicates, max(1.0, horizon * target.prob),
-    )
+    _, first = _sample_target(schedule, target, N_cap, derive_rng(seed, STREAM_HITTING), replicates)
     censored = first == 0
     return np.where(censored, lam_cap, first * target.prob**schedule.ell), censored
 

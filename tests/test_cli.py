@@ -275,6 +275,45 @@ def test_run_markov_tables(tmp_path):
     assert "ratio_band_deviation" in sev and "verdict" in sev
 
 
+MARKOV_3STATE_CFG = """\
+model: markov
+seed: 11
+lambda: 1.0
+n_grid: [100000, 1000000]
+replicates: 4000
+schedule: {family: linear, ell: 1}
+outputs: [pmf_vs_poisson, sevastyanov_report, mixing_certificates]
+model_params:
+  transition: [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]
+"""
+
+
+def _csv_rows(path):
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_run_markov_three_state_chain_to_a_million(tmp_path):
+    # a k-word lift refused n = 10^5 on this chain (order 8: 6561 words);
+    # the targets are one 8-word and one 9-word on their pattern chains
+    out = tmp_path / "out"
+    run(_write(tmp_path, MARKOV_3STATE_CFG), out)
+    pmf = _csv_rows(out / "pmf_vs_poisson.csv")
+    sev = _csv_rows(out / "sevastyanov_report.csv")
+    for n in (100_000, 1_000_000):
+        mine = [r for r in pmf if int(r["n"]) == n]
+        assert {int(r["sample_size"]) for r in mine} == {4000}
+        lam_n = -math.log(float(next(r for r in mine if r["k"] == "0")["poisson_pmf"]))
+        assert abs(lam_n - 1.0) <= 0.2
+        mean = sum(int(r["k"]) * float(r["model_pmf"]) for r in mine)
+        assert abs(mean - lam_n) <= 6 * math.sqrt(lam_n / 4000)
+        # started stationary, b_l = mu(Gamma_n) = lambda_n / n for every term
+        max_b = [float(r["value"]) for r in sev if (r["n"], r["condition"]) == (str(n), "max_b")]
+        assert max_b == [pytest.approx(lam_n / n, rel=1e-9)]
+    mix = {r["quantity"]: r["value"] for r in _csv_rows(out / "mixing_certificates.csv")}
+    assert mix["doeblin_n0"] == "1"
+
+
 def test_run_subshift_tables(tmp_path):
     cfg = _write(tmp_path, SUBSHIFT_CFG)
     out = tmp_path / "out"

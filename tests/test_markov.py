@@ -35,10 +35,14 @@ from nonconv.schedules import (
 )
 from nonconv.subshift import (
     MarkovGibbsMeasure,
+    SubshiftSFT,
+    cylinder_prob,
     exact_sum_distribution_subshift,
     full_shift,
     golden_mean_shift,
     make_target,
+    pattern_chain,
+    sample_clear_word,
     simulate_nonconventional_batch,
     uniform_measure,
 )
@@ -243,6 +247,144 @@ def test_choose_target_sets_band():
     seq = choose_target_sets(chain, ell=1, lam=1.0, n_grid=[8, 16, 32], tolerance=0.2)
     for n, entry in seq.entries.items():
         assert abs(entry.realized_lambda - 1.0) <= 0.2
+
+
+# -- target sets as word sets on the pattern chain ---------------------------------
+
+P3 = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]  # circulant: P(a, b) = f(b - a)
+
+# the words the k-word lift picked on P_AB at lambda = 1, ell = 1, with their
+# masses (there from the lift's solved invariant law)
+_P_AB_PICKS = {
+    4: ([(0,)], 0.2499999999999999),
+    8: ([(0, 0, 0)], 0.12249999999999994),
+    16: ([(0, 1, 0), (1, 0, 0)], 0.06),
+    32: ([(0, 1, 0), (1, 0, 1)], 0.030000000000000002),
+    100: ([(0, 1, 1, 0), (1, 0, 1, 0)], 0.009000000000000001),
+    600: ([(1, 0, 1, 0, 0)], 0.0015750000000000004),
+}
+
+
+def _reference_pick(P, n, lam=1.0, tolerance=0.2, max_k=12):
+    """The greedy rule by brute force: k-words by descending left-to-right
+    product mass, ties colexicographic (compared from the last symbol)."""
+    measure = MarkovGibbsMeasure(SubshiftSFT.from_matrix(np.array(P) > 0), P)
+    target = lam / n
+    for k in range(1, max_k + 1):
+        words = []
+        for w in itertools.product(range(len(P)), repeat=k):
+            m = measure.pi[w[0]]
+            for a, b in zip(w, w[1:]):
+                m *= measure.Q[a, b]
+            words.append((-m, w[::-1], w))
+        total, picked = 0.0, []
+        for neg, _, w in sorted(words):
+            if total - neg <= target + 1e-15:
+                picked.append(w)
+                total -= neg
+                if total >= target:
+                    break
+        if picked and abs(n * total - lam) / lam <= tolerance:
+            return sorted(picked), total
+    raise AssertionError("no pick within tolerance")
+
+
+def test_choose_target_sets_pins_the_words_the_lift_picked():
+    seq = choose_target_sets(FiniteMarkovChain(P_AB), ell=1, lam=1.0, n_grid=list(_P_AB_PICKS))
+    for n, (words, mass) in _P_AB_PICKS.items():
+        entry = seq.entries[n]
+        assert list(entry.words) == words
+        assert abs(entry.mass - mass) <= 4e-16
+        assert entry.realized_lambda == n * entry.mass
+        assert (list(entry.words), entry.mass) == _reference_pick(P_AB, n)
+
+
+def test_choose_target_sets_tie_rule_on_the_circulant_chain():
+    seq = choose_target_sets(FiniteMarkovChain(P3), ell=1, lam=1.0, n_grid=[100, 1000, 10**4])
+    # at n = 100 the rotations a -> a + 1 (mod 3) of the heaviest fitting
+    # 4-word tie bit for bit; the first of them from the last symbol wins
+    rotations = [(0, 1, 0, 0), (1, 2, 1, 1), (2, 0, 2, 2)]
+    masses = {cylinder_prob(seq.measure, w) for w in rotations}
+    assert len(masses) == 1 and seq.entries[100].mass in masses
+    assert seq.entries[100].words == ((0, 1, 0, 0),)
+    for n, entry in seq.entries.items():
+        assert (list(entry.words), entry.mass) == _reference_pick(P3, n)
+
+
+def test_choose_target_sets_reaches_long_words_within_the_cell_budget(monkeypatch):
+    # the k-word lift refused n = 10^5 here: order 8 has 6561 > 4096 words
+    chain = FiniteMarkovChain(P3)
+    seq = choose_target_sets(chain, ell=1, lam=1.0, n_grid=[10**5, 10**6])
+    assert [len(seq.entries[n].words[0]) for n in (10**5, 10**6)] == [8, 9]
+    for n, entry in seq.entries.items():
+        assert abs(entry.realized_lambda - 1.0) <= 0.2
+        pattern, _ = pattern_chain(seq.measure, entry.words)
+        assert pattern.M <= 9 * len(entry.words) + 3
+    monkeypatch.setattr("nonconv.markov._ENGINE_CELL_BUDGET", 3**8)
+    choose_target_sets(chain, ell=1, lam=1.0, n_grid=[10**5])  # 3^8 cells fit
+    with pytest.raises(ResourceError, match="budget"):
+        choose_target_sets(chain, ell=1, lam=1.0, n_grid=[10**6])
+
+
+def _random_times(rng, k, n):
+    """One to three sorted positions, gaps near the word length or far."""
+    times = [int(rng.integers(0, 3 * n))]
+    for _ in range(int(rng.integers(0, 3))):
+        far = rng.random() < 0.5
+        times.append(times[-1] + int(rng.integers(1, 3 * n if far else 2 * k + 2)))
+    return times
+
+
+@pytest.mark.parametrize(
+    "P, n",
+    [pytest.param(P_AB, n, id=f"2-state-{n}") for n in (4, 8, 16, 32, 100, 600)]
+    + [pytest.param(P3, n, id=f"3-state-{n}") for n in (100, 10**4)],
+)
+def test_pattern_chain_b_equals_word_lift_b(P, n):
+    base = FiniteMarkovChain(P)
+    seq = choose_target_sets(base, ell=1, lam=1.0, n_grid=[n])
+    words = seq.entries[n].words
+    chain, accept = pattern_chain(seq.measure, words)
+    k = len(words[0])
+    lifted, lift_words = word_lift(base, k)
+    pos = {w: i for i, w in enumerate(lift_words)}
+    lifted_accept = [pos[w] for w in words]
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        times = _random_times(rng, k, n)
+        want = exact_b(lifted, lifted_accept, times)
+        assert exact_b(chain, accept, times) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n, sched, N", [(16, linear_schedule(2), 2), (100, linear_schedule(1), 3)])
+def test_pattern_chain_count_law_equals_word_lift_law(n, sched, N):
+    base = FiniteMarkovChain(P_AB)
+    seq = choose_target_sets(base, ell=1, lam=1.0, n_grid=[n])
+    words = seq.entries[n].words
+    chain, accept = pattern_chain(seq.measure, words)
+    lifted, lift_words = word_lift(base, len(words[0]))
+    lifted_accept = {lift_words.index(w) for w in words}
+    want = exact_sum_distribution(lifted, sched, lifted_accept, N)
+    got = exact_sum_distribution(chain, sched, accept, N)
+    q_cols = sched.columns(N)
+    engine = _engine_count_law(_HitEngine(chain, accept, int(q_cols[-1, -1])), q_cols)
+    for k in range(N + 1):
+        assert got.prob(k) == pytest.approx(want.prob(k), abs=1e-12)
+        assert engine[k] == pytest.approx(want.prob(k), abs=1e-12)
+
+
+def test_an_invariant_start_law_is_the_invariant_measure():
+    # the benchmark's seed-1 A4 word at n = 10: the pattern chain starts from
+    # its exact invariant law, so b at two far times is P(B)^2 = 2^-20 exactly
+    measure = uniform_measure(full_shift(2))
+    word = sample_clear_word(measure, 10, 0.25, seed=1_000_013)
+    chain, accept = pattern_chain(measure, (word,))
+    assert np.max(np.abs(chain.nu @ chain.P - chain.nu)) == 0.0
+    assert np.array_equal(chain.mu, chain.nu)
+    assert exact_b(chain, accept, [0, 5000]) == 2.0**-20
+    # a start law that is not invariant leaves the solved mu in place
+    chain = FiniteMarkovChain(P_AB)
+    assert np.array_equal(chain.mu, invariant_measure(chain)) and chain.mu[0] != chain.nu[0]
 
 
 _rowpair = st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95))

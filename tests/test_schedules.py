@@ -1,6 +1,7 @@
 """Index schedules, proximity, clusters, and rare-set classification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from nonconv import (
     rho,
     table_schedule,
 )
-from nonconv.schedules import _loggap
+from nonconv.schedules import COLUMN_CELL_BUDGET, _loggap
 from nonconv.sevastyanov import _clustered_partners
 
 
@@ -233,6 +234,26 @@ def test_arithmetic_gap_columns_exact_to_a_million(c, gamma):
 def test_columns_raise_instead_of_wrapping():
     with pytest.raises(ResourceError):
         polynomial_schedule(2, 4).columns(50_000)  # q_2(50000) = 1.25e19
+
+
+def test_columns_refuse_over_the_cell_budget_before_allocating(monkeypatch):
+    sched = arithmetic_gap_schedule(2, 4.0, 0.5)
+    # the n = 12 factorization stage fits; 2^28 terms were killed, not refused
+    assert 2**24 * 2 <= COLUMN_CELL_BUDGET < 2**28 * 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="budget"):
+            sched.columns(2**28)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    monkeypatch.setattr("nonconv.schedules.COLUMN_CELL_BUDGET", 200)
+    assert sched.columns(100).shape == (100, 2)
+    with pytest.raises(ResourceError, match="budget"):
+        sched.columns(101)
+    with pytest.raises(ResourceError, match="budget"):
+        table_schedule([[l] for l in range(1, 300)]).columns(201)
 
 
 def _broken_gap(j, l):

@@ -24,7 +24,6 @@ from nonconv import (
     uniform_measure,
 )
 from nonconv.errors import ResourceError, ValidationError
-from nonconv.markov import TargetSet, TargetSetSequence
 from nonconv.schedules import QSchedule, classify_tuple
 from nonconv.sevastyanov import (
     _BCache,
@@ -481,15 +480,18 @@ def test_markov_oracle_adapter():
         assert stage.sum_b == pytest.approx(targets.entries[n].realized_lambda, rel=0.05)
 
 
-def test_markov_oracle_refuses_a_chain_not_started_stationary():
-    chain = FiniteMarkovChain([[0.7, 0.3], [0.1, 0.9]])  # uniform nu, mu = (1/4, 3/4)
-    targets = TargetSetSequence(
-        lam=1.0, ell=1,
-        entries={8: TargetSet(chain=chain, states=(0,), mass=0.25,
-                              realized_lambda=2.0, lift_order=1)},
-    )
-    with pytest.raises(ValidationError, match="stationary"):
-        markov_model_oracle(targets, linear_schedule(1))
+def test_markov_oracle_starts_stationary_whatever_the_chain_starts_from():
+    # the chain starts from the uniform law, not from mu = (1/4, 3/4); the
+    # oracle runs on the pattern chain of the Markov measure, which starts
+    # from its invariant law, so b is shift-invariant
+    chain = FiniteMarkovChain([[0.7, 0.3], [0.1, 0.9]])
+    assert not np.allclose(chain.nu, chain.mu)
+    targets = choose_target_sets(chain, ell=1, lam=1.0, n_grid=[16])
+    stage = markov_model_oracle(targets, linear_schedule(1))(16)
+    mass = targets.entries[16].mass
+    for t in (0, 1, 7, 1000):
+        assert stage.b_at((t,)) == pytest.approx(mass, rel=1e-14)
+        assert stage.b_at((t, t + 2)) == pytest.approx(stage.b_at((0, 2)), rel=1e-14)
 
 
 def test_stage_oracle_b_runs_b_at_on_the_merged_positions():

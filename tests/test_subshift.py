@@ -454,7 +454,7 @@ def test_hit_sampling_memory_per_hit(monkeypatch):
     sched = arithmetic_gap_schedule(2, 4.0, 0.5)
     target = make_target(measure, sample_clear_word(measure, 8, 0.25, seed=108), 8)
     q = sched.columns(replicate_count(target, 2, 1.0))
-    chain, accept = pattern_chain(measure, target)
+    chain, accept = pattern_chain(measure, target.blocks)
     hits = []
 
     def count(q_cols, keys, replicates):
@@ -538,12 +538,12 @@ def _pattern_cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_pattern_chain_matches_word_lift(case):
     measure, target, horizon, sched, tuples = case
-    chain, accept = pattern_chain(measure, target)
+    chain, accept = pattern_chain(measure, target.blocks)
     # certified on construction; started from its invariant law
     assert chain.n0 >= 1
     assert chain.nu == pytest.approx(chain.mu, abs=1e-12)
     assert chain.M <= sum(len(b) for b in target.blocks) + measure.sft.iota
-    lifted, words = word_lift(measure.to_chain(), target.m)
+    lifted, words = word_lift(measure.chain, target.m)
     pos = {w: i for i, w in enumerate(words)}
     lifted_accept = [pos[b] for b in target.blocks]
     for idx in tuples:
@@ -574,7 +574,7 @@ def test_hit_engine_reports_dropped_mass(case):
         target = make_target(measure, word, 7, s=2.0, refine_seed=5, keep_fraction=0.6)
         assert len(target.blocks) > 1
         horizon = 10**6
-    engine = _HitEngine(*pattern_chain(measure, target), horizon)
+    engine = _HitEngine(*pattern_chain(measure, target.blocks), horizon)
     cdfs = [engine.init_cdf] + [cdf for _, _, cdf in engine.gap_tables]
     assert len(engine.tail_mass) == len(engine.horizon_mass) == len(cdfs)
     # every table stops at the tolerance long before the horizon
@@ -583,7 +583,7 @@ def test_hit_engine_reports_dropped_mass(case):
     for cdf, left in zip(cdfs, engine.tail_mass):
         assert cdf[-1] + left == pytest.approx(1.0, abs=1e-12)
     # a short horizon cuts every table there instead
-    short = _HitEngine(*pattern_chain(measure, target), 50)
+    short = _HitEngine(*pattern_chain(measure, target.blocks), 50)
     assert np.all(short.tail_mass == 0.0) and np.all(short.horizon_mass > _GAP_TAIL_TOL)
     for cdf, left in zip([short.init_cdf] + [c for _, _, c in short.gap_tables], short.horizon_mass):
         assert cdf[-1] + left == pytest.approx(1.0, abs=1e-12)
