@@ -2,14 +2,16 @@
 
 The model: an array of i.i.d. 0-1 variables xi_i with success probability p,
 and the statistic S_n = sum_{l=1}^n prod_j xi_{q_j(l)}.  Alongside seeded
-simulation this module carries an exact small-instance oracle (component
-decomposition + enumeration + convolution) and the Chen-Stein first/second
-moment terms that bound the distance to Poisson.
+simulation this module carries the exact law of S_n (components of terms
+linked by shared sites, one frontier transfer-matrix DP per incidence class,
+then convolution) and the Chen-Stein first/second moment terms that bound
+the distance to Poisson.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,9 +21,10 @@ from .distributions import CountDistribution, PoissonLaw, dissociated_sum_bound,
 from .errors import ResourceError, ValidationError
 from .markov import FiniteMarkovChain, sample_counts
 from .rng import STREAM_BERNOULLI, derive_rng
-from .schedules import QSchedule, _UnionFind
+from .schedules import QSchedule
 
-DEFAULT_COMPONENT_CAP = 25  # max distinct xi-indices enumerated per component
+DEFAULT_COMPONENT_CAP = 25  # most open terms at once in a component's frontier DP
+LAW_CELL_BUDGET = 2**22  # most floats (states x counts) one frontier DP may hold
 
 
 @dataclass(frozen=True)
@@ -97,60 +100,190 @@ def simulate_batch(scheme: BernoulliScheme, seed: int, replicates: int) -> np.nd
 # Exact oracle
 # ---------------------------------------------------------------------------
 
-def _components(scheme: BernoulliScheme) -> list[list[int]]:
-    """Group term numbers 1..n into components linked by shared xi-indices."""
-    uf = _UnionFind()
-    owner: dict[int, int] = {}
-    for l, tup in enumerate(scheme.term_indices.tolist(), start=1):
-        uf.find(l)
-        for q in tup:
-            if q in owner:
-                uf.union(l, owner[q])
-            else:
-                owner[q] = l
-    groups: dict[int, list[int]] = {}
-    for l in range(1, scheme.n + 1):
-        groups.setdefault(uf.find(l), []).append(l)
-    return sorted(groups.values(), key=min)
+def _component_labels(ranks: np.ndarray) -> np.ndarray:
+    """Label each term by the least term number of its component.
+
+    ``ranks`` is the (n, ell) table of site ranks 0..m-1.  Min-label
+    propagation over the site-term incidence, with one pointer jump per
+    round; it stops at a fixed point, where every site's terms share one
+    label.  The linear ell = 2 chains l, 2l, 4l, ... take about log n rounds.
+    """
+    n, ell = ranks.shape
+    flat = ranks.ravel()
+    order = np.argsort(flat, kind="stable")
+    starts = np.flatnonzero(np.diff(flat[order], prepend=-1))
+    term_of = order // ell
+    label = np.arange(n)
+    while True:
+        site_min = np.minimum.reduceat(label[term_of], starts)
+        new = site_min[ranks].min(axis=1)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
-def _component_pmf(scheme: BernoulliScheme, terms: list[int], cap: int) -> np.ndarray:
-    """Exact count law of one component by enumerating its xi assignments."""
-    tuples = scheme.term_indices[np.array(terms) - 1].tolist()
-    sites = sorted({q for tup in tuples for q in tup})
-    m = len(sites)
-    if m > cap:
-        raise ResourceError(
-            f"component with {m} distinct indices exceeds the cap of {cap}"
-        )
-    site_pos = {q: i for i, q in enumerate(sites)}
-    masks = np.array(
-        [sum(1 << site_pos[q] for q in tup) for tup in tuples], dtype=np.int64
-    )
-    p = scheme.p
-    pmf = np.zeros(len(terms) + 1)
-    total = 1 << m
-    chunk = 1 << 20
-    for start in range(0, total, chunk):
-        assign = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        ones = np.zeros(assign.size, dtype=np.int64)
-        for b in range(m):
-            ones += (assign >> b) & 1
-        weights = p**ones * (1.0 - p) ** (m - ones)
-        counts = np.zeros(assign.size, dtype=np.int64)
-        for mask in masks:
-            counts += (assign & mask) == mask
-        pmf += np.bincount(counts, weights=weights, minlength=len(terms) + 1)
-    return pmf
+def _score(x: np.ndarray, q: float) -> np.ndarray:
+    """Count pmfs (last axis) after adding a Bernoulli(q) term."""
+    y = (1.0 - q) * x
+    y[..., 1:] += q * x[..., :-1]
+    return y
+
+
+def _component_law(table: np.ndarray, p: float) -> np.ndarray:
+    """Count law of one component, from its rank table, by a frontier DP.
+
+    ``table`` holds each term's site ranks, one row per term.  A site of a
+    single term only thins that term: it survives its j private sites with
+    probability p^j.  The shared sites are read in increasing order (the
+    transfer-matrix method).  A term is open from its first shared site to
+    its last.  The state is the set of open terms whose shared sites so far
+    are all 1, one axis of size 2 per open term, and each state carries the
+    pmf of the count so far on the last axis.  At a shared site, with
+    probability 1 - p every term through it dies; with probability p the
+    terms through it stay as they are, a term that opens there is alive,
+    and each alive term that ends there adds 1 with probability p^j.
+    """
+    rows = [sorted(set(r)) for r in table.tolist()]
+    k = len(rows)
+    degree = Counter(s for r in rows for s in r)
+    thin = [p ** sum(degree[s] == 1 for s in r) for r in rows]
+    if k == 1:
+        return np.array([1.0 - thin[0], thin[0]])
+    shared = [[s for s in r if degree[s] > 1] for r in rows]
+    through: dict[int, list[int]] = {}
+    for t, r in enumerate(shared):
+        for s in r:
+            through.setdefault(s, []).append(t)
+    x = np.zeros(k + 1)
+    x[0] = 1.0
+    frontier: list[int] = []  # open terms, one axis each, in axis order
+    for s in sorted(through):
+        axis = {t: i for i, t in enumerate(frontier)}
+        ts = through[s]
+        closing = sorted(axis[t] for t in ts if t in axis and shared[t][-1] == s)
+        cont = [axis[t] for t in ts if t in axis and shared[t][-1] > s]
+        opened = [t for t in ts if t not in axis and shared[t][-1] > s]
+        xp, xq = x, x
+        for i in reversed(closing):
+            at = (slice(None),) * i
+            xp = xp[at + (0,)] + _score(xp[at + (1,)], thin[frontier[i]])
+            xq = xq.sum(axis=i)
+        for i in cont:
+            i -= sum(c < i for c in closing)
+            dead = xq.sum(axis=i)
+            xq = np.stack([dead, np.zeros_like(dead)], axis=i)
+        for t in ts:
+            if t not in axis and shared[t][-1] == s:  # its only shared site
+                xp = _score(xp, thin[t])
+        gone = {frontier[i] for i in closing}
+        frontier = [t for t in frontier if t not in gone] + opened
+        c = len(opened)
+        if c == 0:
+            x = (1.0 - p) * xq + p * xp
+        else:
+            x = np.zeros(xq.shape[:-1] + (2,) * c + xq.shape[-1:])
+            x[(...,) + (0,) * c + (slice(None),)] = (1.0 - p) * xq
+            x[(...,) + (1,) * c + (slice(None),)] = p * xp
+    return x
+
+
+def _trimmed_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.trim_zeros(np.convolve(a, b), "b")
+
+
+def _power(law: np.ndarray, m: int) -> np.ndarray:
+    """Law of the sum of m independent copies, by repeated squaring."""
+    out = np.array([1.0])
+    while m:
+        if m & 1:
+            out = _trimmed_convolve(out, law)
+        m >>= 1
+        if m:
+            law = _trimmed_convolve(law, law)
+    return out
+
+
+def _frontier_widths(ranks: np.ndarray, comp: np.ndarray, m: int) -> np.ndarray:
+    """The most terms open at once in each component.
+
+    Shared sites are those of two or more distinct terms, and a term is open
+    from its first to its last shared site.  The width is the running count
+    of open terms over the component's sites, with the terms that end at a
+    site taken off before those that start there.
+    """
+    rows = np.sort(ranks, axis=1)
+    distinct = np.ones(rows.shape, dtype=bool)
+    distinct[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    shared = (np.bincount(rows[distinct], minlength=m) > 1)[rows]
+    first = np.where(shared, rows, m).min(axis=1)
+    last = np.where(shared, rows, -1).max(axis=1)
+    opens = np.flatnonzero(first < last)
+    width = np.zeros(int(comp.max()) + 1, dtype=np.int64)
+    if opens.size:
+        ev_comp = np.tile(comp[opens], 2)
+        ev_key = np.concatenate([first[opens] * 2 + 1, last[opens] * 2]) + ev_comp * (2 * m)
+        order = np.argsort(ev_key, kind="stable")
+        running = np.cumsum(np.repeat([1, -1], opens.size)[order])
+        np.maximum.at(width, ev_comp[order], running)
+    return width
 
 
 def exact_distribution(
-    scheme: BernoulliScheme, component_cap: int = DEFAULT_COMPONENT_CAP
+    scheme: BernoulliScheme, component_cap: int | None = None
 ) -> CountDistribution:
-    """Exact law of S_n: per-component enumeration, then convolution."""
+    """Exact law of S_n: one frontier DP per incidence class, then convolution.
+
+    Terms linked by shared sites form components, and the count is the sum
+    of independent component counts.  Each component's sites are relabeled
+    by rank, and its rank table (rows sorted) is its class key: components
+    of one class have one law, so ``_component_law`` runs once per class and
+    its law is raised to the class's multiplicity.
+
+    ``component_cap`` (default ``DEFAULT_COMPONENT_CAP``) bounds the frontier
+    width: the most terms open at once in any component, where a term is open
+    from its first to its last shared site.  A component over the cap, or
+    whose DP would hold more than ``LAW_CELL_BUDGET`` floats (2^width states
+    times terms + 1 counts), raises ``ResourceError`` before any DP runs.
+    """
+    cap = DEFAULT_COMPONENT_CAP if component_cap is None else component_cap
+    values, inverse = np.unique(scheme.term_indices, return_inverse=True)
+    ranks = inverse.reshape(scheme.term_indices.shape)
+    m, ell = values.size, scheme.ell
+    comp = np.unique(_component_labels(ranks), return_inverse=True)[1].ravel()
+    sizes = np.bincount(comp)
+    width = _frontier_widths(ranks, comp, m)
+    if width.max() > cap:
+        raise ResourceError(
+            f"a component has {width.max()} open terms at once, over the frontier "
+            f"budget of {cap}"
+        )
+    cells = np.ldexp((sizes + 1).astype(float), width)
+    if cells.max() > LAW_CELL_BUDGET:
+        raise ResourceError(
+            f"a component's DP needs {cells.max():.3g} floats, over the budget of "
+            f"{LAW_CELL_BUDGET}"
+        )
+
+    # Rank tables: each component's sites by rank, its rows sorted.
+    site_comp = np.empty(m, dtype=np.int64)
+    site_comp[ranks] = comp[:, None]
+    by_comp = np.argsort(site_comp, kind="stable")
+    site_count = np.bincount(site_comp)
+    local = np.empty(m, dtype=np.int64)
+    local[by_comp] = np.arange(m) - (np.cumsum(site_count) - site_count)[site_comp[by_comp]]
+    tables = np.sort(local[ranks], axis=1)
+    tables = tables[np.lexsort(tuple(tables[:, j] for j in range(ell - 1, -1, -1)) + (comp,))]
+    term_start = np.cumsum(sizes) - sizes
+
     law = np.array([1.0])
-    for terms in _components(scheme):
-        law = np.convolve(law, _component_pmf(scheme, terms, component_cap))
+    for k in np.unique(sizes):
+        comps = np.flatnonzero(sizes == k)
+        block = tables[term_start[comps][:, None] + np.arange(k)].reshape(comps.size, k * ell)
+        classes, mults = np.unique(block, axis=0, return_counts=True)
+        for key, mult in zip(classes, mults.tolist()):
+            class_law = _component_law(key.reshape(k, ell), scheme.p)
+            law = _trimmed_convolve(law, _power(class_law, mult))
     pmf = {k: float(v) for k, v in enumerate(law) if v > 0.0}
     return CountDistribution(pmf=pmf, kind="exact")
 
@@ -221,10 +354,17 @@ class PoissonBoundReport:
 
 
 def verify_poisson_bound(
-    scheme: BernoulliScheme, lam: float, component_cap: int = DEFAULT_COMPONENT_CAP
+    scheme: BernoulliScheme,
+    lam: float,
+    component_cap: int | None = None,
+    exact: CountDistribution | None = None,
 ) -> PoissonBoundReport:
-    """Exact TV(S_n, Poisson(lam)) against the dissociated-sum bound."""
-    exact = exact_distribution(scheme, component_cap)
+    """Exact TV(S_n, Poisson(lam)) against the dissociated-sum bound.
+
+    ``exact`` is the scheme's exact law when the caller already has it.
+    """
+    if exact is None:
+        exact = exact_distribution(scheme, component_cap)
     tv = tv_distance(exact, PoissonLaw(lam).distribution())
     bound = dissociated_sum_bound(scheme.ell, scheme.p, lam, scheme.lambda_n)
     return PoissonBoundReport(

@@ -11,7 +11,7 @@ a boolean.
 
   model:       bernoulli | markov | subshift
   seed:        integer >= 0, required (no wall-clock default)
-  lambda:      positive number (default 1.0)
+  lambda:      positive number (default 1.0); for bernoulli, below every n
   n_grid:      nonempty list of positive integers, required
   replicates:  integer >= 0 (default 0; 0 = exact-only tables, and
                hitting_time_survival needs replicates > 0)
@@ -22,7 +22,9 @@ a boolean.
                 of equal-length nonempty lists of integers}
   outputs:     nonempty list of table names defined for the model
                (see `nonconv list-tables`)
-  budgets:     {enumeration: int > 0, component_cap: int > 0}  (optional)
+  budgets:     {enumeration: int > 0, component_cap: int > 0}  (optional;
+               component_cap is the bernoulli exact law's frontier width, the
+               most terms open at once in one component's transfer-matrix DP)
   model_params: mapping with no keys but these (optional for bernoulli)
     markov:    {transition: [[..]] square, entries >= 0, rows summing to 1
                 (required), lift_tolerance: num > 0 (default 0.2),
@@ -40,7 +42,8 @@ a boolean.
   hitting:     {lambdas: nonempty list of positive numbers}  (optional)
 
 Faults the grammar cannot see (a chain that fails certification, an
-omega_star shorter than n, lambda >= n) raise a ``NonconvError`` from the run.
+omega_star shorter than n, a component over the budgets) raise a
+``NonconvError`` from the run.
 """
 
 from __future__ import annotations
@@ -198,6 +201,11 @@ def validate_config(cfg: dict) -> list[str]:
         _is_int(v) and v >= 1 for v in grid
     ):
         faults.append("n_grid must be a nonempty list of positive integers")
+    elif model == "bernoulli" and _is_number(lam) and lam >= min(grid):
+        faults.append(
+            f"lambda must be below every n in n_grid for the bernoulli model "
+            f"(p_n = (lambda/n)^(1/ell) < 1), got lambda={lam!r} and n={min(grid)}"
+        )
     reps = cfg.get("replicates", 0)
     if not _is_int(reps) or reps < 0:
         faults.append(f"replicates must be an integer >= 0, got {reps!r}")
@@ -314,6 +322,27 @@ class _RunContext:
         self.model_params = cfg.get("model_params", {}) or {}
         self._cache: dict = {}
 
+    # -- bernoulli --------------------------------------------------------
+
+    def bernoulli_scheme(self, n: int):
+        from .bernoulli import BernoulliScheme
+
+        if ("scheme", n) not in self._cache:
+            self._cache["scheme", n] = BernoulliScheme.from_lambda(
+                n, self.schedule.ell, self.lam, self.schedule
+            )
+        return self._cache["scheme", n]
+
+    def bernoulli_exact(self, n: int):
+        """The exact law of S_n, computed once for every table that needs it."""
+        from .bernoulli import exact_distribution
+
+        if ("exact", n) not in self._cache:
+            self._cache["exact", n] = exact_distribution(
+                self.bernoulli_scheme(n), self.budgets["component_cap"]
+            )
+        return self._cache["exact", n]
+
     # -- markov ---------------------------------------------------------
 
     def markov_chain(self):
@@ -413,15 +442,13 @@ def table_pmf_vs_poisson(ctx: _RunContext):
     header = ("n", "k", "model_pmf", "poisson_pmf", "source", "sample_size")
     rows = []
     if ctx.model == "bernoulli":
-        from .bernoulli import BernoulliScheme, exact_distribution, simulate_batch
+        from .bernoulli import simulate_batch
 
         for n in ctx.n_grid:
-            scheme = BernoulliScheme.from_lambda(n, ctx.schedule.ell, ctx.lam, ctx.schedule)
-            exact = exact_distribution(scheme, ctx.budgets["component_cap"])
-            rows += _pmf_rows(n, exact, ctx.lam, "exact")
+            rows += _pmf_rows(n, ctx.bernoulli_exact(n), ctx.lam, "exact")
             if ctx.replicates > 0:
                 emp = empirical_distribution(
-                    simulate_batch(scheme, ctx.seed, ctx.replicates)
+                    simulate_batch(ctx.bernoulli_scheme(n), ctx.seed, ctx.replicates)
                 )
                 rows += _pmf_rows(n, emp, ctx.lam, "empirical")
     elif ctx.model == "markov":
@@ -452,13 +479,12 @@ def table_pmf_vs_poisson(ctx: _RunContext):
 
 
 def table_tv_and_bounds(ctx: _RunContext):
-    from .bernoulli import BernoulliScheme, verify_poisson_bound
+    from .bernoulli import verify_poisson_bound
 
     header = ("n", "ell", "p_n", "lambda", "lambda_n", "tv_exact", "bound", "holds")
     rows = []
     for n in ctx.n_grid:
-        scheme = BernoulliScheme.from_lambda(n, ctx.schedule.ell, ctx.lam, ctx.schedule)
-        rep = verify_poisson_bound(scheme, ctx.lam, ctx.budgets["component_cap"])
+        rep = verify_poisson_bound(ctx.bernoulli_scheme(n), ctx.lam, exact=ctx.bernoulli_exact(n))
         rows.append(
             (rep.n, rep.ell, rep.p, rep.lam, rep.lambda_n, rep.tv_exact, rep.bound, rep.holds)
         )
@@ -466,12 +492,12 @@ def table_tv_and_bounds(ctx: _RunContext):
 
 
 def table_chen_stein_terms(ctx: _RunContext):
-    from .bernoulli import BernoulliScheme, chen_stein_terms
+    from .bernoulli import chen_stein_terms
 
     header = ("n", "ell", "p_n", "I1", "I2", "I3", "bound")
     rows = []
     for n in ctx.n_grid:
-        scheme = BernoulliScheme.from_lambda(n, ctx.schedule.ell, ctx.lam, ctx.schedule)
+        scheme = ctx.bernoulli_scheme(n)
         t = chen_stein_terms(scheme)
         rows.append((n, scheme.ell, scheme.p, t.I1, t.I2, t.I3, t.bound))
     return header, rows

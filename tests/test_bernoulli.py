@@ -1,10 +1,12 @@
 """Bernoulli array model: simulation, exact oracle, moment terms, TV bound."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nonconv import (
@@ -18,8 +20,16 @@ from nonconv import (
     tv_distance,
     verify_poisson_bound,
 )
+from nonconv import bernoulli
 from nonconv.errors import ResourceError, ValidationError
-from nonconv.schedules import QSchedule, exponential_gap_schedule
+from nonconv.schedules import (
+    QSchedule,
+    _UnionFind,
+    arithmetic_gap_schedule,
+    exponential_gap_schedule,
+    polynomial_schedule,
+    table_schedule,
+)
 from nonconv.sevastyanov import bernoulli_model_oracle
 
 
@@ -136,9 +146,42 @@ def test_exact_b_is_site_count_power():
 
 
 def test_component_cap_resource_error():
-    scheme = _scheme(40, 2, 0.2)
-    with pytest.raises(ResourceError):
-        exact_distribution(scheme, component_cap=3)
+    # linear ell = 3 at n = 40: the component of term 1 has 5 terms open at once
+    scheme = _scheme(40, 3, 0.2)
+    with pytest.raises(ResourceError, match="5 open terms"):
+        exact_distribution(scheme, component_cap=4)
+    exact_distribution(scheme, component_cap=5)
+    # linear ell = 2 is a chain, one term open at a time, at any n
+    exact_distribution(_scheme(4096, 2, 0.2), component_cap=1)
+
+
+def test_frontier_budgets_refuse_before_any_dp(monkeypatch):
+    def no_dp(table, p):
+        raise AssertionError("the frontier DP ran")
+
+    monkeypatch.setattr(bernoulli, "_component_law", no_dp)
+    # rows (l, l + 1, l + 40) form one component in which term l is open
+    # from site l to site l + 40: about 40 terms open at once, 2^40 states
+    rows = [(l, l + 1, l + 40) for l in range(1, 81)]
+    wide = BernoulliScheme(n=80, ell=3, p=0.3, schedule=table_schedule(rows))
+    tracemalloc.start()
+    with pytest.raises(ResourceError, match="over the frontier budget of 25"):
+        exact_distribution(wide)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2**20
+    # the default budget is read at call time: linear ell = 3 at n = 1024
+    # needs 10 open terms, refused under a budget of 9
+    scheme = BernoulliScheme.from_lambda(1024, 3, 1.0, linear_schedule(3))
+    monkeypatch.setattr(bernoulli, "DEFAULT_COMPONENT_CAP", 9)
+    with pytest.raises(ResourceError, match="10 open terms"):
+        exact_distribution(scheme)
+    with pytest.raises(ResourceError, match="10 open terms"):
+        verify_poisson_bound(scheme, 1.0)
+    monkeypatch.setattr(bernoulli, "DEFAULT_COMPONENT_CAP", 10)
+    monkeypatch.setattr(bernoulli, "LAW_CELL_BUDGET", 2**10)
+    with pytest.raises(ResourceError, match="over the budget of 1024"):
+        exact_distribution(scheme)
 
 
 def test_invalid_scheme_rejected():
@@ -200,3 +243,161 @@ def test_tv_trend_nonincreasing_from_n12():
     for a, b in zip(tvs, tvs[1:]):
         assert b <= a + 1e-3
     assert tvs[-1] < tvs[0]
+
+
+# -- the frontier DP against references --------------------------------------
+
+def _reference_components(scheme):
+    """Term tuples grouped by shared sites (a union-find over the sites)."""
+    uf = _UnionFind()
+    tuples = [tuple(t) for t in scheme.term_indices.tolist()]
+    for tup in tuples:
+        for q in tup[1:]:
+            uf.union(("site", tup[0]), ("site", q))
+        uf.find(("site", tup[0]))
+    groups = {}
+    for tup in tuples:
+        groups.setdefault(uf.find(("site", tup[0])), []).append(tup)
+    return list(groups.values())
+
+
+def _enumerated_pmf(tuples, p):
+    """Count law of one component by enumerating its 2^m site assignments.
+
+    The assignments are tallied exactly by (count, number of ones), so each
+    probability is a sum of at most m + 1 terms.  (Summing the 2^m weights
+    one by one drifts: 1.8e-13 at m = 15, p = 1/32.)
+    """
+    sites = sorted({q for tup in tuples for q in tup})
+    m = len(sites)
+    pos = {q: i for i, q in enumerate(sites)}
+    assign = np.arange(1 << m, dtype=np.int64)
+    ones = sum((assign >> b) & 1 for b in range(m))
+    counts = np.zeros(assign.size, dtype=np.int64)
+    for tup in tuples:
+        mask = sum(1 << pos[q] for q in set(tup))
+        counts += (assign & mask) == mask
+    tally = np.bincount(counts * (m + 1) + ones, minlength=(len(tuples) + 1) * (m + 1))
+    tally = tally.reshape(len(tuples) + 1, m + 1).tolist()
+    return np.array([
+        math.fsum(c * p**j * (1.0 - p) ** (m - j) for j, c in enumerate(row) if c)
+        for row in tally
+    ])
+
+
+def _fraction_pmf(tuples, p):
+    """Exact count law of one component by a site-by-site DP in rationals.
+
+    The state is the set of started terms whose sites so far are all 1.
+    """
+    sites = sorted({q for tup in tuples for q in tup})
+    start = {i: min(t) for i, t in enumerate(tuples)}
+    end = {i: max(t) for i, t in enumerate(tuples)}
+    states = {frozenset(): {0: Fraction(1)}}
+    for s in sites:
+        through = {i for i, t in enumerate(tuples) if s in t}
+        nxt = {}
+
+        def add(state, count, w):
+            row = nxt.setdefault(state, {})
+            row[count] = row.get(count, 0) + w
+
+        for alive, pmf in states.items():
+            born = {i for i in through if start[i] == s}
+            up = alive | born
+            done = {i for i in up if end[i] == s}
+            down = alive - through
+            for c, w in pmf.items():
+                add(frozenset(up - done), c + len(done), w * p)
+                add(frozenset(down), c, w * (1 - p))
+        states = nxt
+    law = [Fraction(0)] * (len(tuples) + 1)
+    for pmf in states.values():
+        for c, w in pmf.items():
+            law[c] += w
+    return law
+
+
+def _truncated_product(laws, K):
+    out = [Fraction(1)] + [Fraction(0)] * K
+    for law in laws:
+        out = [sum(out[i] * law[k - i] for i in range(k + 1) if k - i < len(law))
+               for k in range(K + 1)]
+    return out
+
+
+@st.composite
+def _small_schemes(draw):
+    """A scheme of at most 16 distinct sites from one of four families."""
+    family = draw(st.sampled_from(["linear", "polynomial", "arithmetic_gap", "table"]))
+    ell = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12))
+    if family == "linear":
+        sched = linear_schedule(ell)
+    elif family == "polynomial":
+        sched = polynomial_schedule(ell, draw(st.integers(1, 2)))
+    elif family == "arithmetic_gap":
+        sched = arithmetic_gap_schedule(ell, draw(st.sampled_from([0.5, 1.0, 4.0])), 0.5)
+    else:
+        steps = draw(st.lists(st.lists(st.integers(1, 3), min_size=ell, max_size=ell),
+                              min_size=n, max_size=n))
+        rows = np.cumsum(np.cumsum(np.array(steps), axis=0), axis=1)
+        sched = table_schedule(rows.tolist())
+    scheme = BernoulliScheme(n=n, ell=ell, p=draw(st.floats(0.02, 0.98)), schedule=sched)
+    assume(scheme.needed_indices.size <= 16)
+    return scheme
+
+
+@given(_small_schemes())
+@settings(max_examples=120, deadline=None)
+def test_frontier_dp_matches_enumeration(scheme):
+    law = np.array([1.0])
+    for tuples in _reference_components(scheme):
+        law = np.convolve(law, _enumerated_pmf(tuples, scheme.p))
+    dist = exact_distribution(scheme)
+    assert max(dist.pmf) <= scheme.n
+    for k in range(scheme.n + 1):
+        assert abs(dist.prob(k) - law[k]) <= 1e-13, (k, dist.prob(k), law[k])
+
+
+@pytest.mark.parametrize(
+    "n, ell, sched",
+    [
+        (1024, 2, arithmetic_gap_schedule(2, 4.0, 0.5)),  # one component has 23 sites
+        (64, 3, linear_schedule(3)),
+        (40, 3, exponential_gap_schedule(3)),
+    ],
+)
+def test_frontier_dp_matches_rational_dp(n, ell, sched):
+    scheme = BernoulliScheme.from_lambda(n, ell, 1.0, sched)
+    p = Fraction(scheme.p)  # the float p, exactly
+    K = 40
+    exact = _truncated_product(
+        [_fraction_pmf(t, p) for t in _reference_components(scheme)], K
+    )
+    dist = exact_distribution(scheme)
+    for k in range(K + 1):
+        assert abs(dist.prob(k) - float(exact[k])) <= 1e-15, k
+    assert sum(v for k, v in dist.pmf.items() if k > K) <= 1e-15
+
+
+def test_exact_tv_along_the_paper_schedules():
+    """Exact TV(S_n, Po(1)) along two schedules, with noise-free identities.
+
+    The pmf sums to 1 and its mean is lambda_n = n p^ell = 1, each to 1e-12.
+    """
+    grid = [(arithmetic_gap_schedule(2, 4.0, 0.5), 2, 2**e) for e in (8, 10, 12, 14, 16)]
+    grid += [(linear_schedule(3), 3, n) for n in (16, 64, 256, 1024)]
+    poisson = PoissonLaw(1.0).distribution()
+    print("\nschedule                              n      TV(S_n, Po(1))")
+    tv = {}
+    for sched, ell, n in grid:
+        scheme = BernoulliScheme.from_lambda(n, ell, 1.0, sched)
+        dist = exact_distribution(scheme)
+        assert abs(sum(dist.pmf.values()) - 1.0) <= 1e-12
+        assert abs(dist.mean() - scheme.lambda_n) <= 1e-12
+        tv[sched.name, n] = tv_distance(dist, poisson)
+        print(f"{sched.name:36s} {n:6d}  {tv[sched.name, n]:.6e}")
+    for name in {name for name, _ in tv}:
+        trend = [tv[key] for key in sorted(tv) if key[0] == name]
+        assert all(b < a for a, b in zip(trend, trend[1:])), (name, trend)

@@ -185,6 +185,24 @@ def test_validate_lists_section_faults(tmp_path, section, value, fault):
         run(_write(tmp_path, yaml.safe_dump(cfg), "bad.yaml"), tmp_path / "out")
 
 
+def test_validate_refuses_bernoulli_lambda_at_or_above_some_n(tmp_path, capsys):
+    text = BERNOULLI_CFG.replace("n_grid: [8, 12]", "n_grid: [1, 8]")
+    path = _write(tmp_path, text)
+    assert validate_config(load_config(path)) == [
+        "lambda must be below every n in n_grid for the bernoulli model "
+        "(p_n = (lambda/n)^(1/ell) < 1), got lambda=1.0 and n=1"
+    ]
+    assert main(["validate", str(path)]) == 1
+    assert "lambda must be below every n" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        run(path, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    # the other models' lambda is not tied to n
+    cfg = load_config(_write(tmp_path, MARKOV_CFG, "markov.yaml"))
+    cfg["lambda"], cfg["n_grid"] = 5.0, [4, 8]
+    assert validate_config(cfg) == []
+
+
 def test_validate_subshift_transition_on_the_adjacency_edges(tmp_path):
     cfg = load_config(_write(tmp_path, SUBSHIFT_CFG))
     cfg["model_params"]["adjacency"] = [[1, 1], [1, 0]]
@@ -522,7 +540,7 @@ _BAD_PARAMS = {
 }
 # values the grammar allows but the run rejects, per model
 _RUN_FAULTS = {
-    "bernoulli": [("lambda", 100.0)],
+    "bernoulli": [],
     "markov": [("transition", [[0.0, 1.0], [1.0, 0.0]]), ("transition", [[1.0]]),
                ("max_lift", 1)],
     "subshift": [("omega_star", [0, 1]), ("omega_star", [0, 1, 5, 0])],
@@ -551,6 +569,11 @@ def _invalid_configs(draw):
         values, prefixes = _BAD_FIELDS[f]
         cfg[f] = draw(st.sampled_from(values))
         expect[f] = prefixes
+    if model == "bernoulli" and "lambda" not in fields and draw(st.booleans()):
+        # p_n = (lambda/n)^(1/ell) needs lambda < n; checked when model and n_grid are valid
+        cfg["lambda"] = draw(st.sampled_from([8, 100.0]))
+        if not {"model", "n_grid"} & fields:
+            expect["lambda_vs_n"] = ("lambda must be below every n",)
     for k in sorted(params):
         mp = cfg.setdefault("model_params", {})
         mp[k] = draw(st.sampled_from(_BAD_PARAMS[k]))
