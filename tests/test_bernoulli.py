@@ -160,15 +160,17 @@ def test_frontier_budgets_refuse_before_any_dp(monkeypatch):
         raise AssertionError("the frontier DP ran")
 
     monkeypatch.setattr(bernoulli, "_component_law", no_dp)
-    # rows (l, l + 1, l + 40) form one component in which term l is open
-    # from site l to site l + 40: about 40 terms open at once, 2^40 states
+    # rows (l, l + 1, l + 40) form one component in which term l stays open
+    # until site l + 40: 40 terms open at once, a DP of 2^40 states
     rows = [(l, l + 1, l + 40) for l in range(1, 81)]
     wide = BernoulliScheme(n=80, ell=3, p=0.3, schedule=table_schedule(rows))
     tracemalloc.start()
-    with pytest.raises(ResourceError, match="over the frontier budget of 25"):
-        exact_distribution(wide)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    try:
+        with pytest.raises(ResourceError, match="40 open terms at once, over the frontier budget"):
+            exact_distribution(wide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 2**20
     # the default budget is read at call time: linear ell = 3 at n = 1024
     # needs 10 open terms, refused under a budget of 9
