@@ -22,8 +22,8 @@ from .errors import ResourceError, ValidationError
 from .markov import FiniteMarkovChain, sample_counts
 from .rng import STREAM_BERNOULLI, derive_rng
 from .schedules import QSchedule
+from .sevastyanov import _pair_classes, _runs
 
-DEFAULT_COMPONENT_CAP = 25  # most open terms at once in a component's frontier DP
 LAW_CELL_BUDGET = 2**22  # most floats (states x counts) one frontier DP may hold
 
 
@@ -229,9 +229,7 @@ def _frontier_widths(ranks: np.ndarray, comp: np.ndarray, m: int) -> np.ndarray:
     return width
 
 
-def exact_distribution(
-    scheme: BernoulliScheme, component_cap: int | None = None
-) -> CountDistribution:
+def exact_distribution(scheme: BernoulliScheme) -> CountDistribution:
     """Exact law of S_n: one frontier DP per incidence class, then convolution.
 
     Terms linked by shared sites form components, and the count is the sum
@@ -240,29 +238,24 @@ def exact_distribution(
     of one class have one law, so ``_component_law`` runs once per class and
     its law is raised to the class's multiplicity.
 
-    ``component_cap`` (default ``DEFAULT_COMPONENT_CAP``) bounds the frontier
-    width: the most terms open at once in any component, where a term is open
-    from its first to its last shared site.  A component over the cap, or
-    whose DP would hold more than ``LAW_CELL_BUDGET`` floats (2^width states
-    times terms + 1 counts), raises ``ResourceError`` before any DP runs.
+    A component of frontier width w (the most terms open at once, where a
+    term is open from its first to its last shared site) and k terms holds
+    2^w (k + 1) floats in its DP.  A component over ``LAW_CELL_BUDGET``
+    floats raises ``ResourceError`` before any DP runs.  Counts whose
+    probability is below the smallest normal float are left out of the law.
     """
-    cap = DEFAULT_COMPONENT_CAP if component_cap is None else component_cap
     values, inverse = np.unique(scheme.term_indices, return_inverse=True)
     ranks = inverse.reshape(scheme.term_indices.shape)
     m, ell = values.size, scheme.ell
     comp = np.unique(_component_labels(ranks), return_inverse=True)[1].ravel()
     sizes = np.bincount(comp)
     width = _frontier_widths(ranks, comp, m)
-    if width.max() > cap:
-        raise ResourceError(
-            f"a component has {width.max()} open terms at once, over the frontier "
-            f"budget of {cap}"
-        )
     cells = np.ldexp((sizes + 1).astype(float), width)
-    if cells.max() > LAW_CELL_BUDGET:
+    worst = int(cells.argmax())
+    if cells[worst] > LAW_CELL_BUDGET:
         raise ResourceError(
-            f"a component's DP needs {cells.max():.3g} floats, over the budget of "
-            f"{LAW_CELL_BUDGET}"
+            f"a component with {width[worst]} open terms at once needs "
+            f"{cells[worst]:.3g} floats, over the budget of {LAW_CELL_BUDGET}"
         )
 
     # Rank tables: each component's sites by rank, its rows sorted.
@@ -284,7 +277,8 @@ def exact_distribution(
         for key, mult in zip(classes, mults.tolist()):
             class_law = _component_law(key.reshape(k, ell), scheme.p)
             law = _trimmed_convolve(law, _power(class_law, mult))
-    pmf = {k: float(v) for k, v in enumerate(law) if v > 0.0}
+    tiny = np.finfo(float).tiny
+    pmf = {k: float(v) for k, v in enumerate(law) if v >= tiny}
     return CountDistribution(pmf=pmf, kind="exact")
 
 
@@ -306,24 +300,23 @@ def chen_stein_terms(scheme: BernoulliScheme) -> ChenSteinTerms:
     I1 = sum_J p_J^2, I2 = sum over ordered pairs (J, K) of intersecting
     distinct tuples of p_J p_K, I3 = same pairs of E X_J X_K; the Poisson
     approximation bound is min(1, 1/lambda_n)(I1 + I2 + I3).
+
+    The intersecting pairs are the factorization checker's clustered pairs
+    at threshold 0 and cutoff 0, summed over its run classes
+    (``sevastyanov._pair_classes``): every pair of a class shares the same
+    number s of sites, so each unordered pair adds p^(2 ell) to I2 and
+    p^(2 ell - s) to I3, twice.
     """
     n, ell, p = scheme.n, scheme.ell, scheme.p
-    tuples = [frozenset(t) for t in scheme.term_indices.tolist()]
-    by_site: dict[int, list[int]] = {}
-    for l, tup in enumerate(tuples):
-        for q in tup:
-            by_site.setdefault(q, []).append(l)
+    q = scheme.term_indices
+    shares = np.zeros(ell + 1, dtype=np.int64)  # unordered pairs by shared sites
+    for pairs, w in _pair_classes(q, _runs(q), 0, 0):
+        a, b = q[pairs[:, 0] - 1], q[pairs[:, 1] - 1]
+        s = (a[:, :, None] == b[:, None, :]).sum(axis=(1, 2))
+        np.add.at(shares, s, w)
     I1 = n * p ** (2 * ell)
-    I2 = 0.0
-    I3 = 0.0
-    for l, tup in enumerate(tuples):
-        partners = set()
-        for q in tup:
-            partners.update(by_site[q])
-        partners.discard(l)
-        for k in partners:
-            I2 += p ** (2 * ell)
-            I3 += p ** len(tup | tuples[k])
+    I2 = 2 * int(shares.sum()) * p ** (2 * ell)
+    I3 = sum(2 * c * p ** (2 * ell - s) for s, c in enumerate(shares.tolist()))
     lam_n = scheme.lambda_n
     bound = min(1.0, 1.0 / lam_n) * (I1 + I2 + I3)
     # Closed-form identity and envelopes; violations mean an implementation
@@ -356,7 +349,6 @@ class PoissonBoundReport:
 def verify_poisson_bound(
     scheme: BernoulliScheme,
     lam: float,
-    component_cap: int | None = None,
     exact: CountDistribution | None = None,
 ) -> PoissonBoundReport:
     """Exact TV(S_n, Poisson(lam)) against the dissociated-sum bound.
@@ -364,7 +356,7 @@ def verify_poisson_bound(
     ``exact`` is the scheme's exact law when the caller already has it.
     """
     if exact is None:
-        exact = exact_distribution(scheme, component_cap)
+        exact = exact_distribution(scheme)
     tv = tv_distance(exact, PoissonLaw(lam).distribution())
     bound = dissociated_sum_bound(scheme.ell, scheme.p, lam, scheme.lambda_n)
     return PoissonBoundReport(

@@ -22,9 +22,8 @@ a boolean.
                 of equal-length nonempty lists of integers}
   outputs:     nonempty list of table names defined for the model
                (see `nonconv list-tables`)
-  budgets:     {enumeration: int > 0, component_cap: int > 0}  (optional;
-               component_cap is the bernoulli exact law's frontier width, the
-               most terms open at once in one component's transfer-matrix DP)
+  budgets:     {enumeration: int > 0}  (optional; the factorization
+               checker's most index tuples enumerated in exact mode)
   model_params: mapping with no keys but these (optional for bernoulli)
     markov:    {transition: [[..]] square, entries >= 0, rows summing to 1
                 (required), lift_tolerance: num > 0 (default 0.2),
@@ -42,8 +41,8 @@ a boolean.
   hitting:     {lambdas: nonempty list of positive numbers}  (optional)
 
 Faults the grammar cannot see (a chain that fails certification, an
-omega_star shorter than n, a component over the budgets) raise a
-``NonconvError`` from the run.
+omega_star shorter than n, a Bernoulli component over the exact law's
+cell budget) raise a ``NonconvError`` from the run.
 """
 
 from __future__ import annotations
@@ -70,6 +69,7 @@ from .schedules import (
     ratio_cutoff_index,
     table_schedule,
 )
+from .sevastyanov import DEFAULT_ENUMERATION_BUDGET
 
 TABLES = {
     "pmf_vs_poisson": ("bernoulli", "markov", "subshift"),
@@ -80,7 +80,7 @@ TABLES = {
     "hitting_time_survival": ("subshift",),
 }
 
-_DEFAULT_BUDGETS = {"enumeration": 200_000, "component_cap": 25}
+_DEFAULT_BUDGETS = {"enumeration": DEFAULT_ENUMERATION_BUDGET}
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +338,7 @@ class _RunContext:
         from .bernoulli import exact_distribution
 
         if ("exact", n) not in self._cache:
-            self._cache["exact", n] = exact_distribution(
-                self.bernoulli_scheme(n), self.budgets["component_cap"]
-            )
+            self._cache["exact", n] = exact_distribution(self.bernoulli_scheme(n))
         return self._cache["exact", n]
 
     # -- markov ---------------------------------------------------------

@@ -30,7 +30,7 @@ from nonconv.schedules import (
     polynomial_schedule,
     table_schedule,
 )
-from nonconv.sevastyanov import bernoulli_model_oracle
+from nonconv.sevastyanov import bernoulli_model_oracle, check_conditions
 
 
 def _scheme(n, ell, p):
@@ -114,6 +114,93 @@ def test_chen_stein_disjoint_schedule():
     assert terms.I2 == 0.0 and terms.I3 == 0.0
 
 
+def _chen_stein_loop(scheme, p=None):
+    """(I2, I3) by the per-tuple loop over the sites: for each term, every
+    other term that shares a site with it.  ``p`` may be a Fraction."""
+    p = scheme.p if p is None else p
+    tuples = [frozenset(t) for t in scheme.term_indices.tolist()]
+    by_site = {}
+    for l, tup in enumerate(tuples):
+        for q in tup:
+            by_site.setdefault(q, []).append(l)
+    I2 = I3 = 0 * p
+    for l, tup in enumerate(tuples):
+        partners = set().union(*(by_site[q] for q in tup)) - {l}
+        for k in partners:
+            I2 += p ** (2 * scheme.ell)
+            I3 += p ** len(tup | tuples[k])
+    return I2, I3
+
+
+@st.composite
+def _chen_stein_schemes(draw):
+    """A scheme of up to 400 terms, ell <= 3, from one of five families."""
+    family = draw(st.sampled_from(
+        ["linear", "polynomial", "exponential_gap", "arithmetic_gap", "table"]
+    ))
+    ell = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 399))
+    if family == "linear":
+        sched = linear_schedule(ell)
+    elif family == "polynomial":
+        sched = polynomial_schedule(ell, draw(st.integers(1, 2)))
+    elif family == "exponential_gap":
+        sched = exponential_gap_schedule(ell)  # at ell = 3, (l, 2l) share two sites
+    elif family == "arithmetic_gap":
+        sched = arithmetic_gap_schedule(ell, draw(st.sampled_from([0.5, 1.0, 4.0])), 0.5)
+    else:
+        seed = draw(st.integers(0, 2**32 - 1))
+        steps = np.random.default_rng(seed).integers(0, 3, size=(n, ell))
+        steps[0] = 1
+        steps[:, 0] = np.maximum(steps[:, 0], 1)  # q_1 strictly increasing
+        rows = np.cumsum(np.cumsum(steps, axis=0), axis=1)  # rows increasing too
+        sched = table_schedule(rows.tolist())
+    return BernoulliScheme(n=n, ell=ell, p=draw(st.floats(0.02, 0.98)), schedule=sched)
+
+
+@given(_chen_stein_schemes())
+@settings(max_examples=200, deadline=None)
+def test_chen_stein_terms_match_per_tuple_loop(scheme):
+    terms = chen_stein_terms(scheme)
+    I2, I3 = _chen_stein_loop(scheme)
+    assert terms.I1 == pytest.approx(scheme.n * scheme.p ** (2 * scheme.ell), rel=1e-12)
+    assert terms.I2 == pytest.approx(I2, rel=1e-12, abs=0.0)
+    assert terms.I3 == pytest.approx(I3, rel=1e-12, abs=0.0)
+
+
+def test_chen_stein_terms_against_rationals():
+    # the loop's float sum of I3 and the class sums differ in the 12th digit
+    # here; the class sums are the closer to the exact rational sum
+    scheme = _scheme(156, 3, 0.40814)
+    terms = chen_stein_terms(scheme)
+    I2, I3 = _chen_stein_loop(scheme, Fraction(scheme.p))
+    _, loop_I3 = _chen_stein_loop(scheme)
+    assert abs(terms.I2 - float(I2)) <= 1e-15 * float(I2)
+    assert abs(terms.I3 - float(I3)) <= 1e-15 * float(I3)
+    assert abs(terms.I3 - float(I3)) <= abs(loop_I3 - float(I3))
+
+
+@pytest.mark.parametrize(
+    "n, ell, sched",
+    [
+        (300, 2, arithmetic_gap_schedule(2, 4.0, 0.5)),
+        (200, 3, exponential_gap_schedule(3)),
+        (150, 3, linear_schedule(3)),
+    ],
+)
+def test_chen_stein_terms_are_the_checkers_clustered_sums(n, ell, sched):
+    """I2 and I3 are twice the checker's rare sums at threshold 0, cutoff 0,
+    in exact mode and in sampled mode (stratum B, the pair classes)."""
+    terms = chen_stein_terms(BernoulliScheme.from_lambda(n, ell, 1.0, sched))
+    factory = bernoulli_model_oracle(ell, 1.0, sched)
+    pairs = math.comb(n, 2)
+    for budget, mode in ((pairs, "exact"), (pairs - 1, "sampled")):
+        stage = check_conditions(factory, sched, 2, [n], (0, 0), budget=budget).stage(n)
+        assert stage.mode == mode
+        assert terms.I2 == pytest.approx(2 * stage.rare_sum_product, rel=1e-12, abs=0.0)
+        assert terms.I3 == pytest.approx(2 * stage.rare_sum_joint, rel=1e-12, abs=0.0)
+
+
 def test_verify_poisson_bound_holds():
     sched = linear_schedule(2)
     for n in (8, 12, 16):
@@ -145,14 +232,23 @@ def test_exact_b_is_site_count_power():
     assert stage.b_at([6, 7, 9]) == stage.b((1, 2))  # the same sites shifted by 5
 
 
-def test_component_cap_resource_error():
-    # linear ell = 3 at n = 40: the component of term 1 has 5 terms open at once
+def test_law_cell_budget_resource_error(monkeypatch):
+    # linear ell = 3 at n = 40: the component of term 1 has 5 terms open at
+    # once and 14 terms, a DP of 2^5 * 15 = 480 floats
     scheme = _scheme(40, 3, 0.2)
-    with pytest.raises(ResourceError, match="5 open terms"):
-        exact_distribution(scheme, component_cap=4)
-    exact_distribution(scheme, component_cap=5)
-    # linear ell = 2 is a chain, one term open at a time, at any n
-    exact_distribution(_scheme(4096, 2, 0.2), component_cap=1)
+    monkeypatch.setattr(bernoulli, "LAW_CELL_BUDGET", 479)
+    with pytest.raises(ResourceError, match="5 open terms at once needs 480 floats"):
+        exact_distribution(scheme)
+    monkeypatch.setattr(bernoulli, "LAW_CELL_BUDGET", 480)
+    exact_distribution(scheme)
+    # linear ell = 2 is a chain, one term open at a time: at n = 4096 the
+    # largest component, terms 1, 2, 4, ..., 4096, needs 2^1 * 14 floats
+    chain = _scheme(4096, 2, 0.2)
+    monkeypatch.setattr(bernoulli, "LAW_CELL_BUDGET", 27)
+    with pytest.raises(ResourceError, match="1 open terms at once needs 28 floats"):
+        exact_distribution(chain)
+    monkeypatch.setattr(bernoulli, "LAW_CELL_BUDGET", 28)
+    exact_distribution(chain)
 
 
 def test_frontier_budgets_refuse_before_any_dp(monkeypatch):
@@ -166,24 +262,28 @@ def test_frontier_budgets_refuse_before_any_dp(monkeypatch):
     wide = BernoulliScheme(n=80, ell=3, p=0.3, schedule=table_schedule(rows))
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceError, match="40 open terms at once, over the frontier budget"):
+        with pytest.raises(ResourceError, match="40 open terms at once needs .* over the budget"):
             exact_distribution(wide)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    # the default budget is read at call time: linear ell = 3 at n = 1024
-    # needs 10 open terms, refused under a budget of 9
+    # the budget is read at call time: linear ell = 3 at n = 1024 needs 10
+    # open terms at once, refused under a budget of 1024 floats
     scheme = BernoulliScheme.from_lambda(1024, 3, 1.0, linear_schedule(3))
-    monkeypatch.setattr(bernoulli, "DEFAULT_COMPONENT_CAP", 9)
-    with pytest.raises(ResourceError, match="10 open terms"):
-        exact_distribution(scheme)
-    with pytest.raises(ResourceError, match="10 open terms"):
-        verify_poisson_bound(scheme, 1.0)
-    monkeypatch.setattr(bernoulli, "DEFAULT_COMPONENT_CAP", 10)
     monkeypatch.setattr(bernoulli, "LAW_CELL_BUDGET", 2**10)
-    with pytest.raises(ResourceError, match="over the budget of 1024"):
+    with pytest.raises(ResourceError, match="10 open terms at once .* over the budget of 1024"):
         exact_distribution(scheme)
+    with pytest.raises(ResourceError, match="10 open terms at once .* over the budget of 1024"):
+        verify_poisson_bound(scheme, 1.0)
+
+
+def test_exact_law_drops_subnormal_cells():
+    # linear ell = 2 at n = 1024: P(S = k) falls below the smallest normal
+    # float from k = 210 on, where a float no longer carries 12 digits
+    dist = exact_distribution(BernoulliScheme.from_lambda(1024, 2, 1.0, linear_schedule(2)))
+    assert min(dist.pmf.values()) >= np.finfo(float).tiny
+    assert max(dist.pmf) == 209
 
 
 def test_invalid_scheme_rejected():

@@ -112,7 +112,7 @@ def test_validate_rejects_booleans_as_numbers():
     ]
     budgets = [
         "budget enumeration must be a positive integer, got True",
-        "budget component_cap must be a positive integer, got False",
+        "unknown budget 'component_cap'",  # the exact law has one cell budget, not a key
     ]
     assert validate_config(gap) == shared + [
         "schedule.ell must be an integer",
