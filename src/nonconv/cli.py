@@ -26,7 +26,8 @@ a boolean.
                checker's most index tuples enumerated in exact mode)
   model_params: mapping with no keys but these (optional for bernoulli)
     markov:    {transition: [[..]] square, entries >= 0, rows summing to 1
-                (required), lift_tolerance: num > 0 (default 0.2),
+                (required), lift_tolerance: num > 0 (default 0.2, but the
+                verdict gates sum_b_error at 0.05, so a pass needs <= 0.05),
                 max_lift: int >= 1, the longest target word (default 12)}
     subshift:  {adjacency: [[..]] square 0-1 ints, no all-zero row or column
                 (default full 2-shift),

@@ -26,7 +26,8 @@ from .rng import STREAM_MARKOV, derive_rng
 ROW_SUM_TOL = 1e-12
 DEFAULT_PATH_BUDGET = 10**7
 LIFT_STATE_BUDGET = 1 << 12  # most lifted states: a dense S-by-S P of 128 MiB
-EXACT_B_TIME_BUDGET = 4096  # most restriction times per exact_b call
+EXACT_B_TIME_BUDGET = 4096  # most restriction times per exact_b row
+_GATHER_CELLS = 1 << 20  # most gathered block cells per batched exact_b product (8 MiB)
 _PROJECTION_TOL = 1e-15
 
 
@@ -99,19 +100,18 @@ class FiniteMarkovChain:
         binary powers."""
         if steps < 0:
             raise ValidationError("steps must be >= 0")
-        if self._projection_level is not None and steps >= self._projection_level:
-            return v.sum(axis=-1, keepdims=True) * self.mu
         proj = self._proj()
+        out = v
         bit = 0
         while (1 << bit) <= steps:
             if steps & (1 << bit):
                 mat = self._level_power(bit, proj)
-                v = v @ mat
                 if mat is proj:
-                    # remaining factors are also projections; v is now stationary-proportional
-                    break
+                    # v's mass times mu, whether or not an earlier call found the level
+                    return v.sum(axis=-1, keepdims=True) * self.mu
+                out = out @ mat
             bit += 1
-        return v
+        return out
 
     def restricted_block(self, gamma: tuple[int, ...], steps: int) -> np.ndarray:
         """P^steps[gamma, gamma] for sorted distinct states gamma, memoized.
@@ -122,9 +122,7 @@ class FiniteMarkovChain:
         memo = self._blocks.setdefault(gamma, {})
         block = memo.get(self._block_key(steps))
         if block is None:
-            rows = np.zeros((len(gamma), self.M))
-            rows[np.arange(len(gamma)), gamma] = 1.0
-            block = self.propagate(rows, steps)[:, gamma]
+            block = self.propagate(np.eye(self.M)[list(gamma)], steps)[:, gamma]
             # keyed after propagating, which may have found the level
             memo[self._block_key(steps)] = block
         return block
@@ -542,29 +540,37 @@ def sample_counts(chain, accept, q_cols, rng, replicates: int, expected_hits: fl
 # Exact oracles
 # ---------------------------------------------------------------------------
 
-def exact_b(chain, gamma, times) -> float:
-    """P(X_t in gamma at every t in ``times``), exact, for sorted distinct
-    times >= 0.
+def exact_b(chain, gamma, times):
+    """P(X_t in gamma at every t in a row of ``times``), exact: K floats for
+    a (K, T) int array of nondecreasing times >= 0, a float for one 1-D row.
 
-    Between two restriction times only the gamma-by-gamma block of P^d
-    matters, so b = (nu P^{t1})[gamma] B(t2 - t1) ... B(tk - t(k-1)) 1 with
-    the memoized blocks B(d) = P^d[gamma, gamma] of
-    ``chain.restricted_block``.  Raises ``ResourceError`` on more than
-    ``EXACT_B_TIME_BUDGET`` times.
+    A row's b is (nu P^{t1})[gamma] B(t2 - t1) ... B(tT - t(T-1)) 1 with the
+    memoized blocks B(d) = P^d[gamma, gamma] of ``chain.restricted_block``
+    (B(0) = I).  All rows advance together, one batched product per column
+    over at most ``_GATHER_CELLS`` gathered block cells.  Raises
+    ``ResourceError`` on more than ``EXACT_B_TIME_BUDGET`` times per row.
     """
     gamma = tuple(sorted({int(g) for g in gamma}))
     if any(g < 0 or g >= chain.M for g in gamma):
         raise ValidationError("gamma contains out-of-range states")
-    if len(times) > EXACT_B_TIME_BUDGET:
+    rows = np.atleast_2d(np.asarray(times, dtype=np.int64))
+    if rows.shape[1] > EXACT_B_TIME_BUDGET:
         raise ResourceError(
-            f"{len(times)} restriction times exceed budget {EXACT_B_TIME_BUDGET}"
+            f"{rows.shape[1]} restriction times exceed budget {EXACT_B_TIME_BUDGET}"
         )
-    if not times:
-        return float(chain.nu.sum())
-    v = chain.propagate(chain.nu, times[0])[list(gamma)]
-    for prev, t in zip(times, times[1:]):
-        v = v @ chain.restricted_block(gamma, t - prev)
-    return float(v.sum())
+    out = np.full(len(rows), float(chain.nu.sum()))
+    if rows.size:  # propagate refuses a negative first time or gap
+        t0, start_of = np.unique(rows[:, 0], return_inverse=True)
+        starts = np.stack([chain.propagate(chain.nu, int(t)) for t in t0])[:, list(gamma)]
+        d, block_of = np.unique(np.diff(rows, axis=1), return_inverse=True)
+        blocks = np.array([chain.restricted_block(gamma, int(x)) for x in d])
+        step = max(1, _GATHER_CELLS // max(1, len(gamma)) ** 2)
+        for lo in range(0, len(rows), step):
+            v = starts[start_of[lo : lo + step]]
+            for col in block_of.reshape(len(rows), -1)[lo : lo + step].T:
+                v = (v[:, None, :] @ blocks[col])[:, 0, :]
+            out[lo : lo + step] = v.sum(axis=1)
+    return float(out[0]) if np.ndim(times) == 1 else out
 
 
 def exact_sum_distribution(

@@ -1,9 +1,10 @@
 """Numerical verification of the Poisson-factorization hypotheses.
 
 A model exposes one stage oracle per grid point (``StageOracle``): the
-exact joint-arrival probability ``b_at(times)`` at sorted, distinct schedule
-positions.  Every model here is stationary, so ``b_at`` is shift-invariant,
-and b of an index tuple depends only on its positions up to a common shift.
+exact joint-arrival probabilities ``b_at(rows)`` at the rows of a (K, T)
+array of sorted schedule positions.  Every model here is stationary, so b of
+an index tuple depends only on its signature (its sorted positions minus
+their minimum), and the checker makes one ``b_at`` call per tuple block.
 The checker evaluates, along an n-grid,
 
   (i)   max_i b_i -> 0 and sum_i b_i -> lambda,
@@ -45,17 +46,17 @@ _CHUNK = 65_536  # tuple rows per vectorized block
 class StageOracle:
     """Exact b-oracle for one grid point.
 
-    ``b_at(times)`` returns the joint arrival probability at the sorted,
-    distinct schedule positions ``times`` (a list of ints >= 0).  It must be
-    shift-invariant: adding one integer to every time leaves b unchanged, so
-    that the checker may evaluate each pattern of relative positions once
-    and reuse the value for every shifted copy.  ``term_count`` is the
-    number of summands and ``schedule`` maps term indices to positions.
+    ``b_at(rows)`` maps a (K, T) int64 array of sorted schedule positions
+    >= 0, repeats allowed, to the K joint arrival probabilities of its rows.
+    It must be shift-invariant (adding one integer to a row leaves its b
+    unchanged), so the checker evaluates each signature once, from 0, and
+    reuses the value for every shifted copy.  ``term_count`` is the number
+    of summands and ``schedule`` maps term indices to positions.
 
     ``b(indices)`` is the index front end: b of the given term indices
-    (1-based, distinct, in any order), that is ``b_at`` at their merged
-    positions.  The checker calls ``b_at`` only; ``b`` is a field so that
-    ``dataclasses.replace`` can swap in another front end.
+    (1-based, distinct, in any order), a float, from ``b_at`` on the row of
+    their merged positions.  The checker calls ``b_at`` only; ``b`` is a
+    field so that ``dataclasses.replace`` can swap in another front end.
     """
 
     b_at: Callable
@@ -71,7 +72,8 @@ class StageOracle:
         idx = tuple(int(i) for i in indices)
         if len(set(idx)) != len(idx):
             raise ValidationError(f"duplicate entries in {idx}")
-        return self.b_at(sorted({t for i in idx for t in self.schedule.evaluate(i)}))
+        times = sorted({t for i in idx for t in self.schedule.evaluate(i)})
+        return float(self.b_at(np.array([times], dtype=np.int64))[0])
 
 
 @dataclass(frozen=True)
@@ -154,10 +156,10 @@ def _group_rows(rows: np.ndarray):
 class _BCache:
     """Stage oracle front end over arrays of index tuples.
 
-    A tuple's signature is its sorted positions minus their minimum.  By
-    the oracle's shift invariance every tuple with one signature has the
-    same b, so ``b_at`` runs once per signature, at the positions of one
-    row that carries it, and the value is memoized for the stage.  Sampled
+    A tuple's signature is its sorted positions, repeats kept, minus their
+    minimum.  By the oracle's shift invariance every tuple with one
+    signature has the same b, so each call passes ``b_at`` the distinct
+    signatures of its rows, evaluated from 0, in one (K, T) array.  Sampled
     mode passes one row per schedule run (singles) or per pair class
     (stratum B), since every row of a run or class has the same signature.
     """
@@ -165,30 +167,18 @@ class _BCache:
     def __init__(self, stage: StageOracle, q: np.ndarray):
         self.stage = stage
         self.q = q
-        self._memo: dict[tuple, float] = {}
 
     def __call__(self, tups: np.ndarray) -> np.ndarray:
         """b for each row of a (K, r) array of 1-based index tuples."""
-        # positions column by column, minus each row's minimum; rows with
-        # equal unsorted relative positions share a signature, so only each
-        # group's first row is sorted into the memo key
-        ell = self.q.shape[1]
-        pos = np.empty((tups.shape[1] * ell, len(tups)), dtype=np.int64)
-        for c, col in enumerate(tups.T - 1):
-            for a in range(ell):
-                pos[c * ell + a] = self.q[col, a]
-        low = np.minimum.reduce(pos)
-        pos -= low
-        first, inverse = _group_rows(pos.T)
-        vals = []
-        for lo, key in zip(low[first].tolist(), np.sort(pos[:, first].T, axis=1).tolist()):
-            key = tuple(key)
-            if key not in self._memo:
-                # at the row's own positions, not shifted to 0: shift
-                # invariance holds in exact arithmetic, not bit for bit
-                self._memo[key] = float(self.stage.b_at(sorted({lo + t for t in key})))
-            vals.append(self._memo[key])
-        return np.array(vals, dtype=float)[inverse]
+        # positions minus each row's minimum; rows with equal unsorted
+        # relative positions share a signature, so only each group's first
+        # row is sorted, and the sorted rows grouped again
+        pos = self.q[tups - 1].reshape(len(tups), tups.shape[1] * self.q.shape[1])
+        pos -= pos.min(axis=1, keepdims=True)
+        first, inverse = _group_rows(pos)
+        sigs = np.sort(pos[first], axis=1)
+        distinct, sig_of = _group_rows(sigs)
+        return np.asarray(self.stage.b_at(sigs[distinct]), dtype=float)[sig_of[inverse]]
 
 
 def _pairs(i: int, js) -> np.ndarray:
@@ -592,7 +582,11 @@ def bernoulli_model_oracle(ell: int, lam: float, schedule: QSchedule):
 
     def factory(n: int) -> StageOracle:
         p = BernoulliScheme.from_lambda(n, ell, lam, schedule).p
-        return StageOracle(b_at=lambda times: p ** len(times), term_count=n, schedule=schedule)
+
+        def b_at(pos):  # p to the number of distinct positions in each row
+            return p ** (1 + np.count_nonzero(np.diff(pos, axis=1), axis=1))
+
+        return StageOracle(b_at=b_at, term_count=n, schedule=schedule)
 
     return factory
 
@@ -606,7 +600,7 @@ def pattern_chain_oracle(schedule: QSchedule, stage):
     def factory(n: int) -> StageOracle:
         chain, accept, term_count = stage(n)
         return StageOracle(
-            b_at=lambda times: exact_b(chain, accept, times),
+            b_at=lambda rows: exact_b(chain, accept, rows),
             term_count=term_count,
             schedule=schedule,
         )

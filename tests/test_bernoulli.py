@@ -229,7 +229,10 @@ def test_exact_b_is_site_count_power():
     # tuple (1, 2) shares the site 2, so the union is {1, 2, 4}
     assert stage.b((1, 2)) == pytest.approx(0.5**3, rel=1e-12)
     assert stage.b((2, 1)) == stage.b((1, 2))
-    assert stage.b_at([6, 7, 9]) == stage.b((1, 2))  # the same sites shifted by 5
+    # the rows oracle: the same sites, shifted by 5, from 0 and with a repeat
+    rows = np.array([[6, 7, 9], [0, 1, 3], [1, 2, 4]])
+    assert stage.b_at(rows).tolist() == [stage.b((1, 2))] * 3
+    assert stage.b_at(np.array([[1, 2, 2, 4]])).tolist() == [stage.b((1, 2))]
 
 
 def test_law_cell_budget_resource_error(monkeypatch):

@@ -157,7 +157,7 @@ def test_exact_b_against_path_enumeration():
 def test_exact_b_permutation_invariant():
     chain = FiniteMarkovChain(P_AB)
     stage = StageOracle(
-        b_at=lambda times: exact_b(chain, {0}, times), term_count=4, schedule=linear_schedule(2)
+        b_at=lambda rows: exact_b(chain, {0}, rows), term_count=4, schedule=linear_schedule(2)
     )
     assert stage.b((4, 1, 2)) == stage.b((2, 4, 1)) == exact_b(chain, {0}, [1, 2, 4, 8])
 
@@ -454,6 +454,66 @@ def test_exact_b_matches_dense_reference(case):
         assert got == pytest.approx(_dense_b(chain, gamma, times), rel=1e-12, abs=0)
         if not idx:
             assert got == chain.nu.sum()
+
+
+@st.composite
+def _b_rows_cases(draw):
+    """A random positive chain on M <= 5 states, started from its invariant
+    law or from a random law (so that the first time matters), a nonempty
+    gamma, and K rows of T nondecreasing times.  Each row's steps, its
+    first time included, are 0 (a repeated time), short (1..4) or long
+    (600..1500, past the projection level of most such chains)."""
+    M = draw(st.integers(1, 5))
+    P = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=M * M, max_size=M * M)))
+    P = P.reshape(M, M) / P.reshape(M, M).sum(axis=1, keepdims=True)
+    if draw(st.booleans()):
+        nu = FiniteMarkovChain(P).mu
+    else:
+        w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=M, max_size=M)))
+        nu = w / w.sum()
+    gamma = draw(st.sets(st.integers(0, M - 1), min_size=1, max_size=M))
+    K, T = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    step = st.one_of(st.just(0), st.integers(1, 4), st.integers(600, 1500))
+    steps = draw(st.lists(step, min_size=K * T, max_size=K * T))
+    return FiniteMarkovChain(P, nu), gamma, np.cumsum(np.reshape(steps, (K, T)), axis=1)
+
+
+@given(_b_rows_cases())
+@settings(max_examples=200, deadline=None)
+def test_exact_b_rows_match_dense_reference(case):
+    chain, gamma, rows = case
+    got = exact_b(chain, gamma, rows)
+    assert got.shape == (len(rows),)
+    for row, b in zip(rows.tolist(), got.tolist()):
+        assert b == pytest.approx(_dense_b(chain, gamma, row), rel=1e-12, abs=0)
+    # a 1-D call is the one-row case of the same path
+    one = exact_b(chain, gamma, rows[0])
+    assert type(one) is float and one == got[0]
+
+
+def test_exact_b_gather_is_chunked(monkeypatch):
+    # a Markov word set on the pattern chain of a 3-state chain: the 18
+    # three-words with w_0 != w_2 accept in 18 of its 27 states
+    P = np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]])
+    measure = MarkovGibbsMeasure(SubshiftSFT.from_matrix(P > 0), P)
+    words = [w for w in itertools.product(range(3), repeat=3) if w[0] != w[2]]
+    chain, accept = pattern_chain(measure, words)
+    assert len(accept) == 18
+    rows = np.cumsum(np.random.default_rng(3).integers(0, 40, (8000, 5)), axis=1)
+    # unchunked, one gather per column is 8000 x 18^2 cells, 20.7 MB
+    full_bytes = len(rows) * len(accept) ** 2 * 8
+    monkeypatch.setattr("nonconv.markov._GATHER_CELLS", 1 << 40)
+    want = exact_b(chain, accept, rows)
+    monkeypatch.setattr("nonconv.markov._GATHER_CELLS", 1 << 14)
+    tracemalloc.start()
+    try:
+        got = exact_b(chain, accept, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == want.tolist()
+    # 16,384 cells are 128 KiB; the rest of the peak is the row arrays
+    assert peak < full_bytes / 4, (peak, full_bytes)
 
 
 def test_restricted_blocks_share_one_block_past_projection():

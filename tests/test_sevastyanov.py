@@ -105,7 +105,11 @@ def test_exact_stage_memory_is_chunked():
     # C(3000, 2) ~ 4.5M pairs: one (K, 2) int64 array of them is 72 MB
     N = 3000
     sched = linear_schedule(1)
-    stage = StageOracle(b_at=lambda times: 1e-4 ** len(times), term_count=N, schedule=sched)
+
+    def b_at(rows):  # 1e-4 to the number of distinct positions in each row
+        return 1e-4 ** (1 + np.count_nonzero(np.diff(rows, axis=1), axis=1))
+
+    stage = StageOracle(b_at=b_at, term_count=N, schedule=sched)
     full_bytes = math.comb(N, 2) * 2 * 8
     tracemalloc.start()
     try:
@@ -164,33 +168,47 @@ def test_group_rows_first_rows_and_inverse(big):
 
 
 def _signature_b(times):
-    # a function of the relative positions alone
+    # a function of the distinct relative positions alone
+    times = sorted(set(times))
     return 1.0 / (1.0 + sum(k * (t - times[0]) for k, t in enumerate(times, start=1)))
+
+
+def _recording_stage(calls, term_count, schedule):
+    """A shift-invariant rows oracle that records each (K, T) array it gets."""
+
+    def b_at(rows):
+        calls.append(rows.tolist())
+        return np.array([_signature_b(row) for row in rows.tolist()])
+
+    return StageOracle(b_at=b_at, term_count=term_count, schedule=schedule)
+
+
+def _assert_distinct_signatures(rows):
+    # rows of sorted positions starting at 0, no row twice
+    assert all(row[0] == 0 and row == sorted(row) for row in rows)
+    assert len({tuple(row) for row in rows}) == len(rows)
 
 
 @given(_small_schedules(), _tuple_rows(r_max=3, max_rows=60))
 @settings(max_examples=150, deadline=None)
 def test_bcache_groups_rows_by_sorted_signature(sched, rows):
-    # a shift-invariant oracle that records the positions it is called at
     calls = []
-
-    def b_at(times):
-        calls.append(tuple(times))
-        return _signature_b(times)
-
-    stage = StageOracle(b_at=b_at, term_count=40, schedule=sched)
+    stage = _recording_stage(calls, 40, sched)
     cache = _BCache(stage, sched.columns(40))
     # a reversed row has the row's sorted signature but other unsorted
-    # relative positions, so it lands in another group
+    # relative positions, so it lands in another group first
     rows = rows + [row[::-1] for row in rows]
     tups = np.array(rows, dtype=np.int64)
-    half = len(tups) // 2  # two calls share the stage memo
+    half = len(tups) // 2
     got = np.concatenate([cache(tups[:half]), cache(tups[half:])])
-    positions = [sorted(t for i in row for t in sched.evaluate(i)) for row in rows]
-    # one call per signature (sorted positions with repeats, minus their
-    # minimum), at the distinct sorted positions of a row that carries it
-    assert len(calls) == len({tuple(t - p[0] for t in p) for p in positions})
-    assert set(calls) <= {tuple(sorted(set(p))) for p in positions}
+    # one oracle call per cache call, on the distinct signatures (sorted
+    # positions with repeats, minus their minimum) of its rows
+    assert len(calls) == 2
+    for part, passed in zip((rows[:half], rows[half:]), calls):
+        _assert_distinct_signatures(passed)
+        positions = [sorted(t for i in row for t in sched.evaluate(i)) for row in part]
+        want = {tuple(t - p[0] for t in p) for p in positions}
+        assert sorted(map(tuple, passed)) == sorted(want)
     assert got.tolist() == [stage.b(row) for row in rows]
 
 
@@ -238,13 +256,8 @@ def _signatures(q, tups):
 def test_pair_classes_match_clustered_pairs(case):
     q, threshold, cutoff = case
     N = len(q)
-    calls = set()
-
-    def b_at(times):
-        calls.add(tuple(t - times[0] for t in times))
-        return _signature_b(times)
-
-    stage = StageOracle(b_at=b_at, term_count=N, schedule=table_schedule(q.tolist()))
+    calls = []
+    stage = _recording_stage(calls, N, table_schedule(q.tolist()))
     cache = _BCache(stage, q)
     starts = _runs(q)
     b1 = _singles(cache, starts, N)
@@ -268,7 +281,10 @@ def test_pair_classes_match_clustered_pairs(case):
     assert product == pytest.approx(
         float((b1[pairs[:, 0] - 1] * b1[pairs[:, 1] - 1]).sum()), rel=1e-12
     )
-    assert calls == {tuple(t - s[0] for t in s) for s in sigs}
+    for call in calls:
+        _assert_distinct_signatures(call)
+    passed = {tuple(sorted(set(row))) for call in calls for row in call}
+    assert passed == {tuple(t - s[0] for t in s) for s in sigs}
 
 
 @given(_small_schedules(), st.integers(0, 12), st.integers(0, 37), st.integers(0, 2**32 - 1))
@@ -490,24 +506,26 @@ def test_markov_oracle_starts_stationary_whatever_the_chain_starts_from():
     stage = markov_model_oracle(targets, linear_schedule(1))(16)
     mass = targets.entries[16].mass
     for t in (0, 1, 7, 1000):
-        assert stage.b_at((t,)) == pytest.approx(mass, rel=1e-14)
-        assert stage.b_at((t, t + 2)) == pytest.approx(stage.b_at((0, 2)), rel=1e-14)
+        assert stage.b_at(np.array([[t]]))[0] == pytest.approx(mass, rel=1e-14)
+        shifted, at_zero = stage.b_at(np.array([[t, t + 2], [0, 2]]))
+        assert shifted == pytest.approx(at_zero, rel=1e-14)
 
 
 def test_stage_oracle_b_runs_b_at_on_the_merged_positions():
     calls = []
 
-    def b_at(times):
-        calls.append(times)
-        return 0.5 ** len(times)
+    def b_at(rows):
+        calls.append(rows.tolist())
+        return np.full(len(rows), 0.5) ** rows.shape[1]
 
     stage = StageOracle(b_at=b_at, term_count=8, schedule=linear_schedule(2))
-    # terms 3, 1 and 2 sit at (3, 6), (1, 2) and (2, 4)
-    assert stage.b((3, 1, 2)) == b_at([1, 2, 3, 4, 6])
-    assert calls == [[1, 2, 3, 4, 6]] * 2
+    # terms 3, 1 and 2 sit at (3, 6), (1, 2) and (2, 4); site 2 counts once
+    got = stage.b((3, 1, 2))
+    assert type(got) is float and got == 0.5**5
+    assert calls == [[[1, 2, 3, 4, 6]]]
     with pytest.raises(ValidationError, match="duplicate"):
         stage.b((2, 1, 2))
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_check_conditions_evaluates_no_schedule_row_per_oracle_call(monkeypatch):
@@ -519,14 +537,14 @@ def test_check_conditions_evaluates_no_schedule_row_per_oracle_call(monkeypatch)
         for n in (6, 8)
     }
     factory = subshift_model_oracle(um, sched, 1.0, targets.__getitem__)
-    oracle_calls = []
+    oracle_calls = {6: [], 8: []}
 
     def model_oracle(n):
         stage = factory(n)
 
-        def b_at(times):
-            oracle_calls.append(n)
-            return stage.b_at(times)
+        def b_at(rows):
+            oracle_calls[n].append(rows.tolist())
+            return stage.b_at(rows)
 
         return StageOracle(b_at=b_at, term_count=stage.term_count, schedule=stage.schedule)
 
@@ -537,12 +555,23 @@ def test_check_conditions_evaluates_no_schedule_row_per_oracle_call(monkeypatch)
         evaluations.append(l)
         return evaluate(self, l)
 
+    cache_calls = []
+    cache_call = _BCache.__call__
+
+    def counting_cache(self, tups):
+        cache_calls.append(self.stage.term_count)
+        return cache_call(self, tups)
+
     monkeypatch.setattr(QSchedule, "evaluate", counting)
-    check_conditions(model_oracle, sched, 2, [6, 8], _a6_rare_params, seed=1_000_003)
-    # one row per stage (the top of its columns), against thousands of
-    # oracle calls
+    monkeypatch.setattr(_BCache, "__call__", counting_cache)
+    report = check_conditions(model_oracle, sched, 2, [6, 8], _a6_rare_params, seed=1_000_003)
+    # one schedule row per stage (the top of its columns), and one oracle
+    # call per block of tuples, on that block's distinct signatures
     assert len(evaluations) == 2
-    assert oracle_calls.count(6) > 1000 and oracle_calls.count(8) > 1000
+    for n, calls in oracle_calls.items():
+        assert len(calls) == cache_calls.count(report.stage(n).term_count) > 1
+        for rows in calls:
+            _assert_distinct_signatures(rows)
 
 
 def test_subshift_oracle_adapter():
