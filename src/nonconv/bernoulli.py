@@ -302,15 +302,15 @@ def chen_stein_terms(scheme: BernoulliScheme) -> ChenSteinTerms:
     approximation bound is min(1, 1/lambda_n)(I1 + I2 + I3).
 
     The intersecting pairs are the factorization checker's clustered pairs
-    at threshold 0 and cutoff 0, summed over its run classes
-    (``sevastyanov._pair_classes``): every pair of a class shares the same
+    at threshold 0, summed over the classes of ``sevastyanov._pair_classes``
+    with the run starts as breakpoints: every pair of a class shares the same
     number s of sites, so each unordered pair adds p^(2 ell) to I2 and
     p^(2 ell - s) to I3, twice.
     """
     n, ell, p = scheme.n, scheme.ell, scheme.p
     q = scheme.term_indices
     shares = np.zeros(ell + 1, dtype=np.int64)  # unordered pairs by shared sites
-    for pairs, w in _pair_classes(q, _runs(q), 0, 0):
+    for pairs, w in _pair_classes(q, _runs(q), 0):
         a, b = q[pairs[:, 0] - 1], q[pairs[:, 1] - 1]
         s = (a[:, :, None] == b[:, None, :]).sum(axis=(1, 2))
         np.add.at(shares, s, w)

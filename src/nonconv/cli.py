@@ -7,7 +7,10 @@ byte-identical outputs.
 
 Config grammar (YAML mapping); ``validate_config`` checks every rule below
 and lists each fault it finds.  A number is an int or a finite float, never
-a boolean.
+a boolean.  A key not named below, at the top level or in schedule,
+sevastyanov, hitting, budgets or model_params, is a fault, and so is a
+schedule that its family refuses to build (ell < 1, degree < 1, table rows
+that are not strictly increasing with q_1(l) >= l).
 
   model:       bernoulli | markov | subshift
   seed:        integer >= 0, required (no wall-clock default)
@@ -60,7 +63,7 @@ import yaml
 
 from . import __version__
 from .distributions import PoissonLaw, empirical_distribution, tv_distance
-from .errors import ConfigError, NonconvError
+from .errors import ConfigError, NonconvError, ScheduleError
 from .markov import ROW_SUM_TOL
 from .rng import STREAM_HITTING, derive_seed
 from .schedules import (
@@ -182,6 +185,19 @@ def _is_table(rows) -> bool:
     )
 
 
+_KEYS = {"model", "seed", "lambda", "n_grid", "replicates", "schedule", "outputs", "budgets",
+         "model_params", "sevastyanov", "hitting", "_raw_bytes"}  # the loader adds _raw_bytes
+# the keys of each schedule family
+_SCHEDULE_KEYS = {
+    "linear": {"family", "ell"},
+    "exponential_gap": {"family", "ell"},
+    "arithmetic_gap": {"family", "ell", "c", "gamma"},
+    "polynomial": {"family", "ell", "degree"},
+    "table": {"family", "rows"},
+}
+_SEVASTYANOV_KEYS = {"r", "rare_params", "pair_samples", "ratio_samples"}
+
+
 def validate_config(cfg: dict) -> list[str]:
     """Return every fault found (empty list = valid)."""
     faults = []
@@ -222,6 +238,7 @@ def validate_config(cfg: dict) -> list[str]:
             elif name == "hitting_time_survival" and _is_int(reps) and reps == 0:
                 faults.append("hitting_time_survival requires replicates > 0")
     sched = cfg.get("schedule")
+    before = len(faults)
     if not isinstance(sched, dict):
         faults.append("schedule section is required")
     else:
@@ -243,6 +260,14 @@ def validate_config(cfg: dict) -> list[str]:
             faults.append("arithmetic_gap schedule requires numeric c and gamma")
         if fam == "polynomial" and not _is_int(sched.get("degree")):
             faults.append("polynomial schedule requires integer degree")
+        typed = len(faults) == before
+        if isinstance(fam, str) and fam in _SCHEDULE_KEYS:
+            faults += [f"unknown schedule key {k!r}" for k in sched if k not in _SCHEDULE_KEYS[fam]]
+        if typed:
+            try:
+                build_schedule(sched)
+            except (ScheduleError, OverflowError) as e:  # a gap past float range overflows
+                faults.append(f"schedule: {e}")
     budgets = cfg.get("budgets", {})
     if not isinstance(budgets, dict):
         faults.append("budgets must be a mapping")
@@ -261,6 +286,7 @@ def validate_config(cfg: dict) -> list[str]:
     if sv is not None and not isinstance(sv, dict):
         faults.append(f"sevastyanov must be a mapping, got {sv!r}")
     elif sv:
+        faults += [f"unknown sevastyanov key {k!r}" for k in sv if k not in _SEVASTYANOV_KEYS]
         r = sv.get("r", 2)
         if not _is_int(r) or r < 2:
             faults.append(f"sevastyanov.r must be an integer >= 2, got {r!r}")
@@ -280,12 +306,14 @@ def validate_config(cfg: dict) -> list[str]:
     hitting = cfg.get("hitting")
     if hitting is not None and not isinstance(hitting, dict):
         faults.append(f"hitting must be a mapping, got {hitting!r}")
-    elif hitting and "lambdas" in hitting:
-        lams = hitting["lambdas"]
-        if not isinstance(lams, list) or not lams or not all(
+    elif hitting:
+        faults += [f"unknown hitting key {k!r}" for k in hitting if k != "lambdas"]
+        lams = hitting.get("lambdas")
+        if "lambdas" in hitting and (not isinstance(lams, list) or not lams or not all(
             _is_number(v) and v > 0 for v in lams
-        ):
+        )):
             faults.append(f"hitting.lambdas must be a nonempty list of positive numbers, got {lams!r}")
+    faults += [f"unknown key {k!r}" for k in cfg if k not in _KEYS]
     return faults
 
 

@@ -65,52 +65,44 @@ class FiniteMarkovChain:
             # is the better mu: a pattern chain's nu is exact
             self.mu = nu / nu.sum()
         self._projection_tol = max(_PROJECTION_TOL, 8.0 * resid)
-        self._pow_cache: dict[int, np.ndarray] = {1: P}
-        self._projection_level: int | None = None
+        # P^(2^k) for k = 0, 1, ..., ended by None at the first power that
+        # is the stationary projection
+        self._powers: list[np.ndarray | None] = [P]
         self._blocks: dict[tuple[int, ...], dict[int, np.ndarray]] = {}
 
     # -- exact linear algebra ------------------------------------------------
 
-    def _level_power(self, bit: int, proj: np.ndarray) -> np.ndarray:
-        # P^(2^bit), cached; collapses to the stationary projection once
-        # every row of the power is proportional to mu to machine precision.
-        # Row sums are left out of the test: rounding leaves P's rows 1e-16
-        # off 1, and the powers' row sums drift as (1 + defect)^(2^bit),
-        # which is not mixing.
-        lvl = 1 << bit
-        if self._projection_level is not None and lvl >= self._projection_level:
-            return proj
-        if lvl not in self._pow_cache:
-            half = self._level_power(bit - 1, proj)
-            mat = half @ half
-            shape = mat - mat.sum(axis=1, keepdims=True) * self.mu
-            if np.max(np.abs(shape)) < self._projection_tol:
-                self._projection_level = lvl
-                mat = proj
-            self._pow_cache[lvl] = mat
-        return self._pow_cache[lvl]
+    @property
+    def _projection_level(self) -> int | None:
+        """The first binary power of P found to be the stationary projection."""
+        return 1 << (len(self._powers) - 1) if self._powers[-1] is None else None
 
-    def _proj(self) -> np.ndarray:
-        if not hasattr(self, "_proj_mat"):
-            self._proj_mat = np.tile(self.mu, (self.M, 1))
-        return self._proj_mat
+    def _power(self, bit: int) -> np.ndarray | None:
+        # P^(2^bit), or None at and past the projection level: a power is the
+        # projection once every row is proportional to mu to machine
+        # precision.  Row sums are left out of the test: rounding leaves P's
+        # rows 1e-16 off 1, and the powers' row sums drift as
+        # (1 + defect)^(2^bit), which is not mixing.
+        powers = self._powers
+        while len(powers) <= bit and powers[-1] is not None:
+            mat = powers[-1] @ powers[-1]
+            shape = mat - mat.sum(axis=1, keepdims=True) * self.mu
+            powers.append(None if np.max(np.abs(shape)) < self._projection_tol else mat)
+        return powers[min(bit, len(powers) - 1)]
 
     def propagate(self, v: np.ndarray, steps: int) -> np.ndarray:
         """Row vector v P^steps, or each row of a (k, M) block, using cached
         binary powers."""
         if steps < 0:
             raise ValidationError("steps must be >= 0")
-        proj = self._proj()
         out = v
-        bit = 0
-        while (1 << bit) <= steps:
-            if steps & (1 << bit):
-                mat = self._level_power(bit, proj)
-                if mat is proj:
+        for bit in range(int(steps).bit_length()):
+            if steps >> bit & 1:
+                mat = self._power(bit)
+                if mat is None:
                     # v's mass times mu, whether or not an earlier call found the level
                     return v.sum(axis=-1, keepdims=True) * self.mu
                 out = out @ mat
-            bit += 1
         return out
 
     def restricted_block(self, gamma: tuple[int, ...], steps: int) -> np.ndarray:

@@ -19,9 +19,12 @@ are never skipped) and reports its coverage.
 A schedule run is a maximal interval of term indices over which every q
 column steps by 1, so the positions of a pair (i, j) shift together while
 i and j stay in their runs.  The singles are therefore evaluated once per
-run, and in sampled mode the clustered pairs above the cutoff are summed
-over (run, run, offset) classes, one oracle row per class weighted by its
-pair count, instead of over every pair.
+run.  Sampled mode reads every clustered pair from one pass of
+``_pair_classes`` over the run starts and every index up to cutoff + 1 as
+breakpoints: each low index is its own segment, so its classes are single
+pairs, and stratum A (min index <= cutoff) sends them with its sampled far
+pairs to one oracle call; stratum B sums each class above the cutoff from
+one oracle row weighted by its pair count.
 """
 
 from __future__ import annotations
@@ -181,12 +184,6 @@ class _BCache:
         return np.asarray(self.stage.b_at(sigs[distinct]), dtype=float)[sig_of[inverse]]
 
 
-def _pairs(i: int, js) -> np.ndarray:
-    """The pairs (i, j) for j in js, as a (K, 2) array."""
-    js = np.asarray(js, dtype=np.int64)
-    return np.column_stack([np.full(js.size, i, dtype=np.int64), js])
-
-
 def _runs(q: np.ndarray) -> np.ndarray:
     """First indices (1-based) of the schedule runs of q over 1..N.
 
@@ -325,30 +322,29 @@ def _clustered_partners(q: np.ndarray, i_arr: np.ndarray, threshold: int):
     return i[mask], j[mask]
 
 
-def _pair_classes(q: np.ndarray, starts: np.ndarray, threshold: int, cutoff: int):
-    """The clustered pairs above the cutoff, as run classes in blocks.
+def _pair_classes(q: np.ndarray, breaks: np.ndarray, threshold: int):
+    """Every clustered pair of q, as classes in blocks.
 
-    While i + k stays in the run of i and j + k in the run of j, the pair
+    ``breaks``, sorted 1-based indices holding every run start (1 among
+    them), cut 1..N into segments on which every q column steps by 1.  While
+    i + k stays in the segment of i and j + k in that of j, the pair
     (i + k, j + k) has the positions of (i, j) shifted by k: it is clustered
     with (i, j) and has its signature.  Each class is listed once, by its
-    first pair, in which i or j is a breakpoint: a run start or cutoff + 1.
-    Yields (pairs, w): a (K, 2) array of first pairs (i < j) and the number
-    of pairs in each class.
+    first pair, in which i or j is a breakpoint; an index that is its own
+    segment heads one single-pair class per clustered partner j > i, in
+    increasing j.  Yields (pairs, w) in breakpoint order: a (K, 2) array of
+    first pairs (i < j) and the number of pairs in each class.
     """
-    N = len(q)
-    if cutoff >= N:
-        return
-    breaks = np.union1d(starts[starts > cutoff], [cutoff + 1])
-    ends = np.append(starts[1:] - 1, N)  # last index of each run
+    ends = np.append(breaks[1:] - 1, len(q))  # last index of each segment
     for lo in range(0, breaks.size, _CHUNK):
         pi, pj = _clustered_partners(q, breaks[lo:lo + _CHUNK], threshold)
         # a partner below its breakpoint heads the class unless it is a
         # breakpoint itself, whose own partners list the class
         hit = np.searchsorted(breaks, pj)
         is_break = breaks[np.minimum(hit, breaks.size - 1)] == pj
-        keep = (pj > pi) | ((pj > cutoff) & ~is_break)
+        keep = (pj > pi) | ~is_break
         i, j = np.minimum(pi, pj)[keep], np.maximum(pi, pj)[keep]
-        end_i, end_j = (ends[np.searchsorted(starts, x, side="right") - 1] for x in (i, j))
+        end_i, end_j = (ends[np.searchsorted(breaks, x, side="right") - 1] for x in (i, j))
         w = np.minimum(end_i - i, end_j - j) + 1
         yield np.stack([i, j], axis=1), w
 
@@ -396,43 +392,54 @@ def _ratio_pairs(q, N, threshold, cutoff, rng, ratio_samples) -> list[tuple[int,
 def _stage_sampled(
     cache, q, starts, n, N, threshold, cutoff, b1, rng, pair_samples, ratio_samples
 ) -> StageResult:
-    suffix = np.concatenate([np.cumsum(b1[::-1])[::-1][1:], [0.0]])  # sum_{j>i} b_j
-    joint = 0.0
-    product = 0.0
-    coverage = {}
-    # stratum A: min index <= cutoff.  Clustered partners of each low i are
-    # enumerated and summed exactly; the remaining js are subsampled per i.
-    count_a = 0
-    sampled_a = 0
-    for i in range(1, min(cutoff, N) + 1):
-        product += b1[i - 1] * suffix[i - 1]
-        _, pj = _clustered_partners(q, np.array([i], dtype=np.int64), threshold)
-        partners = pj[pj > i]
-        joint += float(cache(_pairs(i, partners)).sum())
-        rest = N - i - partners.size
-        count_a += partners.size + rest
-        if rest > 0:
-            k = min(rest, max(8, pair_samples // max(1, cutoff)))
-            skip = set(partners.tolist())
-            js = []
-            while len(js) < k:
-                j = int(rng.integers(i + 1, N + 1))
-                if j not in skip:
-                    js.append(j)
-            joint += rest * float(cache(_pairs(i, js)).sum()) / k
-            sampled_a += k
-    coverage["low_index"] = 1.0 if count_a == 0 else min(1.0, sampled_a / count_a)
-    # stratum B: clustered pairs with both indices above the cutoff.  b and
-    # b1 are constant on a run class, so each class is summed exactly from
-    # its first pair times its size.
-    count_b = 0
-    for pairs, w in _pair_classes(q, starts, threshold, cutoff):
-        count_b += int(w.sum())
-        product += float((w * b1[pairs[:, 0] - 1] * b1[pairs[:, 1] - 1]).sum())
+    # one pass over the clustered pair classes.  Each index up to the cutoff
+    # is its own segment, so its classes are its clustered partners j > i
+    # (stratum A); the classes above it are stratum B, summed exactly from
+    # each class's first pair times its size, one oracle call per block.
+    low = min(cutoff, N)
+    breaks = np.union1d(starts, np.arange(1, min(low + 1, N) + 1))
+    clustered, sums_b, count_b = [], [], 0
+    for pairs, w in _pair_classes(q, breaks, threshold):
+        above = pairs[:, 0] > cutoff
+        clustered.append(pairs[~above])
+        pairs, w = pairs[above], w[above]
         if w.size:
-            joint += float((w * cache(pairs)).sum())
-            coverage["cluster"] = 1.0
-    coverage.setdefault("cluster", 1.0)  # no clustered pair above the cutoff
+            count_b += int(w.sum())
+            product_b = float((w * b1[pairs[:, 0] - 1] * b1[pairs[:, 1] - 1]).sum())
+            sums_b.append((product_b, float((w * cache(pairs)).sum())))
+    clustered = np.concatenate(clustered)
+    bounds = np.searchsorted(clustered[:, 0], np.arange(1, low + 2))
+    # stratum A: min index <= cutoff.  Each low i sums its clustered partners
+    # exactly and subsamples the other js, drawn in index order; every row of
+    # the stratum goes to one oracle call.
+    far, sizes = [], []
+    for i in range(1, low + 1):
+        skip = set(clustered[bounds[i - 1]:bounds[i], 1].tolist())
+        rest = N - i - len(skip)
+        k = min(rest, max(8, pair_samples // max(1, cutoff)))
+        js = []
+        while len(js) < k:
+            j = int(rng.integers(i + 1, N + 1))
+            if j not in skip:
+                js.append(j)
+        far += [(i, j) for j in js]
+        sizes.append((rest, k))
+    rows = np.concatenate([clustered, np.array(far, dtype=np.int64).reshape(-1, 2)])
+    b_a = cache(rows) if sizes else np.zeros(0)
+    b_near, b_far = b_a[:len(clustered)], b_a[len(clustered):]
+    suffix = np.concatenate([np.cumsum(b1[::-1])[::-1][1:], [0.0]])  # sum_{j>i} b_j
+    joint, product, offset = 0.0, 0.0, 0
+    for i, (rest, k) in enumerate(sizes, start=1):
+        product += b1[i - 1] * suffix[i - 1]
+        joint += float(b_near[bounds[i - 1]:bounds[i]].sum())
+        if k:
+            joint += rest * float(b_far[offset:offset + k].sum()) / k
+            offset += k
+    for product_b, joint_b in sums_b:
+        product += product_b
+        joint += joint_b
+    count_a = low * (2 * N - low - 1) // 2  # sum of N - i over i <= low
+    coverage = {"low_index": min(1.0, offset / count_a) if count_a else 1.0, "cluster": 1.0}
     # ratio band over the non-rare pairs, if there are any
     non_rare = N * (N - 1) // 2 - count_a - count_b
     pairs = _ratio_pairs(q, N, threshold, cutoff, rng, ratio_samples) if non_rare else []

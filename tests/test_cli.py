@@ -171,6 +171,21 @@ def test_validate_rejects_booleans_as_numbers():
          "model_params.adjacency must be a square 0-1 integer matrix"),
         ("model_params", {"transition": _P, "initial": [0.5, 0.5]}, "unknown model_params key 'initial'"),
         ("replicates", 0, "hitting_time_survival requires replicates > 0"),
+        # misspelt keys
+        ("replicate", 100, "unknown key 'replicate'"),
+        ("schedule", {"family": "linear", "ell": 1, "degre": 3}, "unknown schedule key 'degre'"),
+        ("schedule", {"family": "table", "ell": 1, "rows": [[1]]}, "unknown schedule key 'ell'"),
+        ("sevastyanov", {"rare_param": [1, 2]}, "unknown sevastyanov key 'rare_param'"),
+        ("hitting", {"lambda": [1]}, "unknown hitting key 'lambda'"),
+        # schedules that pass the type checks but that their family refuses
+        ("schedule", {"family": "linear", "ell": 0}, "schedule: ell must be >= 1, got 0"),
+        ("schedule", {"family": "exponential_gap", "ell": -1}, "schedule: ell must be >= 1, got -1"),
+        ("schedule", {"family": "polynomial", "ell": 1, "degree": 0}, "schedule: degree must be >= 1"),
+        ("schedule", {"family": "table", "rows": [[1, 1], [2, 3]]},
+         "schedule: schedule 'table': q_2(1)=1 <= q_1(1)=1"),
+        ("schedule", {"family": "table", "rows": [[0]]}, "schedule: schedule 'table': q_1(1)=0 < l"),
+        ("schedule", {"family": "arithmetic_gap", "ell": 2, "c": 4.0, "gamma": 1000},
+         "schedule: (34, 'Numerical result out of range')"),
     ],
 )
 def test_validate_lists_section_faults(tmp_path, section, value, fault):
@@ -516,14 +531,21 @@ _BAD_FIELDS = {
                   {"family": "table", "rows": [[1, 2], [3]]}, {"family": "table", "rows": "abc"},
                   {"family": "table", "rows": {"a": [1]}},
                   {"family": "arithmetic_gap", "ell": 2, "c": "4", "gamma": 0.5},
-                  {"family": "polynomial", "ell": 2, "degree": 2.5}],
+                  {"family": "polynomial", "ell": 2, "degree": 2.5},
+                  {"family": "linear", "ell": 2, "degre": 3}, {"family": "linear", "ell": 0},
+                  {"family": "exponential_gap", "ell": -1},
+                  {"family": "polynomial", "ell": 2, "degree": 0},
+                  {"family": "table", "rows": [[1, 1], [2, 3]]}, {"family": "table", "rows": [[0]]}],
                  ("schedule", "unknown schedule", "table schedule", "arithmetic_gap schedule",
                   "polynomial schedule")),
     "budgets": ([[1], {"nosuch": 1}, {"paths": 0}, {"paths": "many"}, {"enumeration": True}],
                 ("budget", "unknown budget")),
-    "sevastyanov": ([[2], {"r": 1}, {"rare_params": "sometimes"}, {"pair_samples": 0}],
-                    ("sevastyanov",)),
-    "hitting": ([[0.5], {"lambdas": []}, {"lambdas": [-1.0]}, {"lambdas": "all"}], ("hitting",)),
+    "sevastyanov": ([[2], {"r": 1}, {"rare_params": "sometimes"}, {"pair_samples": 0},
+                     {"rare_param": [1, 2]}],
+                    ("sevastyanov", "unknown sevastyanov key")),
+    "hitting": ([[0.5], {"lambdas": []}, {"lambdas": [-1.0]}, {"lambdas": "all"}, {"lambda": [1]}],
+                ("hitting", "unknown hitting key")),
+    "replicate": ([100], ("unknown key 'replicate'",)),  # a misspelt top-level key
     "model_params": ([[_P], 3, "transition"], ("model_params must be a mapping",)),
 }
 _BAD_PARAMS = {

@@ -520,10 +520,17 @@ def test_restricted_blocks_share_one_block_past_projection():
     chain = FiniteMarkovChain(P_AB)
     gaps = [1, 2, 3, 1000, 2500, 7000, 123_457]
     times = np.cumsum([1] + gaps).tolist()
+    # the deepest call first: the level found on the way to P^(2^16) is the
+    # first binary power that is the projection, as when the powers are
+    # reached one call at a time
+    exact_b(chain, {0}, times[-2:])
     for i in range(len(gaps)):
         exact_b(chain, {0}, times[i : i + 2])
     level = chain._projection_level
-    assert level is not None and level < 1000
+    stepwise = FiniteMarkovChain(P_AB)
+    for bit in range(17):
+        stepwise.propagate(stepwise.nu, 1 << bit)
+    assert level is not None and level == stepwise._projection_level < 1000
     # one block per short gap, one shared by every gap past the level
     assert sorted(chain._blocks[(0,)]) == [1, 2, 3, level]
     got = exact_b(chain, {0}, times)

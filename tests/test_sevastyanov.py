@@ -1,5 +1,6 @@
 """Factorization condition checks along n-grids and the limit verdict."""
 
+import functools
 import math
 import tracemalloc
 from itertools import combinations
@@ -25,14 +26,19 @@ from nonconv import (
 )
 from nonconv.errors import ResourceError, ValidationError
 from nonconv.schedules import QSchedule, classify_tuple
+from nonconv.rng import derive_rng
 from nonconv.sevastyanov import (
+    StageResult,
+    _STREAM_SEVASTYANOV,
     _BCache,
+    _clustered_partners,
     _group_rows,
     _pair_classes,
     _rare_mask,
     _ratio_pairs,
     _runs,
     _singles,
+    _tuple_terms,
     bernoulli_model_oracle,
     markov_model_oracle,
     rare_sum_envelope_iid,
@@ -251,6 +257,12 @@ def _signatures(q, tups):
     return [tuple(sorted({t for i in tup for t in q[i - 1]})) for tup in tups.tolist()]
 
 
+def _checker_breaks(q, cutoff):
+    """The sampled checker's breakpoints: every run start and every index up
+    to cutoff + 1."""
+    return np.union1d(_runs(q), np.arange(1, min(cutoff + 1, len(q)) + 1))
+
+
 @given(_class_cases())
 @settings(max_examples=200, deadline=None)
 def test_pair_classes_match_clustered_pairs(case):
@@ -259,22 +271,25 @@ def test_pair_classes_match_clustered_pairs(case):
     calls = []
     stage = _recording_stage(calls, N, table_schedule(q.tolist()))
     cache = _BCache(stage, q)
-    starts = _runs(q)
-    b1 = _singles(cache, starts, N)
+    b1 = _singles(cache, _runs(q), N)
     assert b1.tolist() == [stage.b((l,)) for l in range(1, N + 1)]
     calls.clear()
-    count, joint, product = 0, 0.0, 0.0
-    for pairs, w in _pair_classes(q, starts, threshold, cutoff):
-        assert (w >= 1).all()
-        assert (cutoff < pairs[:, 0]).all() and (pairs[:, 0] < pairs[:, 1]).all()
+    count, joint, product, low = 0, 0.0, 0.0, []
+    for pairs, w in _pair_classes(q, _checker_breaks(q, cutoff), threshold):
+        assert (w >= 1).all() and (pairs[:, 0] < pairs[:, 1]).all()
+        # an index up to the cutoff is its own segment: single-pair classes
+        is_low = pairs[:, 0] <= cutoff
+        assert (w[is_low] == 1).all()
+        low += pairs[is_low].tolist()
         count += int(w.sum())
         joint += float((w * cache(pairs)).sum())
         product += float((w * b1[pairs[:, 0] - 1] * b1[pairs[:, 1] - 1]).sum())
-    # brute force: every clustered pair with both indices above the cutoff
+    # brute force: every clustered pair (cutoff 0 makes no pair rare by index)
     i, j = np.triu_indices(N, k=1)
     pairs = np.column_stack([i, j]) + 1
-    pairs = pairs[pairs[:, 0] > cutoff]
-    pairs = pairs[_rare_mask(q, pairs, threshold, cutoff)]
+    pairs = pairs[_rare_mask(q, pairs, threshold, 0)]
+    # the low classes are each low index's clustered partners, in order
+    assert low == pairs[pairs[:, 0] <= cutoff].tolist()
     sigs = _signatures(q, pairs)
     assert count == len(pairs)
     assert joint == pytest.approx(sum(_signature_b(s) for s in sigs), rel=1e-12)
@@ -285,6 +300,104 @@ def test_pair_classes_match_clustered_pairs(case):
         _assert_distinct_signatures(call)
     passed = {tuple(sorted(set(row))) for call in calls for row in call}
     assert passed == {tuple(t - s[0] for t in s) for s in sigs}
+
+
+def _per_index_sampled_stage(stage, q, n, threshold, cutoff, seed, pair_samples, ratio_samples):
+    """The sampled stage with stratum A summed index by index: each low i
+    enumerates its own clustered partners and makes two oracle calls, its
+    partners' and its drawn far pairs'."""
+    N = stage.term_count
+    rng = derive_rng(seed, _STREAM_SEVASTYANOV)
+    cache = _BCache(stage, q)
+    b1 = _singles(cache, _runs(q), N)
+    suffix = np.concatenate([np.cumsum(b1[::-1])[::-1][1:], [0.0]])
+    joint = product = 0.0
+    count_a = sampled_a = 0
+    for i in range(1, min(cutoff, N) + 1):
+        product += b1[i - 1] * suffix[i - 1]
+        _, pj = _clustered_partners(q, np.array([i], dtype=np.int64), threshold)
+        partners = pj[pj > i]
+        joint += float(cache(np.column_stack([np.full(partners.size, i), partners])).sum())
+        rest = N - i - partners.size
+        count_a += partners.size + rest
+        if rest > 0:
+            k = min(rest, max(8, pair_samples // max(1, cutoff)))
+            skip = set(partners.tolist())
+            js = []
+            while len(js) < k:
+                j = int(rng.integers(i + 1, N + 1))
+                if j not in skip:
+                    js.append(j)
+            joint += rest * float(cache(np.column_stack([np.full(k, i), js])).sum()) / k
+            sampled_a += k
+    count_b = 0
+    for pairs, w in _pair_classes(q, _checker_breaks(q, cutoff), threshold):
+        above = pairs[:, 0] > cutoff
+        pairs, w = pairs[above], w[above]
+        count_b += int(w.sum())
+        product += float((w * b1[pairs[:, 0] - 1] * b1[pairs[:, 1] - 1]).sum())
+        if w.size:
+            joint += float((w * cache(pairs)).sum())
+    non_rare = N * (N - 1) // 2 - count_a - count_b
+    pairs = _ratio_pairs(q, N, threshold, cutoff, rng, ratio_samples) if non_rare else []
+    tups = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    _, _, ratios, zero_den = _tuple_terms(cache, b1, tups, np.zeros(len(tups), bool))
+    return StageResult(
+        n=n, term_count=N, threshold=threshold, cutoff=cutoff,
+        max_b=float(b1.max()), sum_b=float(b1.sum()),
+        rare_sum_joint=joint, rare_sum_product=product,
+        ratio_band=(float(ratios.min()), float(ratios.max())) if ratios.size else None,
+        zero_denominators=zero_den, mode="sampled",
+        coverage={
+            "low_index": 1.0 if count_a == 0 else min(1.0, sampled_a / count_a),
+            "cluster": 1.0,
+            "ratio": len(pairs) / non_rare if non_rare else 1.0,
+        },
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _subshift_b_at():
+    # the pattern-chain oracle of a short-return-clear 4-cylinder
+    return _subshift_factory(linear_schedule(2))(4).b_at
+
+
+@st.composite
+def _sampled_cases(draw):
+    """(schedule, N, threshold, cutoff) over multi-index run tables,
+    arithmetic-gap and linear schedules; cutoffs 0, small and >= N."""
+    kind = draw(st.sampled_from(["table", "arithmetic", "linear"]))
+    if kind == "table":
+        sched, N = draw(_run_schedules()), draw(st.integers(2, 48))
+    elif kind == "arithmetic":
+        sched = arithmetic_gap_schedule(2, draw(st.sampled_from([1.0, 4.0])), 0.5)
+        N = draw(st.integers(2, 300))
+    else:
+        sched, N = linear_schedule(draw(st.integers(1, 3))), draw(st.integers(2, 120))
+    cutoff = draw(st.one_of(st.just(0), st.integers(1, 8), st.integers(N, N + 2)))
+    return sched, N, draw(st.integers(0, 12)), cutoff
+
+
+@given(
+    _sampled_cases(), st.sampled_from(["bernoulli", "subshift"]), st.integers(0, 2**32 - 1),
+    st.integers(1, 200), st.integers(0, 64),
+)
+@settings(max_examples=120, deadline=None)
+def test_sampled_stage_matches_per_index_stratum_a(case, model, seed, pair_samples, ratio_samples):
+    sched, N, threshold, cutoff = case
+    if model == "bernoulli":
+        b_at = bernoulli_model_oracle(sched.ell, 1.0, sched)(N).b_at
+    else:
+        b_at = _subshift_b_at()
+    stage = StageOracle(b_at=b_at, term_count=N, schedule=sched)
+    report = check_conditions(
+        lambda n: stage, sched, 2, [N], (threshold, cutoff), budget=0,
+        pair_samples=pair_samples, ratio_samples=ratio_samples, seed=seed,
+    )
+    want = _per_index_sampled_stage(
+        stage, sched.columns(N), N, threshold, cutoff, seed, pair_samples, ratio_samples
+    )
+    assert report.stage(N) == want
 
 
 @given(_small_schedules(), st.integers(0, 12), st.integers(0, 37), st.integers(0, 2**32 - 1))
@@ -565,11 +678,13 @@ def test_check_conditions_evaluates_no_schedule_row_per_oracle_call(monkeypatch)
     monkeypatch.setattr(QSchedule, "evaluate", counting)
     monkeypatch.setattr(_BCache, "__call__", counting_cache)
     report = check_conditions(model_oracle, sched, 2, [6, 8], _a6_rare_params, seed=1_000_003)
-    # one schedule row per stage (the top of its columns), and one oracle
-    # call per block of tuples, on that block's distinct signatures
+    # one schedule row per stage (the top of its columns), and four oracle
+    # calls per sampled stage, each on its block's distinct signatures: the
+    # singles, stratum A, the one stratum-B block and the ratio band
     assert len(evaluations) == 2
     for n, calls in oracle_calls.items():
-        assert len(calls) == cache_calls.count(report.stage(n).term_count) > 1
+        assert report.stage(n).mode == "sampled"
+        assert len(calls) == cache_calls.count(report.stage(n).term_count) == 4
         for rows in calls:
             _assert_distinct_signatures(rows)
 
