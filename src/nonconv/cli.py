@@ -7,10 +7,10 @@ byte-identical outputs.
 
 Config grammar (YAML mapping); ``validate_config`` checks every rule below
 and lists each fault it finds.  A number is an int or a finite float, never
-a boolean.  A key not named below, at the top level or in schedule,
-sevastyanov, hitting, budgets or model_params, is a fault, and so is a
-schedule that its family refuses to build (ell < 1, degree < 1, table rows
-that are not strictly increasing with q_1(l) >= l).
+a boolean.  A key not named below, at the top level or in a section, is a
+fault, and so is a schedule that its family refuses to build (ell < 1,
+degree < 1, table rows that are not strictly increasing with q_1(l) >= l).
+Every section but schedule is optional and may be null, which reads as empty.
 
   model:       bernoulli | markov | subshift
   seed:        integer >= 0, required (no wall-clock default)
@@ -25,28 +25,28 @@ that are not strictly increasing with q_1(l) >= l).
                 of equal-length nonempty lists of integers}
   outputs:     nonempty list of table names defined for the model
                (see `nonconv list-tables`)
-  budgets:     {enumeration: int > 0}  (optional; the factorization
-               checker's most index tuples enumerated in exact mode)
+  budgets:     {enumeration: int > 0 (default 200000), the factorization
+                checker's most index tuples enumerated in exact mode}
   model_params: mapping with no keys but these (optional for bernoulli)
     markov:    {transition: [[..]] square, entries >= 0, rows summing to 1
                 (required), lift_tolerance: num > 0 (default 0.2, but the
                 verdict gates sum_b_error at 0.05, so a pass needs <= 0.05),
                 max_lift: int >= 1, the longest target word (default 12)}
     subshift:  {adjacency: [[..]] square 0-1 ints, no all-zero row or column
-                (default full 2-shift),
+                (default [[1, 1], [1, 1]], the full 2-shift),
                 transition: [[..]] as for markov, positive exactly on the
                 adjacency's edges (default uniform on edges),
                 omega_star: nonempty list of ints >= 0 or omega_seed: int >= 0
-                (one required), s: num >= 0 (default 0), eps: num > 0
+                (one required), s: num >= 0 (default 0.0), eps: num > 0
                 (default 0.25)}
-  sevastyanov: {r: int >= 2, rare_params: auto | [threshold, cutoff] of
-                ints >= 0, pair_samples: int > 0, ratio_samples: int > 0}
-               (optional)
-  hitting:     {lambdas: nonempty list of positive numbers}  (optional)
+  sevastyanov: {r: int >= 2 (default 2), rare_params: auto | [threshold,
+                cutoff] of ints >= 0 (default auto), pair_samples: int > 0
+                (default 512), ratio_samples: int > 0 (default 512)}
+  hitting:     {lambdas: nonempty list of numbers > 0 (default [0.5, 1.0, 2.0])}
 
-Faults the grammar cannot see (a chain that fails certification, an
-omega_star shorter than n, a Bernoulli component over the exact law's
-cell budget) raise a ``NonconvError`` from the run.
+Faults the grammar cannot see (a chain that fails certification, an omega_star
+shorter than n, a Bernoulli component over the exact law's cell budget, a
+schedule value past float range) raise a ``NonconvError`` from the run.
 """
 
 from __future__ import annotations
@@ -75,20 +75,11 @@ from .schedules import (
 )
 from .sevastyanov import DEFAULT_ENUMERATION_BUDGET
 
-TABLES = {
-    "pmf_vs_poisson": ("bernoulli", "markov", "subshift"),
-    "tv_and_bounds": ("bernoulli",),
-    "chen_stein_terms": ("bernoulli",),
-    "sevastyanov_report": ("bernoulli", "markov", "subshift"),
-    "mixing_certificates": ("markov", "subshift"),
-    "hitting_time_survival": ("subshift",),
-}
-
-_DEFAULT_BUDGETS = {"enumeration": DEFAULT_ENUMERATION_BUDGET}
+_MODELS = ("bernoulli", "markov", "subshift")
 
 
 # ---------------------------------------------------------------------------
-# Config loading and validation
+# Config grammar, loading and validation
 # ---------------------------------------------------------------------------
 
 def load_config(path) -> dict:
@@ -122,57 +113,6 @@ def _is_matrix(v) -> bool:
     )
 
 
-# model_params fields: (check, what the fault says the value must be)
-_MODEL_PARAMS = {
-    "transition": (
-        lambda v: _is_matrix(v) and min(min(row) for row in v) >= 0
-        and np.max(np.abs(np.asarray(v, dtype=float).sum(axis=1) - 1.0)) <= ROW_SUM_TOL,
-        "a square matrix of numbers >= 0 whose rows sum to 1",
-    ),
-    "lift_tolerance": (lambda v: _is_number(v) and v > 0, "a positive number"),
-    "max_lift": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "adjacency": (
-        lambda v: _is_matrix(v) and all(_is_int(x) and x in (0, 1) for row in v for x in row)
-        and all(map(any, v)) and all(map(any, zip(*v))),
-        "a square 0-1 integer matrix with no all-zero row or column",
-    ),
-    "omega_star": (
-        lambda v: isinstance(v, list) and bool(v) and all(_is_int(a) and a >= 0 for a in v),
-        "a nonempty list of integer symbols >= 0",
-    ),
-    "omega_seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-    "s": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
-    "eps": (lambda v: _is_number(v) and v > 0, "a positive number"),
-}
-
-
-def _model_params_faults(model, mp: dict) -> list[str]:
-    faults, valid = [], set()
-    for key, val in mp.items():
-        if key not in _MODEL_PARAMS:
-            faults.append(f"unknown model_params key {key!r}")
-        elif not _MODEL_PARAMS[key][0](val):
-            faults.append(f"model_params.{key} must be {_MODEL_PARAMS[key][1]}, got {val!r}")
-        else:
-            valid.add(key)
-    if model == "markov" and "transition" not in mp:
-        faults.append("markov model requires model_params.transition")
-    if model == "subshift":
-        if "omega_star" not in mp and "omega_seed" not in mp:
-            faults.append("subshift model requires model_params.omega_star or omega_seed")
-        adjacency = mp.get("adjacency", [[1, 1], [1, 1]])  # the full 2-shift
-        Q = mp.get("transition")
-        checkable = "transition" in valid and ("adjacency" in valid or "adjacency" not in mp)
-        if checkable and (
-            len(Q) != len(adjacency)
-            or any((q > 0) != (a == 1) for qr, ar in zip(Q, adjacency) for q, a in zip(qr, ar))
-        ):
-            faults.append(
-                "model_params.transition must be positive exactly on the adjacency's edges"
-            )
-    return faults
-
-
 def _is_table(rows) -> bool:
     if isinstance(rows, dict):
         if not all(_is_int(l) and l >= 1 for l in rows):
@@ -185,24 +125,128 @@ def _is_table(rows) -> bool:
     )
 
 
-_KEYS = {"model", "seed", "lambda", "n_grid", "replicates", "schedule", "outputs", "budgets",
-         "model_params", "sevastyanov", "hitting", "_raw_bytes"}  # the loader adds _raw_bytes
-# the keys of each schedule family
-_SCHEDULE_KEYS = {
-    "linear": {"family", "ell"},
-    "exponential_gap": {"family", "ell"},
-    "arithmetic_gap": {"family", "ell", "c", "gamma"},
-    "polynomial": {"family", "ell", "degree"},
-    "table": {"family", "rows"},
+# the optional top-level keys and their defaults
+_DEFAULTS = {"lambda": 1.0, "replicates": 0}
+# the optional mapping sections: section -> key -> (check, what a fault says
+# the value must be, default); a None default marks a key that a model
+# requires or that has no value when absent
+_SECTIONS = {
+    "budgets": {
+        "enumeration": (
+            lambda v: _is_int(v) and v > 0, "a positive integer", DEFAULT_ENUMERATION_BUDGET,
+        ),
+    },
+    "model_params": {
+        "transition": (
+            lambda v: _is_matrix(v) and min(min(row) for row in v) >= 0
+            and np.max(np.abs(np.asarray(v, dtype=float).sum(axis=1) - 1.0)) <= ROW_SUM_TOL,
+            "a square matrix of numbers >= 0 whose rows sum to 1",
+            None,  # markov requires it; subshift reads None as uniform on the edges
+        ),
+        "lift_tolerance": (lambda v: _is_number(v) and v > 0, "a positive number", 0.2),
+        "max_lift": (lambda v: _is_int(v) and v >= 1, "an integer >= 1", 12),
+        "adjacency": (
+            lambda v: _is_matrix(v) and all(_is_int(x) and x in (0, 1) for row in v for x in row)
+            and all(map(any, v)) and all(map(any, zip(*v))),
+            "a square 0-1 integer matrix with no all-zero row or column",
+            [[1, 1], [1, 1]],  # the full 2-shift
+        ),
+        "omega_star": (
+            lambda v: isinstance(v, list) and bool(v) and all(_is_int(a) and a >= 0 for a in v),
+            "a nonempty list of integer symbols >= 0",
+            None,
+        ),
+        "omega_seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0", None),
+        "s": (lambda v: _is_number(v) and v >= 0, "a number >= 0", 0.0),
+        "eps": (lambda v: _is_number(v) and v > 0, "a positive number", 0.25),
+    },
+    "sevastyanov": {
+        "r": (lambda v: _is_int(v) and v >= 2, "an integer >= 2", 2),
+        "rare_params": (
+            lambda v: v == "auto" or (
+                isinstance(v, (list, tuple)) and len(v) == 2
+                and all(_is_int(x) and x >= 0 for x in v)
+            ),
+            "auto or [threshold, cutoff] of integers >= 0",
+            "auto",
+        ),
+        "pair_samples": (lambda v: _is_int(v) and v > 0, "a positive integer", 512),
+        "ratio_samples": (lambda v: _is_int(v) and v > 0, "a positive integer", 512),
+    },
+    "hitting": {
+        "lambdas": (
+            lambda v: isinstance(v, list) and bool(v) and all(_is_number(x) and x > 0 for x in v),
+            "a nonempty list of positive numbers",
+            [0.5, 1.0, 2.0],
+        ),
+    },
 }
-_SEVASTYANOV_KEYS = {"r", "rare_params", "pair_samples", "ratio_samples"}
+# schedule family -> the keys of its spec after family, in the order that
+# its constructor takes them
+_FAMILIES = {
+    "linear": ("ell",),
+    "exponential_gap": ("ell",),
+    "arithmetic_gap": ("ell", "c", "gamma"),
+    "polynomial": ("ell", "degree"),
+    "table": ("rows",),
+}
+_KEYS = {"model", "seed", "n_grid", "schedule", "outputs", *_DEFAULTS, *_SECTIONS,
+         "_raw_bytes"}  # the loader adds _raw_bytes
+
+
+def _filled(section: str, value) -> dict:
+    """The section's mapping ``value`` (or None) with its defaults filled in."""
+    return {**{key: spec[2] for key, spec in _SECTIONS[section].items()}, **(value or {})}
+
+
+def _with_defaults(cfg: dict) -> dict:
+    """A valid config with every default of the grammar filled in."""
+    return {**_DEFAULTS, **cfg, **{s: _filled(s, cfg.get(s)) for s in _SECTIONS}}
+
+
+def _section_faults(section: str, value) -> list[str]:
+    """The unknown keys and bad values of one optional section, in key order."""
+    if value is None:
+        return []
+    if not isinstance(value, dict):
+        return [f"{section} must be a mapping, got {value!r}"]
+    keys, faults = _SECTIONS[section], []
+    noun, field = f"{section} key", f"{section}."
+    if section == "budgets":  # budget faults have their own wording
+        noun, field = "budget", "budget "
+    for key, val in value.items():
+        if key not in keys:
+            faults.append(f"unknown {noun} {key!r}")
+        elif not keys[key][0](val):
+            faults.append(f"{field}{key} must be {keys[key][1]}, got {val!r}")
+    return faults
+
+
+def _model_faults(model, mp: dict) -> list[str]:
+    """The model_params rules that tie a key to the model or to another key."""
+    faults = []
+    if model == "markov" and "transition" not in mp:
+        faults.append("markov model requires model_params.transition")
+    if model == "subshift":
+        if "omega_star" not in mp and "omega_seed" not in mp:
+            faults.append("subshift model requires model_params.omega_star or omega_seed")
+        checks, full = _SECTIONS["model_params"], _filled("model_params", mp)
+        Q, A = full["transition"], full["adjacency"]
+        if checks["transition"][0](Q) and checks["adjacency"][0](A) and (
+            len(Q) != len(A)
+            or any((q > 0) != (a == 1) for qr, ar in zip(Q, A) for q, a in zip(qr, ar))
+        ):
+            faults.append(
+                "model_params.transition must be positive exactly on the adjacency's edges"
+            )
+    return faults
 
 
 def validate_config(cfg: dict) -> list[str]:
     """Return every fault found (empty list = valid)."""
     faults = []
     model = cfg.get("model")
-    if model not in ("bernoulli", "markov", "subshift"):
+    if model not in _MODELS:
         faults.append(f"model must be bernoulli, markov or subshift, got {model!r}")
     if "seed" not in cfg:
         faults.append("seed is mandatory (no wall-clock default)")
@@ -210,7 +254,7 @@ def validate_config(cfg: dict) -> list[str]:
         faults.append(f"seed must be an integer, got {cfg['seed']!r}")
     elif cfg["seed"] < 0:
         faults.append(f"seed must be >= 0, got {cfg['seed']!r}")
-    lam = cfg.get("lambda", 1.0)
+    lam = cfg.get("lambda", _DEFAULTS["lambda"])
     if not _is_number(lam) or lam <= 0:
         faults.append(f"lambda must be positive, got {lam!r}")
     grid = cfg.get("n_grid")
@@ -223,7 +267,7 @@ def validate_config(cfg: dict) -> list[str]:
             f"lambda must be below every n in n_grid for the bernoulli model "
             f"(p_n = (lambda/n)^(1/ell) < 1), got lambda={lam!r} and n={min(grid)}"
         )
-    reps = cfg.get("replicates", 0)
+    reps = cfg.get("replicates", _DEFAULTS["replicates"])
     if not _is_int(reps) or reps < 0:
         faults.append(f"replicates must be an integer >= 0, got {reps!r}")
     outputs = cfg.get("outputs")
@@ -233,7 +277,7 @@ def validate_config(cfg: dict) -> list[str]:
         for name in outputs:
             if not isinstance(name, str) or name not in TABLES:
                 faults.append(f"unknown table {name!r}")
-            elif model in ("bernoulli", "markov", "subshift") and model not in TABLES[name]:
+            elif model in _MODELS and model not in TABLES[name][1]:
                 faults.append(f"table {name!r} is not defined for model {model!r}")
             elif name == "hitting_time_survival" and _is_int(reps) and reps == 0:
                 faults.append("hitting_time_survival requires replicates > 0")
@@ -243,16 +287,15 @@ def validate_config(cfg: dict) -> list[str]:
         faults.append("schedule section is required")
     else:
         fam = sched.get("family")
-        if not isinstance(fam, str) or (fam not in SCHEDULE_FAMILIES and fam != "table"):
+        params = _FAMILIES.get(fam) if isinstance(fam, str) else None
+        if params is None:
             faults.append(f"unknown schedule family {fam!r}")
         if fam == "table" and not _is_table(sched.get("rows")):
             faults.append(
                 "table schedule requires rows: a nonempty list, or a mapping from "
                 "integer l >= 1, of equal-length nonempty lists of integers"
             )
-        if fam in ("linear", "polynomial", "exponential_gap", "arithmetic_gap") and not _is_int(
-            sched.get("ell")
-        ):
+        if params and "ell" in params and not _is_int(sched.get("ell")):
             faults.append("schedule.ell must be an integer")
         if fam == "arithmetic_gap" and not all(
             _is_number(sched.get(k)) for k in ("c", "gamma")
@@ -261,75 +304,27 @@ def validate_config(cfg: dict) -> list[str]:
         if fam == "polynomial" and not _is_int(sched.get("degree")):
             faults.append("polynomial schedule requires integer degree")
         typed = len(faults) == before
-        if isinstance(fam, str) and fam in _SCHEDULE_KEYS:
-            faults += [f"unknown schedule key {k!r}" for k in sched if k not in _SCHEDULE_KEYS[fam]]
+        if params:
+            faults += [f"unknown schedule key {k!r}" for k in sched if k not in ("family", *params)]
         if typed:
             try:
                 build_schedule(sched)
-            except (ScheduleError, OverflowError) as e:  # a gap past float range overflows
+            except ScheduleError as e:
                 faults.append(f"schedule: {e}")
-    budgets = cfg.get("budgets", {})
-    if not isinstance(budgets, dict):
-        faults.append("budgets must be a mapping")
-    else:
-        for key, val in budgets.items():
-            if key not in _DEFAULT_BUDGETS:
-                faults.append(f"unknown budget {key!r}")
-            elif not _is_int(val) or val <= 0:
-                faults.append(f"budget {key} must be a positive integer, got {val!r}")
-    mp = cfg.get("model_params")
-    if mp is not None and not isinstance(mp, dict):
-        faults.append(f"model_params must be a mapping, got {mp!r}")
-    else:
-        faults += _model_params_faults(model, mp or {})
-    sv = cfg.get("sevastyanov")
-    if sv is not None and not isinstance(sv, dict):
-        faults.append(f"sevastyanov must be a mapping, got {sv!r}")
-    elif sv:
-        faults += [f"unknown sevastyanov key {k!r}" for k in sv if k not in _SEVASTYANOV_KEYS]
-        r = sv.get("r", 2)
-        if not _is_int(r) or r < 2:
-            faults.append(f"sevastyanov.r must be an integer >= 2, got {r!r}")
-        rp = sv.get("rare_params", "auto")
-        if rp != "auto" and not (
-            isinstance(rp, (list, tuple)) and len(rp) == 2
-            and all(_is_int(v) and v >= 0 for v in rp)
-        ):
-            faults.append(
-                "sevastyanov.rare_params must be auto or [threshold, cutoff] "
-                f"of integers >= 0, got {rp!r}"
-            )
-        for key in ("pair_samples", "ratio_samples"):
-            val = sv.get(key, 512)
-            if not _is_int(val) or val <= 0:
-                faults.append(f"sevastyanov.{key} must be a positive integer, got {val!r}")
-    hitting = cfg.get("hitting")
-    if hitting is not None and not isinstance(hitting, dict):
-        faults.append(f"hitting must be a mapping, got {hitting!r}")
-    elif hitting:
-        faults += [f"unknown hitting key {k!r}" for k in hitting if k != "lambdas"]
-        lams = hitting.get("lambdas")
-        if "lambdas" in hitting and (not isinstance(lams, list) or not lams or not all(
-            _is_number(v) and v > 0 for v in lams
-        )):
-            faults.append(f"hitting.lambdas must be a nonempty list of positive numbers, got {lams!r}")
+    for section in _SECTIONS:
+        value = cfg.get(section)
+        faults += _section_faults(section, value)
+        if section == "model_params" and (value is None or isinstance(value, dict)):
+            faults += _model_faults(model, value or {})
     faults += [f"unknown key {k!r}" for k in cfg if k not in _KEYS]
     return faults
 
 
 def build_schedule(spec: dict) -> QSchedule:
     fam = spec["family"]
-    if fam == "table":
-        return table_schedule(spec["rows"])
-    if fam == "linear":
-        return SCHEDULE_FAMILIES[fam](spec["ell"])
-    if fam == "arithmetic_gap":
-        return SCHEDULE_FAMILIES[fam](spec["ell"], float(spec["c"]), float(spec["gamma"]))
-    if fam == "polynomial":
-        return SCHEDULE_FAMILIES[fam](spec["ell"], spec["degree"])
-    if fam == "exponential_gap":
-        return SCHEDULE_FAMILIES[fam](spec["ell"])
-    raise ConfigError([f"unknown schedule family {fam!r}"])
+    build = table_schedule if fam == "table" else SCHEDULE_FAMILIES[fam]
+    # c and gamma reach the schedule's name, and so its faults, as floats
+    return build(*(float(spec[k]) if k in ("c", "gamma") else spec[k] for k in _FAMILIES[fam]))
 
 
 # ---------------------------------------------------------------------------
@@ -337,105 +332,96 @@ def build_schedule(spec: dict) -> QSchedule:
 # ---------------------------------------------------------------------------
 
 class _RunContext:
-    """Validated config plus lazily built model objects shared by tables."""
+    """A valid config with its defaults filled in, plus the model objects
+    that tables share, each built on first use."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
         self.model = cfg["model"]
         self.seed = cfg["seed"]
-        self.lam = float(cfg.get("lambda", 1.0))
+        self.lam = float(cfg["lambda"])
         self.n_grid = sorted(cfg["n_grid"])
-        self.replicates = cfg.get("replicates", 0)
+        self.replicates = cfg["replicates"]
         self.schedule = build_schedule(cfg["schedule"])
-        self.budgets = {**_DEFAULT_BUDGETS, **(cfg.get("budgets", {}) or {})}
-        self.model_params = cfg.get("model_params", {}) or {}
+        self.model_params = cfg["model_params"]
         self._cache: dict = {}
+
+    def _once(self, key, build):
+        """``build()`` on the first request for ``key``; its result after."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     # -- bernoulli --------------------------------------------------------
 
     def bernoulli_scheme(self, n: int):
         from .bernoulli import BernoulliScheme
 
-        if ("scheme", n) not in self._cache:
-            self._cache["scheme", n] = BernoulliScheme.from_lambda(
-                n, self.schedule.ell, self.lam, self.schedule
-            )
-        return self._cache["scheme", n]
+        return self._once(("scheme", n), lambda: BernoulliScheme.from_lambda(
+            n, self.schedule.ell, self.lam, self.schedule
+        ))
 
     def bernoulli_exact(self, n: int):
         """The exact law of S_n, computed once for every table that needs it."""
         from .bernoulli import exact_distribution
 
-        if ("exact", n) not in self._cache:
-            self._cache["exact", n] = exact_distribution(self.bernoulli_scheme(n))
-        return self._cache["exact", n]
+        return self._once(("exact", n), lambda: exact_distribution(self.bernoulli_scheme(n)))
 
     # -- markov ---------------------------------------------------------
 
     def markov_chain(self):
         from .markov import FiniteMarkovChain
 
-        if "chain" not in self._cache:
-            self._cache["chain"] = FiniteMarkovChain(self.model_params["transition"])
-        return self._cache["chain"]
+        return self._once("chain", lambda: FiniteMarkovChain(self.model_params["transition"]))
 
     def markov_targets(self):
         from .markov import choose_target_sets
 
-        if "targets" not in self._cache:
-            mp = self.model_params
-            self._cache["targets"] = choose_target_sets(
-                self.markov_chain(),
-                self.schedule.ell,
-                self.lam,
-                self.n_grid,
-                tolerance=float(mp.get("lift_tolerance", 0.2)),
-                max_lift=int(mp.get("max_lift", 12)),
-            )
-        return self._cache["targets"]
+        mp = self.model_params
+        return self._once("targets", lambda: choose_target_sets(
+            self.markov_chain(),
+            self.schedule.ell,
+            self.lam,
+            self.n_grid,
+            tolerance=float(mp["lift_tolerance"]),
+            max_lift=int(mp["max_lift"]),
+        ))
 
     def markov_stage(self, n: int):
         """(pattern chain, accept states) of Gamma_n's words, built once."""
         from .subshift import pattern_chain
 
-        if ("stage", n) not in self._cache:
+        def build():
             targets = self.markov_targets()
-            self._cache["stage", n] = pattern_chain(targets.measure, targets.entries[n].words)
-        return self._cache["stage", n]
+            return pattern_chain(targets.measure, targets.entries[n].words)
+
+        return self._once(("stage", n), build)
 
     # -- subshift ---------------------------------------------------------
 
     def subshift_measure(self):
-        from .subshift import MarkovGibbsMeasure, SubshiftSFT, full_shift, uniform_measure
+        from .subshift import MarkovGibbsMeasure, SubshiftSFT, uniform_measure
 
-        if "measure" not in self._cache:
-            mp = self.model_params
-            sft = (
-                SubshiftSFT.from_matrix(mp["adjacency"])
-                if "adjacency" in mp
-                else full_shift(2)
-            )
-            if "transition" in mp:
-                self._cache["measure"] = MarkovGibbsMeasure(sft, mp["transition"])
-            else:
-                self._cache["measure"] = uniform_measure(sft)
-        return self._cache["measure"]
+        def build():
+            sft = SubshiftSFT.from_matrix(self.model_params["adjacency"])
+            Q = self.model_params["transition"]
+            return uniform_measure(sft) if Q is None else MarkovGibbsMeasure(sft, Q)
+
+        return self._once("measure", build)
 
     def subshift_target(self, n: int):
         from .subshift import make_target, sample_clear_word
 
-        key = ("target", n)
-        if key not in self._cache:
-            mp = self.model_params
-            eps = float(mp.get("eps", 0.25))
-            s = float(mp.get("s", 0.0))
-            measure = self.subshift_measure()
-            if "omega_star" in mp:
-                omega = tuple(int(v) for v in mp["omega_star"])
-            else:
+        def build():
+            mp, measure = self.model_params, self.subshift_measure()
+            eps = float(mp["eps"])
+            if mp["omega_star"] is None:
                 omega = sample_clear_word(measure, n, eps, int(mp["omega_seed"]) + n)
-            self._cache[key] = make_target(measure, omega, n=n, s=s, eps=eps)
-        return self._cache[key]
+            else:
+                omega = tuple(int(v) for v in mp["omega_star"])
+            return make_target(measure, omega, n=n, s=float(mp["s"]), eps=eps)
+
+        return self._once(("target", n), build)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +521,7 @@ def _auto_rare_params(ctx: _RunContext):
         return (0, 0)
     if ctx.model == "markov":
         return lambda n: (max(1, int(math.log(n))), max(1, int(math.log(n))))
-    eps = float(ctx.model_params.get("eps", 0.25))
+    eps = float(ctx.model_params["eps"])
     gp = ctx.schedule.gap_params or (1.0, 0.5)
 
     def params(n):
@@ -556,9 +542,8 @@ def table_sevastyanov_report(ctx: _RunContext):
         poisson_limit_verdict,
     )
 
-    sv = ctx.cfg.get("sevastyanov", {}) or {}
-    r = int(sv.get("r", 2))
-    rp = sv.get("rare_params", "auto")
+    sv = ctx.cfg["sevastyanov"]
+    rp = sv["rare_params"]
     rare_params = _auto_rare_params(ctx) if rp == "auto" else tuple(rp)
     if ctx.model == "bernoulli":
         factory = bernoulli_model_oracle(ctx.schedule.ell, ctx.lam, ctx.schedule)
@@ -569,10 +554,10 @@ def table_sevastyanov_report(ctx: _RunContext):
             ctx.subshift_measure(), ctx.schedule, ctx.lam, ctx.subshift_target
         )
     report = check_conditions(
-        factory, ctx.schedule, r, ctx.n_grid, rare_params,
-        budget=ctx.budgets["enumeration"],
-        pair_samples=int(sv.get("pair_samples", 512)),
-        ratio_samples=int(sv.get("ratio_samples", 512)),
+        factory, ctx.schedule, int(sv["r"]), ctx.n_grid, rare_params,
+        budget=ctx.cfg["budgets"]["enumeration"],
+        pair_samples=int(sv["pair_samples"]),
+        ratio_samples=int(sv["ratio_samples"]),
         seed=ctx.seed,
     )
     verdict = poisson_limit_verdict(report, ctx.lam)
@@ -622,7 +607,7 @@ def table_hitting_time_survival(ctx: _RunContext):
     """
     from .subshift import hitting_time_batch, replicate_count
 
-    lambdas = [float(v) for v in (ctx.cfg.get("hitting", {}) or {}).get("lambdas", [0.5, 1.0, 2.0])]
+    lambdas = [float(v) for v in ctx.cfg["hitting"]["lambdas"]]
     header = ("n", "lambda", "survival", "exp_neg_lambda", "std_error", "replicates")
     rows = []
     ell = ctx.schedule.ell
@@ -642,13 +627,14 @@ def table_hitting_time_survival(ctx: _RunContext):
     return header, rows
 
 
-_TABLE_FNS = {
-    "pmf_vs_poisson": table_pmf_vs_poisson,
-    "tv_and_bounds": table_tv_and_bounds,
-    "chen_stein_terms": table_chen_stein_terms,
-    "sevastyanov_report": table_sevastyanov_report,
-    "mixing_certificates": table_mixing_certificates,
-    "hitting_time_survival": table_hitting_time_survival,
+# table name -> (function of a _RunContext, the models it is defined for)
+TABLES = {
+    "pmf_vs_poisson": (table_pmf_vs_poisson, _MODELS),
+    "tv_and_bounds": (table_tv_and_bounds, ("bernoulli",)),
+    "chen_stein_terms": (table_chen_stein_terms, ("bernoulli",)),
+    "sevastyanov_report": (table_sevastyanov_report, _MODELS),
+    "mixing_certificates": (table_mixing_certificates, ("markov", "subshift")),
+    "hitting_time_survival": (table_hitting_time_survival, ("subshift",)),
 }
 
 
@@ -674,9 +660,9 @@ def run(config_path, out_dir) -> dict:
     faults = validate_config(cfg)
     if faults:
         raise ConfigError(faults)
-    ctx = _RunContext(cfg)
+    ctx = _RunContext(_with_defaults(cfg))
     # every table before the first write: a run that raises leaves no output
-    results = {name: _TABLE_FNS[name](ctx) for name in cfg["outputs"]}
+    results = {name: TABLES[name][0](ctx) for name in cfg["outputs"]}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tables = {}
@@ -712,7 +698,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list-tables":
-        for name, models in TABLES.items():
+        for name, (_, models) in TABLES.items():
             print(f"{name}: {', '.join(models)}")
         return 0
     if args.command == "validate":

@@ -167,7 +167,13 @@ def linear_schedule(ell: int) -> QSchedule:
 def _loggap(l: int, c: float, gamma: float) -> int:
     if l <= 1:
         return 1
-    return max(1, math.ceil(c * math.log(l) ** (1.0 + gamma)))
+    try:
+        return max(1, math.ceil(c * math.log(l) ** (1.0 + gamma)))
+    except OverflowError:  # the power, or ceil of an infinite product
+        raise ScheduleError(
+            f"schedule arithmetic_gap: gap c (ln l)^(1+gamma) overflows a float "
+            f"at l={l}, c={c}, gamma={gamma}"
+        ) from None
 
 
 def _loggap_runs(N: int, c: float, gamma: float) -> np.ndarray:

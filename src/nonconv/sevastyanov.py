@@ -570,12 +570,6 @@ def report_rows(report: ConditionReport, lam: float, tolerances: Tolerances = To
     return rows
 
 
-def rare_sum_envelope_iid(p_n: float, lam_n: float, r: int, ell: int) -> float:
-    """Explicit i.i.d.-model envelope p_n * sum_k lam_n^k (r! ell^(2r))^k."""
-    base = math.factorial(r) * ell ** (2 * r)
-    return p_n * sum((lam_n * base) ** k for k in range(1, r))
-
-
 # ---------------------------------------------------------------------------
 # Model adapters
 # ---------------------------------------------------------------------------
@@ -613,15 +607,6 @@ def pattern_chain_oracle(schedule: QSchedule, stage):
         )
 
     return factory
-
-
-def markov_model_oracle(targets, schedule: QSchedule):
-    """Stage factory over a TargetSetSequence, with n summands."""
-    from .subshift import pattern_chain
-
-    return pattern_chain_oracle(
-        schedule, lambda n: (*pattern_chain(targets.measure, targets.entries[n].words), n)
-    )
 
 
 def subshift_model_oracle(measure, schedule: QSchedule, lam: float, target_fn):

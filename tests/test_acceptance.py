@@ -44,11 +44,12 @@ from nonconv import (
 from nonconv.markov import exact_sum_distribution
 from nonconv.rng import derive_rng
 from nonconv.schedules import QSchedule, logpow_cutoff, ratio_cutoff_index
-from nonconv.sevastyanov import markov_model_oracle, subshift_model_oracle
+from nonconv.sevastyanov import pattern_chain_oracle, subshift_model_oracle
 from nonconv.subshift import (
     MarkovGibbsMeasure,
     exact_sum_distribution_subshift,
     golden_mean_shift,
+    pattern_chain,
 )
 
 REPLICATES = 100_000
@@ -308,7 +309,9 @@ def test_a6_factorization_conditions(capsys):
     stride2 = QSchedule(ell=1, q_fn=lambda j, l: 2 * l, name="stride2")
     targets = choose_target_sets(chain, ell=1, lam=1.0, n_grid=[8, 16, 32])
     mreport = check_conditions(
-        markov_model_oracle(targets, stride2),
+        pattern_chain_oracle(
+            stride2, lambda n: (*pattern_chain(targets.measure, targets.entries[n].words), n)
+        ),
         stride2,
         r=2,
         n_grid=[8, 16, 32],

@@ -2,8 +2,10 @@
 
 import csv
 import hashlib
+import inspect
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import nonconv.cli
 from nonconv.cli import TABLES, load_config, main, run, validate_config
 from nonconv.errors import ConfigError, NonconvError
 
@@ -185,7 +188,7 @@ def test_validate_rejects_booleans_as_numbers():
          "schedule: schedule 'table': q_2(1)=1 <= q_1(1)=1"),
         ("schedule", {"family": "table", "rows": [[0]]}, "schedule: schedule 'table': q_1(1)=0 < l"),
         ("schedule", {"family": "arithmetic_gap", "ell": 2, "c": 4.0, "gamma": 1000},
-         "schedule: (34, 'Numerical result out of range')"),
+         "schedule: schedule arithmetic_gap: gap c (ln l)^(1+gamma) overflows a float at l="),
     ],
 )
 def test_validate_lists_section_faults(tmp_path, section, value, fault):
@@ -218,6 +221,20 @@ def test_validate_refuses_bernoulli_lambda_at_or_above_some_n(tmp_path, capsys):
     assert validate_config(cfg) == []
 
 
+def test_run_refuses_a_schedule_past_float_range(tmp_path, capsys):
+    # validate builds 128 rows, where (ln l)^351 stays in float range; the
+    # run's n = 10^5 needs rows past l = 1800, where it does not
+    text = BERNOULLI_CFG.replace("n_grid: [8, 12]", "n_grid: [100000]").replace(
+        "{family: linear, ell: 2}", "{family: arithmetic_gap, ell: 2, c: 4.0, gamma: 350}"
+    )
+    path = _write(tmp_path, text)
+    assert validate_config(load_config(path)) == []
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: schedule arithmetic_gap: ") and "gamma=350.0" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_subshift_transition_on_the_adjacency_edges(tmp_path):
     cfg = load_config(_write(tmp_path, SUBSHIFT_CFG))
     cfg["model_params"]["adjacency"] = [[1, 1], [1, 0]]
@@ -233,7 +250,54 @@ def test_validate_accepts_empty_optional_sections(tmp_path):
     cfg = load_config(_write(tmp_path, SUBSHIFT_CFG))
     cfg["sevastyanov"] = None
     cfg["hitting"] = {}
+    cfg["budgets"] = None
     assert validate_config(cfg) == []
+
+
+def test_cli_defaults_are_the_library_defaults():
+    from nonconv.markov import choose_target_sets
+    from nonconv.schedules import SCHEDULE_FAMILIES, table_schedule
+    from nonconv.sevastyanov import DEFAULT_ENUMERATION_BUDGET, check_conditions
+    from nonconv.subshift import make_target
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    sections = nonconv.cli._SECTIONS
+    mp, sv = sections["model_params"], sections["sevastyanov"]
+    for (_, _, ours), theirs in [
+        (sv["pair_samples"], default(check_conditions, "pair_samples")),
+        (sv["ratio_samples"], default(check_conditions, "ratio_samples")),
+        (mp["lift_tolerance"], default(choose_target_sets, "tolerance")),
+        (mp["max_lift"], default(choose_target_sets, "max_lift")),
+        (mp["s"], default(make_target, "s")),
+        (mp["eps"], default(make_target, "eps")),
+        (sections["budgets"]["enumeration"], DEFAULT_ENUMERATION_BUDGET),
+        (sections["budgets"]["enumeration"], default(check_conditions, "budget")),
+    ]:
+        assert ours == theirs
+    # build_schedule passes a family's spec keys in its constructor's order
+    builders = {**SCHEDULE_FAMILIES, "table": table_schedule}
+    assert nonconv.cli._FAMILIES == {
+        fam: tuple(inspect.signature(fn).parameters) for fam, fn in builders.items()
+    }
+
+
+def test_docstring_names_every_key_and_default():
+    doc = nonconv.cli.__doc__
+    keys = {**nonconv.cli._DEFAULTS, **{
+        key: spec[2] for section in nonconv.cli._SECTIONS.values() for key, spec in section.items()
+    }}
+    for key, value in keys.items():
+        # the key, then its default before any other parenthesis
+        named = rf"(?<![\w.]){key}:\s"
+        if value is not None:
+            named += rf"[^()]*\(default {re.escape(str(value))}[,;)]"
+        assert re.search(named, doc), key
+    for name in [*nonconv.cli._SECTIONS, *nonconv.cli._FAMILIES]:
+        assert name in doc
+    for params in nonconv.cli._FAMILIES.values():
+        assert all(f"{p}: " in doc for p in params)
 
 
 def test_validate_model_table_compatibility(tmp_path):

@@ -40,12 +40,11 @@ from nonconv.sevastyanov import (
     _singles,
     _tuple_terms,
     bernoulli_model_oracle,
-    markov_model_oracle,
-    rare_sum_envelope_iid,
+    pattern_chain_oracle,
     report_rows,
     subshift_model_oracle,
 )
-from nonconv.subshift import full_shift, make_target, sample_clear_word
+from nonconv.subshift import full_shift, make_target, pattern_chain, sample_clear_word
 
 
 def _bern_factory(ell=2, lam=1.0):
@@ -591,18 +590,13 @@ def test_report_rows_shape():
         assert margin == pytest.approx(env - value, abs=1e-15)
 
 
-def test_rare_sum_envelope_iid_values():
-    # r = 2: single k = 1 term p * lam * 2 * ell^4
-    assert rare_sum_envelope_iid(0.1, 1.0, 2, 2) == pytest.approx(
-        0.1 * 1.0 * 2 * 16, rel=1e-12
-    )
-
-
 def test_markov_oracle_adapter():
     chain = FiniteMarkovChain([[0.7, 0.3], [0.1, 0.9]])
     sched = linear_schedule(1)
     targets = choose_target_sets(chain, ell=1, lam=1.0, n_grid=[8, 16])
-    factory = markov_model_oracle(targets, sched)
+    factory = pattern_chain_oracle(
+        sched, lambda n: (*pattern_chain(targets.measure, targets.entries[n].words), n)
+    )
     report = check_conditions(factory, sched, r=2, n_grid=[8, 16], rare_params=(0, 1))
     for n in (8, 16):
         stage = report.stage(n)
@@ -616,7 +610,9 @@ def test_markov_oracle_starts_stationary_whatever_the_chain_starts_from():
     chain = FiniteMarkovChain([[0.7, 0.3], [0.1, 0.9]])
     assert not np.allclose(chain.nu, chain.mu)
     targets = choose_target_sets(chain, ell=1, lam=1.0, n_grid=[16])
-    stage = markov_model_oracle(targets, linear_schedule(1))(16)
+    stage = pattern_chain_oracle(
+        linear_schedule(1), lambda n: (*pattern_chain(targets.measure, targets.entries[n].words), n)
+    )(16)
     mass = targets.entries[16].mass
     for t in (0, 1, 7, 1000):
         assert stage.b_at(np.array([[t]]))[0] == pytest.approx(mass, rel=1e-14)
