@@ -90,10 +90,9 @@ def simulate_batch(scheme: BernoulliScheme, seed: int, replicates: int) -> np.nd
     chain = FiniteMarkovChain([[1.0 - p, p], [1.0 - p, p]], nu=[1.0 - p, p])
     ranks = np.searchsorted(scheme.needed_indices, scheme.term_indices)
     expected_hits = max(1.0, scheme.needed_indices.size * p)
-    counts, _ = sample_counts(
+    return sample_counts(
         chain, [1], ranks, derive_rng(seed, STREAM_BERNOULLI), replicates, expected_hits
     )
-    return counts
 
 
 # ---------------------------------------------------------------------------

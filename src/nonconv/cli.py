@@ -683,6 +683,14 @@ def run(config_path, out_dir) -> dict:
     return manifest
 
 
+def _one_line(e: Exception) -> str:
+    """An error as one line: a YAML syntax error is its problem and where."""
+    if isinstance(e, yaml.MarkedYAMLError) and e.problem_mark is not None:
+        mark = e.problem_mark
+        return f"YAML: {e.problem} at line {mark.line + 1}, column {mark.column + 1}"
+    return str(e)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="nonconv",
@@ -705,7 +713,7 @@ def main(argv=None) -> int:
         try:
             cfg = load_config(args.config)
         except (OSError, yaml.YAMLError, ConfigError) as e:
-            print(f"error: {e}", file=sys.stderr)
+            print(f"error: {_one_line(e)}", file=sys.stderr)
             return 1
         faults = validate_config(cfg)
         if faults:
@@ -720,8 +728,8 @@ def main(argv=None) -> int:
         for f in e.faults:
             print(f"fault: {f}", file=sys.stderr)
         return 1
-    except NonconvError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (OSError, yaml.YAMLError, NonconvError) as e:
+        print(f"error: {_one_line(e)}", file=sys.stderr)
         return 1
     print(json.dumps(manifest, indent=2, sort_keys=True))
     return 0

@@ -5,10 +5,10 @@ reference measure, geometric mixing-rate fits, seeded simulation of the
 nonconventional arrival sum sum_l prod_j 1_Gamma(X_{q_j(l)}), and exact
 joint-arrival probabilities (b-coefficients) via restricted matrix products.
 
-The hit engine here (``_HitEngine`` and its batch loop ``sample_counts``)
-samples all three models: the i.i.d. Bernoulli sites as the chain whose
-rows are all (1 - p, p), and a Markov word set or a subshift target
-through its pattern chain.
+The hit engine here (``_HitEngine``, with the batch loops ``sample_counts``
+and ``sample_first``) samples all three models: the i.i.d. Bernoulli sites
+as the chain whose rows are all (1 - p, p), and a Markov word set or a
+subshift target through its pattern chain.
 """
 
 from __future__ import annotations
@@ -232,10 +232,9 @@ def simulate_arrival_batch(chain, schedule, gamma, n, seed, replicates) -> np.nd
         return np.zeros(replicates, dtype=np.int64)
     q_cols = schedule.columns(n)
     expected_hits = max(1.0, (q_cols[-1, -1] + 1) * float(chain.mu[gamma].sum()))
-    counts, _ = sample_counts(
+    return sample_counts(
         chain, gamma, q_cols, derive_rng(seed, STREAM_MARKOV), replicates, expected_hits
     )
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +246,7 @@ _GAP_BLOCK = 512  # most steps of the killed chain per blocked power (a power of
 # most 8-byte cells held in the blocked powers, again in the event tables
 # and again in the guide tables: 128 MiB each
 _ENGINE_CELL_BUDGET = 1 << 24
+_FIRST_ARRIVAL_STAGES = 8  # equal term stages of sample_first
 
 
 class _HitEngine:
@@ -407,32 +407,71 @@ class _HitEngine:
             idx[open_] = lo
         return idx
 
-    def sample_hits(self, rng, replicates: int) -> np.ndarray:
-        """Packed hit keys (position << s) | replicate of a batch, s from
-        ``_key_shift``, unsorted.
-
-        Round k draws every live replicate's k-th hit from one
-        ``rng.random`` call, handed out in (table, replicate) order.
-        """
+    def start(self, rng, replicates: int) -> _Pending:
+        """A fresh batch for ``sample_hits``: every replicate's first hit,
+        drawn from the initial table."""
         shift = _key_shift(self.horizon, replicates)
-        limit = (self.horizon + 1) << shift  # keys of positions past the horizon
-        many = len(self.gap_tables) > 1
-        key = np.arange(replicates, dtype=np.int64)
-        table = np.full(replicates, self._init)
-        chunks = []
+        base = np.arange(replicates, dtype=np.int64)
+        return _Pending(*self._step(rng, base, np.full(replicates, self._init), shift), shift)
+
+    def sample_hits(self, rng, pending: _Pending, limit: int) -> np.ndarray:
+        """Packed hit keys (position << s) | replicate of the ``pending``
+        batch's hits at positions <= ``limit``, unsorted; s is
+        ``pending.shift``.
+
+        Each round emits the pending hits at or below the limit and draws
+        the next hit of each of their replicates.  A replicate's first hit
+        past the limit stays pending with its next table, to be emitted by
+        a later call with a larger limit: it is never redrawn, so a batch
+        advanced over several limits draws the same renewal process as one
+        call at the horizon.  A replicate with no hit left within the
+        horizon leaves the batch.
+        """
+        cut = (limit + 1) << pending.shift  # keys of positions past the limit
+        key, table = pending.key, pending.table
+        chunks, parked = [], []
         while key.size:
-            u = rng.random(key.size)
-            if many:  # with one gap table, replicate order is table order
-                by_table = np.empty_like(u)
-                by_table[np.argsort(table, kind="stable")] = u
-                u = by_table
-            idx = self._draw(table, u)
-            step = self._time[idx] << shift
-            ok = step < limit - key
-            key = key[ok] + step[ok]
-            table = self._next[idx[ok]]
+            late = key >= cut
+            if late.any():
+                parked.append((key[late], table[late]))
+                key, table = key[~late], table[~late]
             chunks.append(key)
-        return np.concatenate(chunks)
+            key, table = self._step(rng, key, table, pending.shift)
+        pending.key = np.concatenate([key] + [k for k, _ in parked])
+        pending.table = np.concatenate([table] + [t for _, t in parked])
+        return np.concatenate(chunks) if chunks else key
+
+    def _step(self, rng, key, table, shift: int):
+        """The hit after each key, drawn from its table by one
+        ``rng.random`` call handed out in table order, and in array order
+        within a table; keys past the horizon are dropped.  Returns the new
+        (key, table)."""
+        u = rng.random(key.size)
+        if len(self.gap_tables) > 1:  # with one gap table, array order is table order
+            by_table = np.empty_like(u)
+            by_table[np.argsort(table, kind="stable")] = u
+            u = by_table
+        idx = self._draw(table, u)
+        step = self._time[idx] << shift
+        ok = step < ((self.horizon + 1) << shift) - key
+        return key[ok] + step[ok], self._next[idx[ok]]
+
+
+@dataclass
+class _Pending:
+    """A batch between ``_HitEngine.sample_hits`` calls: per live
+    replicate, its next hit, drawn but not yet emitted, as a packed key
+    (position << shift) | replicate (see ``_key_shift``), and the table of
+    the gap after it."""
+
+    key: np.ndarray
+    table: np.ndarray
+    shift: int
+
+    def retire(self, done: np.ndarray):
+        """Drop the replicates whose entry of the boolean ``done`` is set."""
+        keep = ~done[self.key & ((1 << self.shift) - 1)]
+        self.key, self.table = self.key[keep], self.table[keep]
 
 
 def _check_cells(what: str, cells: int):
@@ -502,30 +541,85 @@ def _counts_and_first(q_cols, keys, replicates):
     return counts, first
 
 
-def sample_counts(chain, accept, q_cols, rng, replicates: int, expected_hits: float):
-    """Per-replicate (arrival count, first arriving term l or 0) of the
-    terms whose positions ``q_cols`` all fall where ``chain`` sits in
-    ``accept``, started from ``chain.nu``.
+def _first_arrivals(q_cols, replicates: int, hits, stages: int) -> np.ndarray:
+    """Per-replicate first arriving term l (0 = none), counted over the
+    terms 1..N split into ``stages`` equal stages (N_(k-1), N_k].
 
-    Replicates run in batches of about 2e7 expected hits; each batch draws
-    its hits from one ``_HitEngine`` over the horizon q_ell(N) as packed
-    int64 keys, which ``_counts_and_first`` counts.  A batch peaks near
-    35 B per hit under ``tracemalloc`` (634 MiB for the 2.0e7 hits of the
-    A4 target at n = 8).  Raises ``ResourceError`` before building the
-    engine when a batch's keys would overflow int64 (see ``_key_shift``).
+    Stage k takes ``hits(q_ell(N_k), done)``: the hits at positions up to
+    q_ell(N_k) that earlier stages did not take, of the replicates whose
+    ``done`` entry is unset.  ``_counts_and_first`` counts the stage's
+    terms over those hits and the carried earlier ones at positions >=
+    q_1(N_(k-1) + 1), the least position a stage-k term reads.  The
+    replicates that arrived are then done, and their hits leave the carry.
     """
+    N = len(q_cols)
+    shift = _key_shift(int(q_cols[-1, -1]), replicates)
+    first = np.zeros(replicates, dtype=np.int64)
+    done = np.zeros(replicates, dtype=bool)
+    carry = np.empty(0, dtype=np.int64)
+    lo = 0
+    for hi in sorted({N * k // stages for k in range(1, stages + 1)} - {0}):
+        keys = np.concatenate([carry, hits(int(q_cols[hi - 1, -1]), done)])
+        _, stage_first = _counts_and_first(q_cols[lo:hi], keys, replicates)  # sorts keys
+        arrived = stage_first > 0
+        first[arrived] = stage_first[arrived] + lo
+        done |= arrived
+        if hi < N:
+            carry = keys[np.searchsorted(keys, int(q_cols[hi, 0]) << shift) :]
+            carry = carry[~done[carry & ((1 << shift) - 1)]]
+        lo = hi
+    return first
+
+
+def _batches(chain, accept, q_cols, replicates: int, expected_hits: float):
+    """(engine, replicate slice) of each batch of about 2e7 expected hits,
+    all drawn from one ``_HitEngine`` over the horizon q_ell(N).  Raises
+    ``ResourceError`` before building the engine when a batch's keys would
+    overflow int64 (see ``_key_shift``)."""
     horizon = int(q_cols[-1, -1])
     batch = max(64, min(replicates, int(2e7 / expected_hits)))
     _key_shift(horizon, min(batch, replicates))
     engine = _HitEngine(chain, accept, horizon)
-    counts = np.empty(replicates, dtype=np.int64)
-    first = np.empty(replicates, dtype=np.int64)
     for done in range(0, replicates, batch):
-        r = min(batch, replicates - done)
-        counts[done : done + r], first[done : done + r] = _counts_and_first(
-            q_cols, engine.sample_hits(rng, r), r
-        )
-    return counts, first
+        yield engine, slice(done, min(done + batch, replicates))
+
+
+def sample_counts(chain, accept, q_cols, rng, replicates: int, expected_hits: float):
+    """Per-replicate arrival count of the terms whose positions ``q_cols``
+    all fall where ``chain`` sits in ``accept``, started from ``chain.nu``.
+
+    Each batch (see ``_batches``) draws all its hits up to the horizon as
+    packed int64 keys, which ``_counts_and_first`` counts.  A batch peaks
+    near 35 B per hit under ``tracemalloc`` (634 MiB for the 2.0e7 hits of
+    the A4 target at n = 8).
+    """
+    counts = np.empty(replicates, dtype=np.int64)
+    for engine, part in _batches(chain, accept, q_cols, replicates, expected_hits):
+        r = part.stop - part.start
+        hits = engine.sample_hits(rng, engine.start(rng, r), engine.horizon)
+        counts[part] = _counts_and_first(q_cols, hits, r)[0]
+    return counts
+
+
+def sample_first(chain, accept, q_cols, rng, replicates: int, expected_hits: float):
+    """Per-replicate first arriving term l (0 = none) of the terms that
+    ``sample_counts`` counts, with the same law.
+
+    Each batch advances over ``_FIRST_ARRIVAL_STAGES`` term stages (see
+    ``_first_arrivals``), and a replicate stops drawing hits at the stage
+    of its first arrival.
+    """
+    first = np.empty(replicates, dtype=np.int64)
+    for engine, part in _batches(chain, accept, q_cols, replicates, expected_hits):
+        r = part.stop - part.start
+        pending = engine.start(rng, r)
+
+        def hits(limit, done, engine=engine, pending=pending):
+            pending.retire(done)
+            return engine.sample_hits(rng, pending, limit)
+
+        first[part] = _first_arrivals(q_cols, r, hits, _FIRST_ARRIVAL_STAGES)
+    return first
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ occurrence positions of the target blocks.  After an occurrence the pattern
 chain sits in a known accept state, so inter-occurrence gaps are i.i.d.
 draws from first-passage laws computed once on that chain; the resulting
 hit set has the law of the hit set of a simulated path, up to the survival
-mass the tables drop.  The sampler is ``markov.sample_counts``, the hit
-engine shared with the Bernoulli and Markov models.  The b-oracle,
+mass the tables drop.  The samplers are ``markov.sample_counts`` and, for
+the hitting time, ``markov.sample_first``, on the hit engine shared with
+the Bernoulli and Markov models.  The b-oracle,
 ``sevastyanov.pattern_chain_oracle``, runs ``markov.exact_b`` on the same
 chain, as it does for the word sets of the Markov model.
 """
@@ -33,7 +34,7 @@ import numpy as np
 
 from .distributions import CountDistribution
 from .errors import CertificationError, ResourceError, ValidationError
-from .markov import FiniteMarkovChain, envelope_fit, lex_words, sample_counts
+from .markov import FiniteMarkovChain, envelope_fit, lex_words, sample_counts, sample_first
 from .markov import word_lift  # noqa: F401  the benchmark's traced run wraps this name
 from .rng import (
     STREAM_HITTING,
@@ -441,8 +442,11 @@ def pattern_chain(measure: MarkovGibbsMeasure, blocks):
     return chain, [int(pos[iota + v - 1]) for v in leaves]
 
 
-def _sample_target(schedule: QSchedule, target: CylinderTarget, N: int, rng, replicates: int):
-    """``sample_counts`` over terms l <= N on the target's pattern chain."""
+def _sample_target(
+    sample, schedule: QSchedule, target: CylinderTarget, N: int, rng, replicates: int
+):
+    """``sample`` (``sample_counts`` or ``sample_first``) over terms l <= N
+    on the target's pattern chain."""
     if not target.short_return_clear:
         raise ValidationError(
             "target fails short_return_check: the reference word self-overlaps "
@@ -454,7 +458,7 @@ def _sample_target(schedule: QSchedule, target: CylinderTarget, N: int, rng, rep
         )
     chain, accept = pattern_chain(target.measure, target.blocks)
     expected_hits = max(1.0, schedule.max_index(N) * target.prob)
-    return sample_counts(chain, accept, schedule.columns(N), rng, replicates, expected_hits)
+    return sample(chain, accept, schedule.columns(N), rng, replicates, expected_hits)
 
 
 def simulate_nonconventional_batch(
@@ -467,7 +471,8 @@ def simulate_nonconventional_batch(
 ):
     """Arrival-count draws; returns (samples, N, realized_lambda)."""
     N = replicate_count(target, schedule.ell, lam)
-    counts, _ = _sample_target(schedule, target, N, derive_rng(seed, STREAM_SUBSHIFT), replicates)
+    rng = derive_rng(seed, STREAM_SUBSHIFT)
+    counts = _sample_target(sample_counts, schedule, target, N, rng, replicates)
     return counts, N, float(N * target.prob**schedule.ell)
 
 
@@ -483,10 +488,13 @@ def hitting_time_batch(
 
     Returns (scaled, censored): censored replicates saw no simultaneous
     arrival among terms l <= lam_cap / P(B)^ell and their scaled value is
-    reported as lam_cap (a lower bound).
+    reported as lam_cap (a lower bound).  tau, the first arriving term, is
+    drawn by ``sample_first``: a replicate stops drawing hits once it has
+    arrived, which leaves the law of tau unchanged.
     """
     N_cap = replicate_count(target, schedule.ell, lam_cap)
-    _, first = _sample_target(schedule, target, N_cap, derive_rng(seed, STREAM_HITTING), replicates)
+    rng = derive_rng(seed, STREAM_HITTING)
+    first = _sample_target(sample_first, schedule, target, N_cap, rng, replicates)
     censored = first == 0
     return np.where(censored, lam_cap, first * target.prob**schedule.ell), censored
 

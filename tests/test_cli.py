@@ -561,6 +561,18 @@ def test_main_run_subcommand(tmp_path):
     assert (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_main_reports_a_missing_or_malformed_config(tmp_path, capsys, command):
+    # both subcommands print one error line, not a traceback, and exit 1
+    malformed = _write(tmp_path, "model: [bernoulli\n", "malformed.yaml")
+    for path in (tmp_path / "missing.yaml", malformed):
+        extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(path), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_rejects_invalid_config(tmp_path):
     bad = _write(tmp_path, "model: nosuch\n", "bad.yaml")
     with pytest.raises(ConfigError):

@@ -715,7 +715,7 @@ def test_engine_count_law_matches_exact_oracles(monkeypatch, case):
 
     def capture(chain, accept, q_cols, rng, replicates, expected_hits):
         seen.append(_engine_count_law(_HitEngine(chain, accept, int(q_cols[-1, -1])), q_cols))
-        return np.zeros(replicates, dtype=np.int64), np.zeros(replicates, dtype=np.int64)
+        return np.zeros(replicates, dtype=np.int64)
 
     monkeypatch.setattr(module, "sample_counts", capture)
     if model == "bernoulli":

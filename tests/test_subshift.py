@@ -1,5 +1,6 @@
 """Subshifts of finite type: measures, mixing certificates, targets, hits."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -36,10 +37,12 @@ from nonconv.markov import (
     _GAP_TAIL_TOL,
     FiniteMarkovChain,
     _counts_and_first,
+    _first_arrivals,
     _HitEngine,
     _key_shift,
     exact_b,
     sample_counts,
+    simulate_arrival_batch,
     word_lift,
 )
 from nonconv.rng import derive_rng
@@ -406,6 +409,97 @@ def test_counts_and_first_match_brute_force(sched, data):
         arrived = [l for l in range(1, N + 1) if set(q[l - 1].tolist()) <= set(hits)]
         assert counts[r] == len(arrived)
         assert first[r] == (arrived[0] if arrived else 0)
+
+
+@given(_counter_schedules, st.data())
+@settings(max_examples=150, deadline=None)
+def test_first_arrivals_over_stages_match_brute_force(sched, data):
+    # fixed hit sets fed stage by stage as the engine feeds them: each call
+    # hands over the hits past the previous limit of the replicates not yet
+    # done, so the terms that straddle a stage cut need the carry.  On
+    # linear_schedule(3) and polynomial_schedule(2, 2) a term's window spans
+    # several stages.
+    N = data.draw(st.integers(1, min(30, sched.validation_horizon)), label="N")
+    q = sched.columns(N)
+    horizon = int(q[-1, -1])
+    candidates = sorted(set(q.ravel().tolist()) | set(range(min(horizon, 12) + 1)))
+    replicates = data.draw(st.integers(1, 6), label="replicates")
+    hit_sets = [
+        data.draw(st.sets(st.sampled_from(candidates)), label=f"hits[{r}]")
+        for r in range(replicates)
+    ]
+    stages = data.draw(st.integers(1, N + 1), label="stages")
+    want = []
+    for hits in hit_sets:
+        arrived = [l for l in range(1, N + 1) if set(q[l - 1].tolist()) <= hits]
+        want.append(arrived[0] if arrived else 0)
+    shift = _key_shift(horizon, replicates)
+    limits = [-1]
+
+    def fed(limit, done):
+        # a replicate is done once it arrived at a term of an earlier stage
+        assert done.tolist() == [0 < w and q[w - 1, -1] <= limits[-1] for w in want]
+        keys = [(h << shift) | r for r, hits in enumerate(hit_sets) if not done[r]
+                for h in hits if limits[-1] < h <= limit]
+        limits.append(limit)
+        return np.array(keys, dtype=np.int64)
+
+    assert _first_arrivals(q, replicates, fed, stages).tolist() == want
+    assert limits[-1] == horizon and len(limits) == 1 + min(stages, N)
+
+
+def test_resumed_sampler_keeps_each_parked_hit():
+    # one replicate draws one uniform a round, so a run resumed at any
+    # limits emits the hits of one whole-horizon call only if each hit past
+    # a limit is kept for the next call rather than drawn again
+    measure = _golden_measure()
+    target = make_target(measure, sample_clear_word(measure, 7, 0.25, seed=3), 7,
+                         s=2.0, refine_seed=5, keep_fraction=0.6)
+    engine = _HitEngine(*pattern_chain(measure, target.blocks), 4000)
+    assert len(engine.gap_tables) > 1
+    for seed in range(5):
+        rng = derive_rng(seed, 0)
+        whole = engine.sample_hits(rng, engine.start(rng, 1), engine.horizon)
+        assert whole.size > 10
+        rng = derive_rng(seed, 0)
+        pending = engine.start(rng, 1)
+        cuts = [0, *sorted(derive_rng(seed, 1).choice(4000, 6, replace=False)), 4000]
+        staged = [engine.sample_hits(rng, pending, int(c)) for c in cuts]
+        assert np.array_equal(np.concatenate(staged), whole)
+        for lo, hi, part in zip([-1, *cuts], cuts, staged):
+            assert np.all((lo < part) & (part <= hi))
+    # a retired replicate emits nothing more; the others go on
+    rng = derive_rng(9, 0)
+    pending = engine.start(rng, 3)
+    engine.sample_hits(rng, pending, 1000)
+    pending.retire(np.array([False, True, False]))
+    rest = engine.sample_hits(rng, pending, engine.horizon)
+    assert set((rest & 3).tolist()) == {0, 2}
+
+
+def test_arrival_draws_are_pinned(monkeypatch):
+    # sha256 of the arrival counts and of the one-stage hitting times, as
+    # drawn before the first-arrival sampler ran in stages: the arrival
+    # counters and a one-stage first arrival draw the same key stream
+    def sha(*arrays):
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(a.astype(a.dtype.newbyteorder("<")).tobytes())
+        return h.hexdigest()
+
+    um = uniform_measure(full_shift(2))
+    sched = arithmetic_gap_schedule(2, 4.0, 0.5)
+    target = make_target(um, sample_clear_word(um, 6, 0.25, seed=106), 6)
+    counts, _, _ = simulate_nonconventional_batch(um, sched, target, 1.0, 42, 20_000)
+    assert sha(counts) == "c788c5f4cc34bc3f84b5c3dd68324690611e6ebb45cd579ccb0d712d369dd6ea"
+    chain = FiniteMarkovChain([[0.7, 0.3], [0.1, 0.9]])
+    counts = simulate_arrival_batch(chain, linear_schedule(1), {1}, 100, 42, 5000)
+    assert sha(counts) == "2b4f86df597317c011d5a4b4cd1418e6aa06e42f14a5bd1109993e76fc057691"
+    monkeypatch.setattr("nonconv.markov._FIRST_ARRIVAL_STAGES", 1)
+    scaled, censored = hitting_time_batch(um, sched, target, 77, 10_000, lam_cap=2.0)
+    assert sha(scaled, censored) == (
+        "0369bbc53e93664557001a35e23d002191c118620b66178fd82e6aa363b68fa7"
+    )
 
 
 def test_counts_and_first_memory_is_free_of_the_horizon():
