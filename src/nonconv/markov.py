@@ -591,7 +591,9 @@ def sample_counts(chain, accept, q_cols, rng, replicates: int, expected_hits: fl
     Each batch (see ``_batches``) draws all its hits up to the horizon as
     packed int64 keys, which ``_counts_and_first`` counts.  A batch peaks
     near 35 B per hit under ``tracemalloc`` (634 MiB for the 2.0e7 hits of
-    the A4 target at n = 8).
+    the A4 target at n = 8).  First arrivals come from ``sample_first``,
+    which stops each replicate at its first arrival and leaves their law
+    unchanged.
     """
     counts = np.empty(replicates, dtype=np.int64)
     for engine, part in _batches(chain, accept, q_cols, replicates, expected_hits):
@@ -614,7 +616,7 @@ def sample_first(chain, accept, q_cols, rng, replicates: int, expected_hits: flo
         r = part.stop - part.start
         pending = engine.start(rng, r)
 
-        def hits(limit, done, engine=engine, pending=pending):
+        def hits(limit, done):
             pending.retire(done)
             return engine.sample_hits(rng, pending, limit)
 
