@@ -429,17 +429,27 @@ class _HitEngine:
         """
         cut = (limit + 1) << pending.shift  # keys of positions past the limit
         key, table = pending.key, pending.table
-        chunks, parked = [], []
+        # One buffer, doubled when full: a list of the rounds' arrays
+        # (hundreds, of up to 160 KB each) fills the malloc heap, and how much
+        # of it stays resident once they are freed varies from run to run by
+        # up to 20 MB.
+        out, n = np.empty(16 * key.size, dtype=np.int64), 0
+        parked = []
         while key.size:
             late = key >= cut
             if late.any():
                 parked.append((key[late], table[late]))
                 key, table = key[~late], table[~late]
-            chunks.append(key)
+            if n + key.size > out.size:
+                grown = np.empty(2 * (n + key.size), dtype=np.int64)
+                grown[:n] = out[:n]
+                out = grown
+            out[n : n + key.size] = key
+            n += key.size
             key, table = self._step(rng, key, table, pending.shift)
         pending.key = np.concatenate([key] + [k for k, _ in parked])
         pending.table = np.concatenate([table] + [t for _, t in parked])
-        return np.concatenate(chunks) if chunks else key
+        return out[:n]
 
     def _step(self, rng, key, table, shift: int):
         """The hit after each key, drawn from its table by one
