@@ -3,9 +3,9 @@
 The model: an array of i.i.d. 0-1 variables xi_i with success probability p,
 and the statistic S_n = sum_{l=1}^n prod_j xi_{q_j(l)}.  Alongside seeded
 simulation this module carries the exact law of S_n (components of terms
-linked by shared sites, one frontier transfer-matrix DP per incidence class,
-then convolution) and the Chen-Stein first/second moment terms that bound
-the distance to Poisson.
+linked by shared sites, one frontier DP of ``markov._frontier_law`` per
+incidence class, then convolution) and the Chen-Stein first/second moment
+terms that bound the distance to Poisson.
 """
 
 from __future__ import annotations
@@ -18,13 +18,11 @@ from functools import cached_property
 import numpy as np
 
 from .distributions import CountDistribution, PoissonLaw, dissociated_sum_bound, tv_distance
-from .errors import ResourceError, ValidationError
-from .markov import FiniteMarkovChain, sample_counts
+from .errors import ValidationError
+from .markov import FiniteMarkovChain, _check_law_cells, _count_law, _frontier_law, sample_counts
 from .rng import STREAM_BERNOULLI, derive_rng
 from .schedules import QSchedule
 from .sevastyanov import _pair_classes, _runs
-
-LAW_CELL_BUDGET = 2**22  # most floats (states x counts) one frontier DP may hold
 
 
 @dataclass(frozen=True)
@@ -122,69 +120,21 @@ def _component_labels(ranks: np.ndarray) -> np.ndarray:
         label = new
 
 
-def _score(x: np.ndarray, q: float) -> np.ndarray:
-    """Count pmfs (last axis) after adding a Bernoulli(q) term."""
-    y = (1.0 - q) * x
-    y[..., 1:] += q * x[..., :-1]
-    return y
-
-
-def _component_law(table: np.ndarray, p: float) -> np.ndarray:
-    """Count law of one component, from its rank table, by a frontier DP.
+def _component_law(table: np.ndarray, p: float, sites: FiniteMarkovChain) -> np.ndarray:
+    """Count law of one component, from its rank table.
 
     ``table`` holds each term's site ranks, one row per term.  A site of a
     single term only thins that term: it survives its j private sites with
-    probability p^j.  The shared sites are read in increasing order (the
-    transfer-matrix method).  A term is open from its first shared site to
-    its last.  The state is the set of open terms whose shared sites so far
-    are all 1, one axis of size 2 per open term, and each state carries the
-    pmf of the count so far on the last axis.  At a shared site, with
-    probability 1 - p every term through it dies; with probability p the
-    terms through it stay as they are, a term that opens there is alive,
-    and each alive term that ends there adds 1 with probability p^j.
+    probability p^j.  The shared sites are read by ``markov._frontier_law``
+    as ``sites``, the one-state chain, which accepts with probability p.
     """
     rows = [sorted(set(r)) for r in table.tolist()]
-    k = len(rows)
     degree = Counter(s for r in rows for s in r)
     thin = [p ** sum(degree[s] == 1 for s in r) for r in rows]
-    if k == 1:
+    if len(rows) == 1:
         return np.array([1.0 - thin[0], thin[0]])
     shared = [[s for s in r if degree[s] > 1] for r in rows]
-    through: dict[int, list[int]] = {}
-    for t, r in enumerate(shared):
-        for s in r:
-            through.setdefault(s, []).append(t)
-    x = np.zeros(k + 1)
-    x[0] = 1.0
-    frontier: list[int] = []  # open terms, one axis each, in axis order
-    for s in sorted(through):
-        axis = {t: i for i, t in enumerate(frontier)}
-        ts = through[s]
-        closing = sorted(axis[t] for t in ts if t in axis and shared[t][-1] == s)
-        cont = [axis[t] for t in ts if t in axis and shared[t][-1] > s]
-        opened = [t for t in ts if t not in axis and shared[t][-1] > s]
-        xp, xq = x, x
-        for i in reversed(closing):
-            at = (slice(None),) * i
-            xp = xp[at + (0,)] + _score(xp[at + (1,)], thin[frontier[i]])
-            xq = xq.sum(axis=i)
-        for i in cont:
-            i -= sum(c < i for c in closing)
-            dead = xq.sum(axis=i)
-            xq = np.stack([dead, np.zeros_like(dead)], axis=i)
-        for t in ts:
-            if t not in axis and shared[t][-1] == s:  # its only shared site
-                xp = _score(xp, thin[t])
-        gone = {frontier[i] for i in closing}
-        frontier = [t for t in frontier if t not in gone] + opened
-        c = len(opened)
-        if c == 0:
-            x = (1.0 - p) * xq + p * xp
-        else:
-            x = np.zeros(xq.shape[:-1] + (2,) * c + xq.shape[-1:])
-            x[(...,) + (0,) * c + (slice(None),)] = (1.0 - p) * xq
-            x[(...,) + (1,) * c + (slice(None),)] = p * xp
-    return x
+    return _frontier_law(sites, shared, np.array([p]), thin)
 
 
 def _trimmed_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -203,31 +153,6 @@ def _power(law: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _frontier_widths(ranks: np.ndarray, comp: np.ndarray, m: int) -> np.ndarray:
-    """The most terms open at once in each component.
-
-    Shared sites are those of two or more distinct terms, and a term is open
-    from its first to its last shared site.  The width is the running count
-    of open terms over the component's sites, with the terms that end at a
-    site taken off before those that start there.
-    """
-    rows = np.sort(ranks, axis=1)
-    distinct = np.ones(rows.shape, dtype=bool)
-    distinct[:, 1:] = rows[:, 1:] != rows[:, :-1]
-    shared = (np.bincount(rows[distinct], minlength=m) > 1)[rows]
-    first = np.where(shared, rows, m).min(axis=1)
-    last = np.where(shared, rows, -1).max(axis=1)
-    opens = np.flatnonzero(first < last)
-    width = np.zeros(int(comp.max()) + 1, dtype=np.int64)
-    if opens.size:
-        ev_comp = np.tile(comp[opens], 2)
-        ev_key = np.concatenate([first[opens] * 2 + 1, last[opens] * 2]) + ev_comp * (2 * m)
-        order = np.argsort(ev_key, kind="stable")
-        running = np.cumsum(np.repeat([1, -1], opens.size)[order])
-        np.maximum.at(width, ev_comp[order], running)
-    return width
-
-
 def exact_distribution(scheme: BernoulliScheme) -> CountDistribution:
     """Exact law of S_n: one frontier DP per incidence class, then convolution.
 
@@ -237,25 +162,23 @@ def exact_distribution(scheme: BernoulliScheme) -> CountDistribution:
     of one class have one law, so ``_component_law`` runs once per class and
     its law is raised to the class's multiplicity.
 
-    A component of frontier width w (the most terms open at once, where a
-    term is open from its first to its last shared site) and k terms holds
-    2^w (k + 1) floats in its DP.  A component over ``LAW_CELL_BUDGET``
-    floats raises ``ResourceError`` before any DP runs.  Counts whose
-    probability is below the smallest normal float are left out of the law.
+    A term is open from its first to its last shared site (a site of two
+    or more distinct terms), and ``markov._check_law_cells`` refuses a
+    component whose DP would hold more than ``markov.LAW_CELL_BUDGET``
+    floats before any DP runs.  Counts whose probability is below the
+    smallest normal float are left out of the law.
     """
     values, inverse = np.unique(scheme.term_indices, return_inverse=True)
     ranks = inverse.reshape(scheme.term_indices.shape)
     m, ell = values.size, scheme.ell
     comp = np.unique(_component_labels(ranks), return_inverse=True)[1].ravel()
-    sizes = np.bincount(comp)
-    width = _frontier_widths(ranks, comp, m)
-    cells = np.ldexp((sizes + 1).astype(float), width)
-    worst = int(cells.argmax())
-    if cells[worst] > LAW_CELL_BUDGET:
-        raise ResourceError(
-            f"a component with {width[worst]} open terms at once needs "
-            f"{cells[worst]:.3g} floats, over the budget of {LAW_CELL_BUDGET}"
-        )
+    rows = np.sort(ranks, axis=1)
+    distinct = np.ones(rows.shape, dtype=bool)
+    distinct[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    shared = (np.bincount(rows[distinct], minlength=m) > 1)[rows]
+    first = np.where(shared, rows, m).min(axis=1)
+    last = np.where(shared, rows, -1).max(axis=1)
+    sizes = _check_law_cells(first, last, comp, 1)
 
     # Rank tables: each component's sites by rank, its rows sorted.
     site_comp = np.empty(m, dtype=np.int64)
@@ -268,17 +191,16 @@ def exact_distribution(scheme: BernoulliScheme) -> CountDistribution:
     tables = tables[np.lexsort(tuple(tables[:, j] for j in range(ell - 1, -1, -1)) + (comp,))]
     term_start = np.cumsum(sizes) - sizes
 
+    sites = FiniteMarkovChain([[1.0]])  # i.i.d. sites need no chain state
     law = np.array([1.0])
     for k in np.unique(sizes):
         comps = np.flatnonzero(sizes == k)
         block = tables[term_start[comps][:, None] + np.arange(k)].reshape(comps.size, k * ell)
         classes, mults = np.unique(block, axis=0, return_counts=True)
         for key, mult in zip(classes, mults.tolist()):
-            class_law = _component_law(key.reshape(k, ell), scheme.p)
+            class_law = _component_law(key.reshape(k, ell), scheme.p, sites)
             law = _trimmed_convolve(law, _power(class_law, mult))
-    tiny = np.finfo(float).tiny
-    pmf = {k: float(v) for k, v in enumerate(law) if v >= tiny}
-    return CountDistribution(pmf=pmf, kind="exact")
+    return _count_law(law)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ Provides the invariant measure, a Doeblin certificate against the uniform
 reference measure, geometric mixing-rate fits, seeded simulation of the
 nonconventional arrival sum sum_l prod_j 1_Gamma(X_{q_j(l)}), and exact
 joint-arrival probabilities (b-coefficients) via restricted matrix products.
+The frontier DP ``_frontier_law`` gives the exact count law of all three
+models: of a Markov state set here, of a subshift target on its pattern
+chain, and of each Bernoulli incidence class on a one-state chain.
 
 The hit engine here (``_HitEngine``, with the batch loops ``sample_counts``
 and ``sample_first``) samples all three models: the i.i.d. Bernoulli sites
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .errors import CertificationError, ResourceError, ValidationError
 from .rng import STREAM_MARKOV, derive_rng
 
 ROW_SUM_TOL = 1e-12
-DEFAULT_PATH_BUDGET = 10**7
+LAW_CELL_BUDGET = 2**22  # most floats (states x counts x chain states) one frontier DP may hold
 LIFT_STATE_BUDGET = 1 << 12  # most lifted states: a dense S-by-S P of 128 MiB
 EXACT_B_TIME_BUDGET = 4096  # most restriction times per exact_b row
 _GATHER_CELLS = 1 << 20  # most gathered block cells per batched exact_b product (8 MiB)
@@ -213,6 +215,15 @@ def mixing_rate(chain: FiniteMarkovChain, horizon: int = 64) -> MixingCertificat
 # Simulation
 # ---------------------------------------------------------------------------
 
+def _states(chain, gamma) -> list[int]:
+    """The distinct states of ``gamma``, sorted; a state outside 0..M-1
+    raises ``ValidationError``."""
+    gamma = sorted({int(g) for g in gamma})
+    if any(g < 0 or g >= chain.M for g in gamma):
+        raise ValidationError("gamma contains out-of-range states")
+    return gamma
+
+
 def simulate_arrival_sum(chain, schedule, gamma, n: int, seed: int) -> int:
     """One draw of the arrival count over terms l = 1..n."""
     return int(simulate_arrival_batch(chain, schedule, gamma, n, seed, 1)[0])
@@ -225,9 +236,7 @@ def simulate_arrival_batch(chain, schedule, gamma, n, seed, replicates) -> np.nd
     X_0..X_{q_ell(n)} started from nu, by sampling the chain's entries into
     gamma with ``_HitEngine``.
     """
-    gamma = sorted({int(g) for g in gamma})
-    if any(g < 0 or g >= chain.M for g in gamma):
-        raise ValidationError("gamma contains out-of-range states")
+    gamma = _states(chain, gamma)
     if not gamma:
         return np.zeros(replicates, dtype=np.int64)
     q_cols = schedule.columns(n)
@@ -648,9 +657,7 @@ def exact_b(chain, gamma, times):
     over at most ``_GATHER_CELLS`` gathered block cells.  Raises
     ``ResourceError`` on more than ``EXACT_B_TIME_BUDGET`` times per row.
     """
-    gamma = tuple(sorted({int(g) for g in gamma}))
-    if any(g < 0 or g >= chain.M for g in gamma):
-        raise ValidationError("gamma contains out-of-range states")
+    gamma = tuple(_states(chain, gamma))
     rows = np.atleast_2d(np.asarray(times, dtype=np.int64))
     if rows.shape[1] > EXACT_B_TIME_BUDGET:
         raise ResourceError(
@@ -671,36 +678,123 @@ def exact_b(chain, gamma, times):
     return float(out[0]) if np.ndim(times) == 1 else out
 
 
-def exact_sum_distribution(
-    chain, schedule, gamma, n: int, path_budget: int = DEFAULT_PATH_BUDGET
-) -> CountDistribution:
-    """Exact law of the arrival count by weighted full-path enumeration.
+def _score(x: np.ndarray, q: float) -> np.ndarray:
+    """Count pmfs (axis -2) after adding a Bernoulli(q) term."""
+    y = (1.0 - q) * x
+    y[..., 1:, :] += q * x[..., :-1, :]
+    return y
 
-    Only feasible for tiny horizons: M^(q_ell(n)+1) paths are enumerated.
+
+def _frontier_law(chain, rows, accept, thin) -> np.ndarray:
+    """Count law of the terms ``rows`` by a frontier DP on ``chain``.
+
+    A term reads the chain at its positions ``rows[t]`` (distinct, sorted,
+    chain times from ``chain.nu`` at time 0) and holds when each read
+    accepts; a held term adds 1 to the count with probability ``thin[t]``.
+    A read in state s accepts with probability ``accept[s]``.  The positions
+    are read in increasing order (the transfer-matrix method), the chain
+    advancing between them by ``chain.propagate``.  A term is open from its
+    first position to its last.  The state is (alive or dead per open term,
+    one axis of size 2 each, then the count so far, then the chain state).
+    At a position, the rejecting mass kills every term through it; the
+    accepting mass keeps those terms as they are, a term that opens there
+    is alive, and each alive term that closes there is scored.  Both act on
+    the term and count axes only, so the two masses are weighed by
+    1 - ``accept`` and ``accept`` last.  The caller checks the size with
+    ``_check_law_cells`` first.
     """
-    gamma = frozenset(int(g) for g in gamma)
-    horizon = schedule.max_index(n)
-    n_paths = chain.M ** (horizon + 1)
-    if n_paths > path_budget:
+    through: dict[int, list[int]] = {}
+    for t, r in enumerate(rows):
+        for s in r:
+            through.setdefault(s, []).append(t)
+    x = np.zeros((len(rows) + 1, chain.M))
+    x[0] = chain.nu
+    now = 0
+    frontier: list[int] = []  # open terms, one axis each, in axis order
+    for s in sorted(through):
+        if chain.M > 1:  # a one-state chain stays put
+            x = chain.propagate(x, s - now)
+        now = s
+        axis = {t: i for i, t in enumerate(frontier)}
+        ts = through[s]
+        closing = sorted(axis[t] for t in ts if t in axis and rows[t][-1] == s)
+        cont = [axis[t] for t in ts if t in axis and rows[t][-1] > s]
+        opened = [t for t in ts if t not in axis and rows[t][-1] > s]
+        xp, xq = x, x  # the accepting and the rejecting mass
+        for i in reversed(closing):
+            at = (slice(None),) * i
+            xp = xp[at + (0,)] + _score(xp[at + (1,)], thin[frontier[i]])
+            xq = xq.sum(axis=i)
+        for i in cont:
+            i -= sum(c < i for c in closing)
+            dead = xq.sum(axis=i)
+            xq = np.stack([dead, np.zeros_like(dead)], axis=i)
+        for t in ts:
+            if t not in axis and rows[t][-1] == s:  # its only position
+                xp = _score(xp, thin[t])
+        gone = {frontier[i] for i in closing}
+        frontier = [t for t in frontier if t not in gone] + opened
+        c = len(opened)
+        if c == 0:
+            x = (1.0 - accept) * xq + accept * xp
+        else:
+            x = np.zeros(xq.shape[:-2] + (2,) * c + xq.shape[-2:])
+            x[(...,) + (0,) * c + (slice(None),) * 2] = (1.0 - accept) * xq
+            x[(...,) + (1,) * c + (slice(None),) * 2] = accept * xp
+    return x.sum(axis=-1)
+
+
+def _check_law_cells(first, last, comp, states: int) -> np.ndarray:
+    """Terms per component, after refusing a DP over ``LAW_CELL_BUDGET``.
+
+    Term t of component ``comp[t]`` is open from ``first[t]`` to
+    ``last[t]`` (never, when first >= last).  A component's width w is the
+    most terms open at once, with the terms that close at a position taken
+    off before those that open there; its ``_frontier_law`` holds
+    2^w (k + 1) ``states`` floats for k terms.  Raises ``ResourceError``,
+    naming the worst component's width, before any DP runs.
+    """
+    sizes = np.bincount(comp)
+    width = np.zeros(sizes.size, dtype=np.int64)
+    opens = np.flatnonzero(first < last)
+    if opens.size:
+        ev_comp = np.tile(comp[opens], 2)
+        ev_key = np.concatenate([first[opens] * 2 + 1, last[opens] * 2])
+        order = np.lexsort((ev_key, ev_comp))
+        running = np.cumsum(np.repeat([1, -1], opens.size)[order])
+        np.maximum.at(width, ev_comp[order], running)
+    cells = np.ldexp(((sizes + 1) * states).astype(float), width)
+    worst = int(cells.argmax())
+    if cells[worst] > LAW_CELL_BUDGET:
         raise ResourceError(
-            f"{chain.M}^{horizon + 1} = {n_paths} paths exceed budget {path_budget}"
+            f"a component with {width[worst]} open terms at once needs "
+            f"{cells[worst]:.3g} floats, over the budget of {LAW_CELL_BUDGET}"
         )
-    times = schedule.columns(n).tolist()
-    pmf = np.zeros(n + 1)
-    for path in iter_product(range(chain.M), repeat=horizon + 1):
-        w = chain.nu[path[0]]
-        if w == 0.0:
-            continue
-        for a, b in zip(path, path[1:]):
-            w *= chain.P[a, b]
-            if w == 0.0:
-                break
-        if w == 0.0:
-            continue
-        count = sum(1 for tup in times if all(path[t] in gamma for t in tup))
-        pmf[count] += w
-    out = {k: float(v) for k, v in enumerate(pmf) if v > 0.0}
-    return CountDistribution(pmf=out, kind="exact")
+    return sizes
+
+
+def _count_law(law: np.ndarray) -> CountDistribution:
+    """The exact law of a pmf array, without the counts whose probability
+    is below the smallest normal float."""
+    tiny = np.finfo(float).tiny
+    return CountDistribution(pmf={k: float(v) for k, v in enumerate(law) if v >= tiny})
+
+
+def exact_sum_distribution(chain, schedule, gamma, n: int) -> CountDistribution:
+    """Exact law of the arrival count over terms l = 1..n, by ``_frontier_law``
+    on the chain with the indicator of gamma as its acceptance.
+
+    All n terms form one component, so its width is the most terms open at
+    once over the positions q_j(l); ``_check_law_cells`` refuses a DP of
+    more than ``LAW_CELL_BUDGET`` floats before it runs.
+    """
+    gamma = _states(chain, gamma)
+    q = schedule.columns(n)
+    _check_law_cells(q.min(axis=1), q.max(axis=1), np.zeros(n, dtype=np.int64), chain.M)
+    accept = np.zeros(chain.M)
+    accept[gamma] = 1.0
+    rows = [sorted(set(r)) for r in q.tolist()]
+    return _count_law(_frontier_law(chain, rows, accept, [1.0] * n))
 
 
 # ---------------------------------------------------------------------------

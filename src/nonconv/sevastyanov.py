@@ -359,12 +359,9 @@ def _ranges(counts: np.ndarray) -> np.ndarray:
 def _ratio_pairs(q, N, threshold, cutoff, rng, ratio_samples) -> list[tuple[int, int]]:
     """Non-rare pairs for the ratio band: for a probe set of indices above
     the cutoff, the nearest non-rare partner (where the ratio is most
-    extreme), then uniform draws.  Needs a non-rare pair to exist, so
-    cutoff < N - 1."""
-    def is_rare(i, j):
-        return _rare_mask(q, np.array([(i, j)]), threshold, cutoff)[0]
-
-    checked = 0
+    extreme), then uniform non-rare draws until there are ``ratio_samples``
+    pairs in all, or 20 ``ratio_samples`` draws were tried.  Needs a
+    non-rare pair to exist, so cutoff < N - 1."""
     probes = np.unique(rng.integers(cutoff + 1, N, size=min(64, max(1, N - cutoff - 1))))
     # a probe's nearest non-rare partner is the first j > i outside its
     # partner windows; start at j = i + 1 (0-based i) and hop over them
@@ -375,17 +372,15 @@ def _ratio_pairs(q, N, threshold, cutoff, rng, ratio_samples) -> list[tuple[int,
         nearest = np.where(inside, hi[:, k], nearest)
     pairs = [(int(i), int(j) + 1) for i, j in zip(probes, nearest) if j < N]
     tries = 0
-    while checked + len(pairs) < ratio_samples and tries < 20 * ratio_samples:
-        tries += 1
-        i = int(rng.integers(1, N + 1))
-        j = int(rng.integers(1, N + 1))
-        if i == j:
-            continue
-        tup = (min(i, j), max(i, j))
-        if is_rare(*tup):
-            continue
-        pairs.append(tup)
-        checked += 1
+    while len(pairs) < ratio_samples and tries < 20 * ratio_samples:
+        # as many tries (i, j) as pairs still wanted: each adds at most one,
+        # so the rng is drawn as by one try at a time
+        k = min(ratio_samples - len(pairs), 20 * ratio_samples - tries)
+        tries += k
+        draws = [(rng.integers(1, N + 1), rng.integers(1, N + 1)) for _ in range(k)]
+        tups = np.sort(draws, axis=1)
+        keep = (tups[:, 0] != tups[:, 1]) & ~_rare_mask(q, tups, threshold, cutoff)
+        pairs += [(int(i), int(j)) for i, j in tups[keep]]
     return pairs
 
 

@@ -34,7 +34,8 @@ import numpy as np
 
 from .distributions import CountDistribution
 from .errors import CertificationError, ResourceError, ValidationError
-from .markov import FiniteMarkovChain, envelope_fit, lex_words, sample_counts, sample_first
+from .markov import FiniteMarkovChain, envelope_fit, exact_sum_distribution, lex_words
+from .markov import sample_counts, sample_first
 from .markov import word_lift  # noqa: F401  the benchmark's traced run wraps this name
 from .rng import (
     STREAM_HITTING,
@@ -44,7 +45,6 @@ from .rng import (
     derive_rng,
 )
 from .schedules import QSchedule, logpow_cutoff
-
 
 
 @dataclass(frozen=True)
@@ -504,32 +504,9 @@ def hitting_time_batch(
 # ---------------------------------------------------------------------------
 
 def exact_sum_distribution_subshift(
-    measure: MarkovGibbsMeasure,
-    schedule: QSchedule,
-    target: CylinderTarget,
-    N: int,
-    path_budget: int = 10**7,
+    measure: MarkovGibbsMeasure, schedule: QSchedule, target: CylinderTarget, N: int
 ) -> CountDistribution:
-    """Exact law of the arrival count over terms l <= N, by word enumeration.
-
-    Enumerates every admissible word of length q_ell(N) + m weighted by its
-    cylinder probability; tiny N only.
-    """
-    horizon = schedule.max_index(N)
-    length = horizon + target.m
-    if measure.sft.iota**length > path_budget:
-        raise ResourceError(
-            f"{measure.sft.iota}^{length} words exceed budget {path_budget}"
-        )
-    times = schedule.columns(N).tolist()
-    blocks = set(target.blocks)
-    m = target.m
-    pmf = np.zeros(N + 1)
-    for w in measure.sft.words(length):
-        p = cylinder_prob(measure, w)
-        count = sum(
-            1 for tup in times if all(w[t : t + m] in blocks for t in tup)
-        )
-        pmf[count] += p
-    out = {k: float(v) for k, v in enumerate(pmf) if v > 0.0}
-    return CountDistribution(pmf=out, kind="exact")
+    """Exact law of the arrival count over terms l <= N:
+    ``markov.exact_sum_distribution`` on the target's pattern chain."""
+    chain, accept = pattern_chain(measure, target.blocks)
+    return exact_sum_distribution(chain, schedule, accept, N)

@@ -20,7 +20,7 @@ from nonconv import (
     tv_distance,
     verify_poisson_bound,
 )
-from nonconv import bernoulli
+from nonconv import bernoulli, markov
 from nonconv.errors import ResourceError, ValidationError
 from nonconv.schedules import (
     QSchedule,
@@ -239,23 +239,23 @@ def test_law_cell_budget_resource_error(monkeypatch):
     # linear ell = 3 at n = 40: the component of term 1 has 5 terms open at
     # once and 14 terms, a DP of 2^5 * 15 = 480 floats
     scheme = _scheme(40, 3, 0.2)
-    monkeypatch.setattr(bernoulli, "LAW_CELL_BUDGET", 479)
+    monkeypatch.setattr(markov, "LAW_CELL_BUDGET", 479)
     with pytest.raises(ResourceError, match="5 open terms at once needs 480 floats"):
         exact_distribution(scheme)
-    monkeypatch.setattr(bernoulli, "LAW_CELL_BUDGET", 480)
+    monkeypatch.setattr(markov, "LAW_CELL_BUDGET", 480)
     exact_distribution(scheme)
     # linear ell = 2 is a chain, one term open at a time: at n = 4096 the
     # largest component, terms 1, 2, 4, ..., 4096, needs 2^1 * 14 floats
     chain = _scheme(4096, 2, 0.2)
-    monkeypatch.setattr(bernoulli, "LAW_CELL_BUDGET", 27)
+    monkeypatch.setattr(markov, "LAW_CELL_BUDGET", 27)
     with pytest.raises(ResourceError, match="1 open terms at once needs 28 floats"):
         exact_distribution(chain)
-    monkeypatch.setattr(bernoulli, "LAW_CELL_BUDGET", 28)
+    monkeypatch.setattr(markov, "LAW_CELL_BUDGET", 28)
     exact_distribution(chain)
 
 
 def test_frontier_budgets_refuse_before_any_dp(monkeypatch):
-    def no_dp(table, p):
+    def no_dp(table, p, sites):
         raise AssertionError("the frontier DP ran")
 
     monkeypatch.setattr(bernoulli, "_component_law", no_dp)
@@ -274,7 +274,7 @@ def test_frontier_budgets_refuse_before_any_dp(monkeypatch):
     # the budget is read at call time: linear ell = 3 at n = 1024 needs 10
     # open terms at once, refused under a budget of 1024 floats
     scheme = BernoulliScheme.from_lambda(1024, 3, 1.0, linear_schedule(3))
-    monkeypatch.setattr(bernoulli, "LAW_CELL_BUDGET", 2**10)
+    monkeypatch.setattr(markov, "LAW_CELL_BUDGET", 2**10)
     with pytest.raises(ResourceError, match="10 open terms at once .* over the budget of 1024"):
         exact_distribution(scheme)
     with pytest.raises(ResourceError, match="10 open terms at once .* over the budget of 1024"):

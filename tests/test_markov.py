@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nonconv
@@ -183,6 +183,14 @@ def test_exact_sum_distribution_single_term():
     assert dist.prob(0) == pytest.approx(1 - b1, rel=1e-10)
 
 
+@pytest.mark.parametrize("gamma", [{5}, {-1}])
+def test_exact_sum_distribution_refuses_out_of_range_gamma(gamma):
+    # -1 would read the acceptance vector from its end
+    chain = FiniteMarkovChain(P_AB)
+    with pytest.raises(ValidationError, match="gamma contains out-of-range states"):
+        exact_sum_distribution(chain, linear_schedule(1), gamma, 3)
+
+
 def test_exact_sum_distribution_matches_mc():
     chain = FiniteMarkovChain(P_AB)
     sched = linear_schedule(2)
@@ -197,9 +205,142 @@ def test_exact_sum_distribution_matches_mc():
 
 
 def test_exact_sum_distribution_budget():
+    # linear ell = 2 at n = 32: terms 17..32 are open at position 32, a DP
+    # of 2^16 * 33 * 2 floats, over the 2^22 budget
     chain = FiniteMarkovChain(P_AB)
-    with pytest.raises(ResourceError):
-        exact_sum_distribution(chain, linear_schedule(2), {0}, 30)
+    with pytest.raises(ResourceError, match="16 open terms at once needs 4.33e\\+06 floats"):
+        exact_sum_distribution(chain, linear_schedule(2), {0}, 32)
+
+
+def _path_enumeration_law(chain, schedule, gamma, n):
+    """Reference count law: every path X_0..X_H (H = q_ell(n)) from nu,
+    weighted by its probability."""
+    times = schedule.columns(n).tolist()
+    pmf = np.zeros(n + 1)
+    for path in itertools.product(range(chain.M), repeat=schedule.max_index(n) + 1):
+        w = chain.nu[path[0]] * math.prod(chain.P[a, b] for a, b in zip(path, path[1:]))
+        pmf[sum(all(path[t] in gamma for t in tup) for tup in times)] += w
+    return pmf
+
+
+def _word_enumeration_law(measure, schedule, blocks, N):
+    """Reference count law: every admissible word of length q_ell(N) + m,
+    weighted by its cylinder probability; term l arrives when the m-window
+    at each of its positions is a block."""
+    times = schedule.columns(N).tolist()
+    m, blocks = len(blocks[0]), set(blocks)
+    pmf = np.zeros(N + 1)
+    for w in measure.sft.words(schedule.max_index(N) + m):
+        pmf[sum(all(w[t : t + m] in blocks for t in tup) for tup in times)] += cylinder_prob(
+            measure, w
+        )
+    return pmf
+
+
+@st.composite
+def _law_cases(draw):
+    """A chain with M <= 4 states (zeros allowed where it stays Doeblin), a
+    start law that need not be stationary, a linear, arithmetic-gap or
+    table schedule, and n with at most 2^12 paths or words to enumerate."""
+    M = draw(st.integers(1, 4))
+    weights = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+    P = np.array(draw(st.lists(weights, min_size=M * M, max_size=M * M))).reshape(M, M)
+    assume(P.sum(axis=1).all())
+    nu = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=M, max_size=M)))
+    assume(nu.sum() > 0)
+    try:
+        chain = FiniteMarkovChain(P / P.sum(axis=1, keepdims=True), nu / nu.sum())
+    except CertificationError:
+        assume(False)
+    family = draw(st.sampled_from(["linear", "arithmetic_gap", "table"]))
+    if family == "linear":
+        sched = linear_schedule(draw(st.integers(1, 3)))
+    elif family == "arithmetic_gap":
+        sched = arithmetic_gap_schedule(2, 1.0, 0.5)
+    else:
+        ell, rows = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        steps = draw(st.lists(st.lists(st.integers(1, 2), min_size=ell, max_size=ell),
+                              min_size=rows, max_size=rows))
+        sched = table_schedule(np.cumsum(np.cumsum(steps, axis=0), axis=1).tolist())
+    n = draw(st.integers(1, rows if family == "table" else 6))
+    return chain, sched, n
+
+
+@given(_law_cases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_exact_laws_match_enumeration(case, data):
+    chain, sched, n = case
+    H = sched.max_index(n)
+    if chain.M ** (H + 1) <= 2**12:
+        gamma = data.draw(st.sets(st.integers(0, chain.M - 1)), label="gamma")
+        want = _path_enumeration_law(chain, sched, gamma, n)
+        got = exact_sum_distribution(chain, sched, gamma, n)
+        assert max(abs(got.prob(k) - want[k]) for k in range(n + 1)) <= 1e-13
+        assert max(got.pmf, default=0) <= n
+    # the chain's stationary Markov measure, with a word-set target and a
+    # cylinder target refined by extensions (keep_fraction drops some)
+    if chain.M < 2:
+        return
+    measure = MarkovGibbsMeasure(SubshiftSFT.from_matrix(chain.P > 0), chain.P)
+    k = data.draw(st.integers(1, 3), label="k")
+    assume(chain.M ** (H + k) <= 2**12)
+    admissible = list(measure.sft.words(k))
+    words = tuple(data.draw(st.lists(st.sampled_from(admissible), min_size=1, unique=True),
+                            label="words"))
+    want = _word_enumeration_law(measure, sched, words, n)
+    pchain, accept = pattern_chain(measure, words)
+    got = exact_sum_distribution(pchain, sched, accept, n)
+    assert max(abs(got.prob(j) - want[j]) for j in range(n + 1)) <= 1e-13
+    prefix = data.draw(st.sampled_from(admissible), label="prefix")
+    target = make_target(measure, prefix + prefix, k, s=data.draw(st.sampled_from([0.0, 1.0])),
+                         refine_seed=data.draw(st.integers(0, 9)), keep_fraction=0.5)
+    if measure.sft.iota ** (H + target.m) <= 2**12:
+        want = _word_enumeration_law(measure, sched, target.blocks, n)
+        got = exact_sum_distribution_subshift(measure, sched, target, n)
+        assert max(abs(got.prob(j) - want[j]) for j in range(n + 1)) <= 1e-13
+
+
+def _reach(law):
+    """The largest N at which ``law(N)`` finishes under the budget (it
+    finishes at every smaller N), and the tracemalloc peak of its refusal
+    at N + 1."""
+    N = 0
+    while True:
+        tracemalloc.start()
+        try:
+            law(N + 1)
+        except ResourceError:
+            peak = tracemalloc.get_traced_memory()[1]
+            return N, peak
+        finally:
+            tracemalloc.stop()
+        N += 1
+
+
+def test_exact_law_reach_under_the_budget():
+    """The largest N whose exact law fits the frontier DP's budget.
+
+    Linear ell = 2 on a 2-state chain, and A4's schedule on the pattern
+    chain of a 4-cylinder of the full 2-shift.  Past it the law is refused
+    before the DP allocates.
+    """
+    chain = FiniteMarkovChain(P_AB)
+    um = uniform_measure(full_shift(2))
+    target = make_target(um, sample_clear_word(um, 4, 0.25, seed=104), 4)
+    a4 = arithmetic_gap_schedule(2, 4.0, 0.5)
+    cases = {
+        "linear ell = 2, 2-state chain":
+            lambda N: exact_sum_distribution(chain, linear_schedule(2), {0}, N),
+        "arithmetic_gap(2, 4, 0.5), 4-cylinder":
+            lambda N: exact_sum_distribution_subshift(um, a4, target, N),
+    }
+    print()
+    reach = {}
+    for name, law in cases.items():
+        reach[name], peak = _reach(law)
+        print(f"{name:40s} largest N = {reach[name]}, refusal peak {peak} B")
+        assert peak < 2**20
+    assert list(reach.values()) == [31, 24]
 
 
 def test_word_lift_marginals():

@@ -420,6 +420,15 @@ def test_ratio_probe_pairs_are_nearest_non_rare_partners(sched, threshold, cutof
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def test_ratio_pairs_draw_the_pairs_asked_for():
+    # the probes' nearest partners and the uniform draws together make the
+    # ratio_samples pairs; counting each draw twice stopped at 287 of 512
+    q = linear_schedule(2).columns(1000)
+    pairs = _ratio_pairs(q, 1000, 3, 2, derive_rng(1, 7), ratio_samples=512)
+    assert len(pairs) == 512
+    assert not _rare_mask(q, np.array(pairs), 3, 2).any()
+
+
 def test_disjoint_positions_factorize_exactly():
     # all windows are disjoint and the array is i.i.d., so every non-rare
     # pair factorizes and the band is degenerate at 1
