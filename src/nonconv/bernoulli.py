@@ -87,10 +87,7 @@ def simulate_batch(scheme: BernoulliScheme, seed: int, replicates: int) -> np.nd
     p = scheme.p
     chain = FiniteMarkovChain([[1.0 - p, p], [1.0 - p, p]], nu=[1.0 - p, p])
     ranks = np.searchsorted(scheme.needed_indices, scheme.term_indices)
-    expected_hits = max(1.0, scheme.needed_indices.size * p)
-    return sample_counts(
-        chain, [1], ranks, derive_rng(seed, STREAM_BERNOULLI), replicates, expected_hits
-    )
+    return sample_counts(chain, [1], ranks, derive_rng(seed, STREAM_BERNOULLI), replicates)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ import yaml
 
 from . import __version__
 from .distributions import PoissonLaw, empirical_distribution, tv_distance
-from .errors import ConfigError, NonconvError, ScheduleError
+from .errors import ConfigError, NonconvError, ScheduleError, ValidationError
 from .markov import ROW_SUM_TOL
 from .rng import STREAM_HITTING, derive_seed
 from .schedules import (
@@ -86,7 +86,7 @@ def load_config(path) -> dict:
     text = Path(path).read_text()
     doc = yaml.safe_load(text)
     if not isinstance(doc, dict):
-        raise ConfigError(["config must be a YAML mapping"])
+        raise ValidationError("config must be a YAML mapping")
     doc["_raw_bytes"] = text.encode()
     return doc
 
@@ -387,16 +387,6 @@ class _RunContext:
             max_lift=int(mp["max_lift"]),
         ))
 
-    def markov_stage(self, n: int):
-        """(pattern chain, accept states) of Gamma_n's words, built once."""
-        from .subshift import pattern_chain
-
-        def build():
-            targets = self.markov_targets()
-            return pattern_chain(targets.measure, targets.entries[n].words)
-
-        return self._once(("stage", n), build)
-
     # -- subshift ---------------------------------------------------------
 
     def subshift_measure(self):
@@ -470,7 +460,7 @@ def table_pmf_vs_poisson(ctx: _RunContext):
         targets = ctx.markov_targets()
         for n in ctx.n_grid:
             if ctx.replicates > 0:
-                chain, accept = ctx.markov_stage(n)
+                chain, accept = targets.entries[n].chain
                 samples = simulate_arrival_batch(
                     chain, ctx.schedule, accept, n, ctx.seed, ctx.replicates
                 )
@@ -548,7 +538,8 @@ def table_sevastyanov_report(ctx: _RunContext):
     if ctx.model == "bernoulli":
         factory = bernoulli_model_oracle(ctx.schedule.ell, ctx.lam, ctx.schedule)
     elif ctx.model == "markov":
-        factory = pattern_chain_oracle(ctx.schedule, lambda n: (*ctx.markov_stage(n), n))
+        targets = ctx.markov_targets()
+        factory = pattern_chain_oracle(ctx.schedule, lambda n: (*targets.entries[n].chain, n))
     else:
         factory = subshift_model_oracle(
             ctx.subshift_measure(), ctx.schedule, ctx.lam, ctx.subshift_target
@@ -712,7 +703,7 @@ def main(argv=None) -> int:
     if args.command == "validate":
         try:
             cfg = load_config(args.config)
-        except (OSError, yaml.YAMLError, ConfigError) as e:
+        except (OSError, yaml.YAMLError, ValidationError) as e:
             print(f"error: {_one_line(e)}", file=sys.stderr)
             return 1
         faults = validate_config(cfg)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -51,23 +50,6 @@ class CountDistribution:
 
     def max_count(self) -> int:
         return max(self.pmf) if self.pmf else 0
-
-    def to_json(self) -> str:
-        doc = {"kind": self.kind, "pmf": {str(k): p for k, p in sorted(self.pmf.items())},
-               "tail_mass": self.tail_mass}
-        if self.sample_size is not None:
-            doc["sample_size"] = self.sample_size
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CountDistribution":
-        doc = json.loads(text)
-        return cls(
-            pmf={int(k): float(p) for k, p in doc["pmf"].items()},
-            tail_mass=float(doc.get("tail_mass", 0.0)),
-            kind=doc.get("kind", "exact"),
-            sample_size=doc.get("sample_size"),
-        )
 
 
 @dataclass(frozen=True)

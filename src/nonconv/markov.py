@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .errors import CertificationError, ResourceError, ValidationError
 from .rng import STREAM_MARKOV, derive_rng
 
 ROW_SUM_TOL = 1e-12
-LAW_CELL_BUDGET = 2**22  # most floats (states x counts x chain states) one frontier DP may hold
+LAW_CELL_BUDGET = 2**22  # most floats in one frontier DP state array; the DP peaks near 3x
 LIFT_STATE_BUDGET = 1 << 12  # most lifted states: a dense S-by-S P of 128 MiB
 EXACT_B_TIME_BUDGET = 4096  # most restriction times per exact_b row
 _GATHER_CELLS = 1 << 20  # most gathered block cells per batched exact_b product (8 MiB)
@@ -239,10 +240,8 @@ def simulate_arrival_batch(chain, schedule, gamma, n, seed, replicates) -> np.nd
     gamma = _states(chain, gamma)
     if not gamma:
         return np.zeros(replicates, dtype=np.int64)
-    q_cols = schedule.columns(n)
-    expected_hits = max(1.0, (q_cols[-1, -1] + 1) * float(chain.mu[gamma].sum()))
     return sample_counts(
-        chain, gamma, q_cols, derive_rng(seed, STREAM_MARKOV), replicates, expected_hits
+        chain, gamma, schedule.columns(n), derive_rng(seed, STREAM_MARKOV), replicates
     )
 
 
@@ -590,12 +589,14 @@ def _first_arrivals(q_cols, replicates: int, hits, stages: int) -> np.ndarray:
     return first
 
 
-def _batches(chain, accept, q_cols, replicates: int, expected_hits: float):
+def _batches(chain, accept, q_cols, replicates: int):
     """(engine, replicate slice) of each batch of about 2e7 expected hits,
-    all drawn from one ``_HitEngine`` over the horizon q_ell(N).  Raises
+    all drawn from one ``_HitEngine`` over the horizon q_ell(N).  A
+    replicate expects about horizon * mu(accept) hits (at least 1).  Raises
     ``ResourceError`` before building the engine when a batch's keys would
     overflow int64 (see ``_key_shift``)."""
     horizon = int(q_cols[-1, -1])
+    expected_hits = max(1.0, horizon * float(chain.mu[accept].sum()))
     batch = max(64, min(replicates, int(2e7 / expected_hits)))
     _key_shift(horizon, min(batch, replicates))
     engine = _HitEngine(chain, accept, horizon)
@@ -603,7 +604,7 @@ def _batches(chain, accept, q_cols, replicates: int, expected_hits: float):
         yield engine, slice(done, min(done + batch, replicates))
 
 
-def sample_counts(chain, accept, q_cols, rng, replicates: int, expected_hits: float):
+def sample_counts(chain, accept, q_cols, rng, replicates: int):
     """Per-replicate arrival count of the terms whose positions ``q_cols``
     all fall where ``chain`` sits in ``accept``, started from ``chain.nu``.
 
@@ -615,14 +616,14 @@ def sample_counts(chain, accept, q_cols, rng, replicates: int, expected_hits: fl
     unchanged.
     """
     counts = np.empty(replicates, dtype=np.int64)
-    for engine, part in _batches(chain, accept, q_cols, replicates, expected_hits):
+    for engine, part in _batches(chain, accept, q_cols, replicates):
         r = part.stop - part.start
         hits = engine.sample_hits(rng, engine.start(rng, r), engine.horizon)
         counts[part] = _counts_and_first(q_cols, hits, r)[0]
     return counts
 
 
-def sample_first(chain, accept, q_cols, rng, replicates: int, expected_hits: float):
+def sample_first(chain, accept, q_cols, rng, replicates: int):
     """Per-replicate first arriving term l (0 = none) of the terms that
     ``sample_counts`` counts, with the same law.
 
@@ -631,7 +632,7 @@ def sample_first(chain, accept, q_cols, rng, replicates: int, expected_hits: flo
     of its first arrival.
     """
     first = np.empty(replicates, dtype=np.int64)
-    for engine, part in _batches(chain, accept, q_cols, replicates, expected_hits):
+    for engine, part in _batches(chain, accept, q_cols, replicates):
         r = part.stop - part.start
         pending = engine.start(rng, r)
 
@@ -750,9 +751,12 @@ def _check_law_cells(first, last, comp, states: int) -> np.ndarray:
     Term t of component ``comp[t]`` is open from ``first[t]`` to
     ``last[t]`` (never, when first >= last).  A component's width w is the
     most terms open at once, with the terms that close at a position taken
-    off before those that open there; its ``_frontier_law`` holds
-    2^w (k + 1) ``states`` floats for k terms.  Raises ``ResourceError``,
-    naming the worst component's width, before any DP runs.
+    off before those that open there; its ``_frontier_law`` state holds
+    2^w (k + 1) ``states`` floats for k terms, and the DP about three such
+    arrays at a position (the state, the accepting and rejecting masses,
+    the next state).  Raises ``ResourceError`` on a state over
+    ``LAW_CELL_BUDGET``, naming the worst component's width, before any DP
+    runs.
     """
     sizes = np.bincount(comp)
     width = np.zeros(sizes.size, dtype=np.int64)
@@ -785,8 +789,10 @@ def exact_sum_distribution(chain, schedule, gamma, n: int) -> CountDistribution:
     on the chain with the indicator of gamma as its acceptance.
 
     All n terms form one component, so its width is the most terms open at
-    once over the positions q_j(l); ``_check_law_cells`` refuses a DP of
-    more than ``LAW_CELL_BUDGET`` floats before it runs.
+    once over the positions q_j(l); ``_check_law_cells`` refuses a DP whose
+    state array has more than ``LAW_CELL_BUDGET`` floats before it runs.  At
+    the budget the DP peaks near three times that (linear ell = 2 on a
+    2-state chain at n = 31: 96.1 MiB under ``tracemalloc``).
     """
     gamma = _states(chain, gamma)
     q = schedule.columns(n)
@@ -803,9 +809,17 @@ def exact_sum_distribution(chain, schedule, gamma, n: int) -> CountDistribution:
 
 @dataclass(frozen=True)
 class TargetSet:
+    measure: object  # the chain's MarkovGibbsMeasure, whose cylinders the words are
     words: tuple[tuple[int, ...], ...]  # Gamma_n: k-words, in lexicographic order
     mass: float  # mu(Gamma_n), the sum of the words' cylinder masses
     realized_lambda: float
+
+    @cached_property
+    def chain(self):
+        """(pattern chain, accept states) of the words: ``subshift.pattern_chain``."""
+        from .subshift import pattern_chain
+
+        return pattern_chain(self.measure, self.words)
 
 
 @dataclass(frozen=True)
@@ -930,5 +944,5 @@ def choose_target_sets(
         _, k, chosen, total, realized = best
         # unravel_index reads the most significant digit, w_(k-1), first
         words = sorted(tuple(int(a) for a in np.unravel_index(i, (M,) * k)[::-1]) for i in chosen)
-        entries[n] = TargetSet(tuple(words), float(total), float(realized))
+        entries[n] = TargetSet(measure, tuple(words), float(total), float(realized))
     return TargetSetSequence(lam=lam, ell=ell, measure=measure, entries=entries)

@@ -607,11 +607,10 @@ def pattern_chain_oracle(schedule: QSchedule, stage):
 def subshift_model_oracle(measure, schedule: QSchedule, lam: float, target_fn):
     """Stage factory for the cylinder targets ``target_fn(n)``, with the N
     summands whose N * P(B_n)^ell is closest to lam."""
-    from .subshift import pattern_chain, replicate_count
+    from .subshift import replicate_count
 
     def stage(n):
         target = target_fn(n)
-        chain, accept = pattern_chain(target.measure, target.blocks)
-        return chain, accept, replicate_count(target, schedule.ell, lam)
+        return (*target.chain, replicate_count(target, schedule.ell, lam))
 
     return pattern_chain_oracle(schedule, stage)

@@ -9,6 +9,8 @@ Every exact law of the target's occurrences comes from its pattern chain
 (``pattern_chain``): the Markov-chain embedding of block occurrences (Fu &
 Koutras, JASA 1994) on an Aho-Corasick automaton of the target blocks (Aho
 & Corasick, CACM 1975), with at most (total block length) + iota states.
+``CylinderTarget.chain`` builds it once per target; the samplers, the exact
+law and the stage oracle read it there, with the target's measure.
 
 Simulation of the arrival statistic is exact but sparse: instead of
 materializing a sample path of length q_ell(N) we sample the successive
@@ -18,7 +20,8 @@ draws from first-passage laws computed once on that chain; the resulting
 hit set has the law of the hit set of a simulated path, up to the survival
 mass the tables drop.  The samplers are ``markov.sample_counts`` and, for
 the hitting time, ``markov.sample_first``, on the hit engine shared with
-the Bernoulli and Markov models.  The b-oracle,
+the Bernoulli and Markov models; they size their batches from the chain's
+mass on its accept states.  The b-oracle,
 ``sevastyanov.pattern_chain_oracle``, runs ``markov.exact_b`` on the same
 chain, as it does for the word sets of the Markov model.
 """
@@ -319,6 +322,11 @@ class CylinderTarget:
     def prob(self) -> float:
         return float(sum(cylinder_prob(self.measure, b) for b in self.blocks))
 
+    @cached_property
+    def chain(self):
+        """(pattern chain, accept states) of the blocks: ``pattern_chain``."""
+        return pattern_chain(self.measure, self.blocks)
+
 
 def make_target(
     measure: MarkovGibbsMeasure,
@@ -456,9 +464,7 @@ def _sample_target(
         raise ValidationError(
             "schedules with ell >= 2 must declare gap_params (c, gamma) growth"
         )
-    chain, accept = pattern_chain(target.measure, target.blocks)
-    expected_hits = max(1.0, schedule.max_index(N) * target.prob)
-    return sample(chain, accept, schedule.columns(N), rng, replicates, expected_hits)
+    return sample(*target.chain, schedule.columns(N), rng, replicates)
 
 
 def simulate_nonconventional_batch(
@@ -508,5 +514,5 @@ def exact_sum_distribution_subshift(
 ) -> CountDistribution:
     """Exact law of the arrival count over terms l <= N:
     ``markov.exact_sum_distribution`` on the target's pattern chain."""
-    chain, accept = pattern_chain(measure, target.blocks)
+    chain, accept = target.chain
     return exact_sum_distribution(chain, schedule, accept, N)

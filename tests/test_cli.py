@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nonconv.cli
+import nonconv.subshift
 from nonconv.cli import TABLES, load_config, main, run, validate_config
 from nonconv.errors import ConfigError, NonconvError
 
@@ -362,10 +363,20 @@ def test_seed_changes_empirical_output(tmp_path):
     ).read_bytes()
 
 
-def test_run_markov_tables(tmp_path):
+def test_run_markov_tables(tmp_path, monkeypatch):
+    built = []
+    pattern_chain = nonconv.subshift.pattern_chain
+
+    def counted(measure, blocks):
+        built.append(blocks)
+        return pattern_chain(measure, blocks)
+
+    monkeypatch.setattr(nonconv.subshift, "pattern_chain", counted)
     cfg = _write(tmp_path, MARKOV_CFG)
     out = tmp_path / "out"
     manifest = run(cfg, out)
+    # the pmf and sevastyanov tables read one pattern chain per n
+    assert len(built) == 2 and built[0] != built[1]
     mix = (out / "mixing_certificates.csv").read_text()
     assert "mixing_beta" in mix and "doeblin_C" in mix
     sev = (out / "sevastyanov_report.csv").read_text()
@@ -565,11 +576,13 @@ def test_main_run_subcommand(tmp_path):
 def test_main_reports_a_missing_or_malformed_config(tmp_path, capsys, command):
     # both subcommands print one error line, not a traceback, and exit 1
     malformed = _write(tmp_path, "model: [bernoulli\n", "malformed.yaml")
-    for path in (tmp_path / "missing.yaml", malformed):
+    not_a_mapping = _write(tmp_path, "- 1\n", "list.yaml")
+    for path in (tmp_path / "missing.yaml", malformed, not_a_mapping):
         extra = ["--out", str(tmp_path / "out")] if command == "run" else []
         assert main([command, str(path), *extra]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == "error: config must be a YAML mapping\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -1,6 +1,5 @@
 """Count distributions, Poisson laws, total variation, and shift bounds."""
 
-import json
 import math
 
 import numpy as np
@@ -97,15 +96,6 @@ def test_empirical_poisson_draws_within_ci():
     d = empirical_distribution(rng.poisson(1.0, size=100_000).tolist())
     sigma = math.sqrt(math.exp(-1) * (1 - math.exp(-1)) / 100_000)
     assert abs(d.prob(0) - math.exp(-1)) < 3 * sigma
-
-
-def test_json_roundtrip():
-    d = CountDistribution(pmf={0: 0.25, 2: 0.75}, kind="empirical", sample_size=8)
-    back = CountDistribution.from_json(d.to_json())
-    assert back.pmf == d.pmf
-    assert back.kind == d.kind and back.sample_size == 8
-    payload = json.loads(d.to_json())
-    assert payload["kind"] == "empirical"
 
 
 def _random_dist(draw_probs):

@@ -477,6 +477,27 @@ def test_resumed_sampler_keeps_each_parked_hit():
     assert set((rest & 3).tolist()) == {0, 2}
 
 
+def test_target_builds_its_pattern_chain_once(monkeypatch):
+    # the samplers, the exact law and the stage oracle all read the
+    # target's one cached (chain, accept)
+    calls = []
+
+    def counted(measure, blocks):
+        calls.append(blocks)
+        return pattern_chain(measure, blocks)
+
+    monkeypatch.setattr("nonconv.subshift.pattern_chain", counted)
+    measure = uniform_measure(full_shift(2))
+    sched = linear_schedule(2)
+    target = make_target(measure, (1, 0), 2)
+    simulate_nonconventional_batch(measure, sched, target, 1.0, 1, 50)
+    hitting_time_batch(measure, sched, target, 2, 50, lam_cap=1.0)
+    exact_sum_distribution_subshift(measure, sched, target, 5)
+    stage = subshift_model_oracle(measure, sched, 1.0, lambda n: target)(target.n)
+    assert stage.b([3]) == pytest.approx(target.prob**2)
+    assert calls == [target.blocks]
+
+
 def test_arrival_draws_are_pinned(monkeypatch):
     # sha256 of the arrival counts and of the one-stage hitting times, as
     # drawn before the first-arrival sampler ran in stages: the arrival
@@ -536,7 +557,7 @@ def test_counts_and_first_refuses_keys_that_overflow():
     rng = derive_rng(1, 0)
     state = rng.bit_generator.state
     with pytest.raises(ResourceError, match="overflow"):
-        sample_counts(chain, [1], q, rng, 16, 1.0)
+        sample_counts(chain, [1], q, rng, 16)
     assert rng.bit_generator.state == state
 
 
@@ -558,7 +579,7 @@ def test_hit_sampling_memory_per_hit(monkeypatch):
     monkeypatch.setattr("nonconv.markov._counts_and_first", count)
     tracemalloc.start()
     try:
-        sample_counts(chain, accept, q, derive_rng(42, 0), 5000, (q[-1, -1] + 1) * target.prob)
+        sample_counts(chain, accept, q, derive_rng(42, 0), 5000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
