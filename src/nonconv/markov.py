@@ -285,8 +285,12 @@ class _HitEngine:
     horizon.  A table of L entries has a guide of G + 1 cells, G the
     smallest power of two >= 2 L: guide[k] = searchsorted(cdf, k / G,
     "right").  A uniform u in bucket k = floor(u G) draws guide[k] when
-    guide[k + 1] equals it, and otherwise bisects between the two; k / G
-    and u G are exact in float64, so every draw equals
+    guide[k + 1] equals it; k / G and u G are exact in float64.  The
+    other, open buckets of a round are searched in one call: each slot
+    has the key (table, cdf), a complex number with the table as real part
+    and the cdf as imaginary part (inf for a sentinel), so the flat keys
+    are sorted, and the right-side search for (table, u) finds the first
+    slot of that table whose cdf exceeds u.  Every draw equals
     ``searchsorted(cdf, u, "right")``.  The guides' cells are checked by
     ``_check_cells`` before they are allocated.
 
@@ -377,15 +381,20 @@ class _HitEngine:
         # a sentinel's time is past any horizon, so drawing it ends the replicate
         self._time = np.full(total, self.horizon + 1, dtype=np.int64)
         self._next = np.zeros(total, dtype=np.int64)
-        self._cdf = np.full(total, np.inf)
+        # slot keys (table, cdf), sorted lexicographically as complex numbers;
+        # set part by part, since table + 1j * inf has a NaN real part
+        self._key = np.empty(total, dtype=complex)
+        self._key.real = np.repeat(np.arange(sizes.size), sizes + 1)
+        self._key.imag = np.inf
+        cdfs = self._key.imag
         self._guide = np.empty(int(G.sum()) + G.size, dtype=np.int64)
         views = []
         for (times, blocks, cdf), a, g, n in zip(tables, start, self._gstart, G):
             b = a + cdf.size
-            self._time[a:b], self._next[a:b], self._cdf[a:b] = times, blocks, cdf
+            self._time[a:b], self._next[a:b], cdfs[a:b] = times, blocks, cdf
             edges = np.arange(n + 1) / n
             self._guide[g : g + n + 1] = a + np.searchsorted(cdf, edges, side="right")
-            views.append((self._time[a:b], self._next[a:b], self._cdf[a:b]))
+            views.append((self._time[a:b], self._next[a:b], cdfs[a:b]))
         *self.gap_tables, (self.init_times, self.init_blocks, self.init_cdf) = views
 
     def _cuts(self, survival, t0, start):
@@ -399,20 +408,16 @@ class _HitEngine:
         """Flat index of the entry that each uniform ``u`` draws from its
         table, or of the table's sentinel: ``searchsorted(cdf, u, "right")``
         by the guide.  u G is exact in float64, so u's bucket k holds
-        k/G <= u < (k+1)/G and its index lies in [guide[k], guide[k+1]]."""
+        k/G <= u < (k+1)/G and its index lies in [guide[k], guide[k+1]];
+        the open buckets search the slot keys for (table, u) in one call."""
         g = self._gstart[table] + (u * self._buckets[table]).astype(np.int64)
-        idx, hi = self._guide[g], self._guide[g + 1]
-        open_ = np.flatnonzero(idx < hi)
+        idx = self._guide[g]
+        open_ = np.flatnonzero(idx < self._guide[g + 1])
         if open_.size:
-            # bisect [lo, lo + n) for the first cdf value above u; lo + n
-            # is at most the sentinel, whose cdf is inf
-            lo, n, uo = idx[open_], hi[open_] - idx[open_], u[open_]
-            while n.any():
-                half = n >> 1
-                right = (self._cdf[lo + half] <= uo) & (n > 0)
-                lo = np.where(right, lo + half + 1, lo)
-                n = np.where(right, n - half - 1, half)
-            idx[open_] = lo
+            query = np.empty(open_.size, dtype=complex)
+            query.real = table if np.ndim(table) == 0 else table[open_]
+            query.imag = u[open_]
+            idx[open_] = np.searchsorted(self._key, query, side="right")
         return idx
 
     def start(self, rng, replicates: int) -> _Pending:
@@ -424,8 +429,8 @@ class _HitEngine:
 
     def sample_hits(self, rng, pending: _Pending, limit: int) -> np.ndarray:
         """Packed hit keys (position << s) | replicate of the ``pending``
-        batch's hits at positions <= ``limit``, unsorted; s is
-        ``pending.shift``.
+        batch's hits at positions <= ``limit``, unsorted, in the dtype of
+        ``_key_dtype``; s is ``pending.shift``.
 
         Each round emits the pending hits at or below the limit and draws
         the next hit of each of their replicates.  A replicate's first hit
@@ -441,7 +446,8 @@ class _HitEngine:
         # (hundreds, of up to 160 KB each) fills the malloc heap, and how much
         # of it stays resident once they are freed varies from run to run by
         # up to 20 MB.
-        out, n = np.empty(16 * key.size, dtype=np.int64), 0
+        dtype = _key_dtype(self.horizon, pending.shift)
+        out, n = np.empty(16 * key.size, dtype=dtype), 0
         parked = []
         while key.size:
             late = key >= cut
@@ -449,7 +455,7 @@ class _HitEngine:
                 parked.append((key[late], table[late]))
                 key, table = key[~late], table[~late]
             if n + key.size > out.size:
-                grown = np.empty(2 * (n + key.size), dtype=np.int64)
+                grown = np.empty(2 * (n + key.size), dtype=dtype)
                 grown[:n] = out[:n]
                 out = grown
             out[n : n + key.size] = key
@@ -511,9 +517,16 @@ def _key_shift(horizon: int, replicates: int) -> int:
     return shift
 
 
+def _key_dtype(horizon: int, shift: int):
+    """The dtype of stored hit keys: uint32 when every key (position << s)
+    | replicate at positions <= ``horizon`` fits in 32 bits, else int64."""
+    return np.uint32 if (horizon + 1) << shift <= 1 << 32 else np.int64
+
+
 def _counts_and_first(q_cols, keys, replicates):
     """Per-replicate arrival count and first arriving term l (0 = none),
-    from packed hit keys (position << s) | replicate (see ``_key_shift``).
+    from packed hit keys (position << s) | replicate (see ``_key_shift``),
+    worked on in the keys' dtype.
 
     The keys are sorted once, in place, so each distinct position is a
     run.  Each q_j is inverted on the distinct positions only, and turns
@@ -541,12 +554,12 @@ def _counts_and_first(q_cols, keys, replicates):
         li = np.minimum(np.searchsorted(q_cols[:, j], at), N - 1)
         on.append(q_cols[li, j] == at)
         terms.append(li[on[j]] + 1)
-    lists = np.empty(sum(int(runs[o].sum()) for o in on), dtype=np.int64)
+    lists = np.empty(sum(int(runs[o].sum()) for o in on), dtype=keys.dtype)
     end = 0
     for term, o in zip(terms, on):
         seg = lists[end : end + int(runs[o].sum())]
         np.bitwise_and(keys[np.repeat(o, runs)], mask, out=seg)
-        seg |= np.repeat(term << shift, runs[o])
+        seg |= np.repeat(term.astype(keys.dtype) << shift, runs[o])
         end += seg.size
     lists.sort(kind="stable")  # ell sorted runs: a merge
     m = max(0, lists.size - ell + 1)
@@ -574,7 +587,7 @@ def _first_arrivals(q_cols, replicates: int, hits, stages: int) -> np.ndarray:
     shift = _key_shift(int(q_cols[-1, -1]), replicates)
     first = np.zeros(replicates, dtype=np.int64)
     done = np.zeros(replicates, dtype=bool)
-    carry = np.empty(0, dtype=np.int64)
+    carry = np.empty(0, dtype=_key_dtype(int(q_cols[-1, -1]), shift))
     lo = 0
     for hi in sorted({N * k // stages for k in range(1, stages + 1)} - {0}):
         keys = np.concatenate([carry, hits(int(q_cols[hi - 1, -1]), done)])
@@ -583,7 +596,10 @@ def _first_arrivals(q_cols, replicates: int, hits, stages: int) -> np.ndarray:
         first[arrived] = stage_first[arrived] + lo
         done |= arrived
         if hi < N:
-            carry = keys[np.searchsorted(keys, int(q_cols[hi, 0]) << shift) :]
+            # in the keys' type: numpy 1.x searches a uint32 array for a
+            # Python int by first copying the array to int64
+            least = keys.dtype.type(int(q_cols[hi, 0]) << shift)
+            carry = keys[np.searchsorted(keys, least) :]
             carry = carry[~done[carry & ((1 << shift) - 1)]]
         lo = hi
     return first
@@ -609,9 +625,12 @@ def sample_counts(chain, accept, q_cols, rng, replicates: int):
     all fall where ``chain`` sits in ``accept``, started from ``chain.nu``.
 
     Each batch (see ``_batches``) draws all its hits up to the horizon as
-    packed int64 keys, which ``_counts_and_first`` counts.  A batch peaks
-    near 35 B per hit under ``tracemalloc`` (634 MiB for the 2.0e7 hits of
-    the A4 target at n = 8).  First arrivals come from ``sample_first``,
+    packed keys, 32-bit when they fit (see ``_key_dtype``), which
+    ``_counts_and_first`` counts.  Under ``tracemalloc`` a batch of the A4
+    target at n = 8 peaks near 18 B per hit with 32-bit keys (90.5 MiB for
+    the 5.1e6 hits of 20,000 replicates) and near 34 B per hit with int64
+    keys (651.5 MiB for the 2.0e7 hits of one 77,948-replicate batch,
+    whose keys need 34 bits).  First arrivals come from ``sample_first``,
     which stops each replicate at its first arrival and leaves their law
     unchanged.
     """

@@ -606,11 +606,13 @@ def pattern_chain_oracle(schedule: QSchedule, stage):
 
 def subshift_model_oracle(measure, schedule: QSchedule, lam: float, target_fn):
     """Stage factory for the cylinder targets ``target_fn(n)``, with the N
-    summands whose N * P(B_n)^ell is closest to lam."""
+    summands whose N * P(B_n)^ell is closest to lam.  A stage raises
+    ``ValidationError`` when ``measure`` is not its target's."""
     from .subshift import replicate_count
 
     def stage(n):
         target = target_fn(n)
+        target.check_measure(measure)
         return (*target.chain, replicate_count(target, schedule.ell, lam))
 
     return pattern_chain_oracle(schedule, stage)

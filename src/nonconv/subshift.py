@@ -10,7 +10,8 @@ Every exact law of the target's occurrences comes from its pattern chain
 Koutras, JASA 1994) on an Aho-Corasick automaton of the target blocks (Aho
 & Corasick, CACM 1975), with at most (total block length) + iota states.
 ``CylinderTarget.chain`` builds it once per target; the samplers, the exact
-law and the stage oracle read it there, with the target's measure.
+law and the stage oracle read it there, with the target's measure; each
+refuses a ``measure`` argument that is not the target's.
 
 Simulation of the arrival statistic is exact but sparse: instead of
 materializing a sample path of length q_ell(N) we sample the successive
@@ -327,6 +328,16 @@ class CylinderTarget:
         """(pattern chain, accept states) of the blocks: ``pattern_chain``."""
         return pattern_chain(self.measure, self.blocks)
 
+    def check_measure(self, measure: MarkovGibbsMeasure):
+        """Raise ``ValidationError`` unless ``measure`` is the target's: the
+        same SFT adjacency and transition matrix."""
+        own = self.measure
+        if measure is not own and (measure.sft != own.sft or not np.array_equal(measure.Q, own.Q)):
+            raise ValidationError(
+                "measure differs from the target's measure (another SFT adjacency "
+                "or transition matrix)"
+            )
+
 
 def make_target(
     measure: MarkovGibbsMeasure,
@@ -475,7 +486,9 @@ def simulate_nonconventional_batch(
     seed: int,
     replicates: int,
 ):
-    """Arrival-count draws; returns (samples, N, realized_lambda)."""
+    """Arrival-count draws; returns (samples, N, realized_lambda).  Raises
+    ``ValidationError`` when ``measure`` is not the target's."""
+    target.check_measure(measure)
     N = replicate_count(target, schedule.ell, lam)
     rng = derive_rng(seed, STREAM_SUBSHIFT)
     counts = _sample_target(sample_counts, schedule, target, N, rng, replicates)
@@ -496,8 +509,10 @@ def hitting_time_batch(
     arrival among terms l <= lam_cap / P(B)^ell and their scaled value is
     reported as lam_cap (a lower bound).  tau, the first arriving term, is
     drawn by ``sample_first``: a replicate stops drawing hits once it has
-    arrived, which leaves the law of tau unchanged.
+    arrived, which leaves the law of tau unchanged.  Raises
+    ``ValidationError`` when ``measure`` is not the target's.
     """
+    target.check_measure(measure)
     N_cap = replicate_count(target, schedule.ell, lam_cap)
     rng = derive_rng(seed, STREAM_HITTING)
     first = _sample_target(sample_first, schedule, target, N_cap, rng, replicates)
@@ -513,6 +528,8 @@ def exact_sum_distribution_subshift(
     measure: MarkovGibbsMeasure, schedule: QSchedule, target: CylinderTarget, N: int
 ) -> CountDistribution:
     """Exact law of the arrival count over terms l <= N:
-    ``markov.exact_sum_distribution`` on the target's pattern chain."""
+    ``markov.exact_sum_distribution`` on the target's pattern chain.
+    Raises ``ValidationError`` when ``measure`` is not the target's."""
+    target.check_measure(measure)
     chain, accept = target.chain
     return exact_sum_distribution(chain, schedule, accept, N)

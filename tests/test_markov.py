@@ -787,6 +787,7 @@ def test_guide_draws_equal_binary_search():
     engine.horizon = 10
     engine._store([(np.zeros(c.size, dtype=np.int64),) * 2 + (c,) for c in cdfs])
     start = 0
+    tables, us, wants = [], [], []
     for k, cdf in enumerate(cdfs):
         G = int(engine._buckets[k])
         assert G >= 2 * cdf.size and G & (G - 1) == 0
@@ -800,7 +801,20 @@ def test_guide_draws_equal_binary_search():
         want = np.searchsorted(cdf, u, side="right")
         assert np.array_equal(engine._draw(k, u) - start, want)
         assert np.array_equal(engine._draw(np.full(u.size, k), u) - start, want)
+        tables.append(np.full(u.size, k))
+        us.append(u)
+        wants.append(start + want)
         start += cdf.size + 1  # each table is followed by its sentinel
+    # one call over every table's uniforms, shuffled: the open buckets of
+    # many tables are searched together, and u >= cdf[-1] draws the sentinel
+    order = rng.permutation(sum(u.size for u in us))
+    table, u, want = (np.concatenate(a)[order] for a in (tables, us, wants))
+    g = engine._gstart[table] + (u * engine._buckets[table]).astype(np.int64)
+    assert np.unique(table[engine._guide[g] < engine._guide[g + 1]]).size > 1
+    ends = np.cumsum([c.size + 1 for c in cdfs]) - 1  # the sentinels' slots
+    past = u >= np.array([c[-1] for c in cdfs])[table]
+    assert past.any() and np.array_equal(want[past], ends[table[past]])
+    assert np.array_equal(engine._draw(table, u), want)
 
 
 # -- the hit engine's exact count law ------------------------------------------

@@ -404,7 +404,8 @@ def test_counts_and_first_match_brute_force(sched, data):
         for r, hits in enumerate(hit_sets):
             if k < len(hits):
                 keys.append((hits[k] << shift) | r)
-    counts, first = _counts_and_first(q, np.array(keys, dtype=np.int64), replicates)
+    dtype = data.draw(st.sampled_from([np.int64, np.uint32]), label="dtype")
+    counts, first = _counts_and_first(q, np.array(keys, dtype=dtype), replicates)
     for r, hits in enumerate(hit_sets):
         arrived = [l for l in range(1, N + 1) if set(q[l - 1].tolist()) <= set(hits)]
         assert counts[r] == len(arrived)
@@ -434,6 +435,7 @@ def test_first_arrivals_over_stages_match_brute_force(sched, data):
         arrived = [l for l in range(1, N + 1) if set(q[l - 1].tolist()) <= hits]
         want.append(arrived[0] if arrived else 0)
     shift = _key_shift(horizon, replicates)
+    dtype = data.draw(st.sampled_from([np.int64, np.uint32]), label="dtype")
     limits = [-1]
 
     def fed(limit, done):
@@ -442,7 +444,7 @@ def test_first_arrivals_over_stages_match_brute_force(sched, data):
         keys = [(h << shift) | r for r, hits in enumerate(hit_sets) if not done[r]
                 for h in hits if limits[-1] < h <= limit]
         limits.append(limit)
-        return np.array(keys, dtype=np.int64)
+        return np.array(keys, dtype=dtype)
 
     assert _first_arrivals(q, replicates, fed, stages).tolist() == want
     assert limits[-1] == horizon and len(limits) == 1 + min(stages, N)
@@ -561,10 +563,60 @@ def test_counts_and_first_refuses_keys_that_overflow():
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("replicates", [2, 2**16])
+def test_hit_keys_are_32_bit_when_they_fit(replicates):
+    # (horizon + 1) << s = 2^32 is the longest horizon whose keys fit in
+    # uint32; one position more needs int64.  Both engines draw the same
+    # keys below the limit, and the counter reads them alike.
+    chain = FiniteMarkovChain([[0.8, 0.2], [0.5, 0.5]])
+    shift = _key_shift(0, replicates)
+    q = linear_schedule(2).columns(30)
+    drawn = []
+    for horizon, dtype in [((1 << 32 - shift) - 1, np.uint32), (1 << 32 - shift, np.int64)]:
+        assert _key_shift(horizon, replicates) == shift
+        engine = _HitEngine(chain, [1], horizon)
+        rng = derive_rng(3, 0)
+        keys = engine.sample_hits(rng, engine.start(rng, replicates), int(q[-1, -1]))
+        assert keys.dtype == dtype and keys.size > 0
+        drawn.append(keys)
+    assert np.array_equal(drawn[0], drawn[1])
+    narrow = _counts_and_first(q, drawn[0], replicates)
+    wide = _counts_and_first(q, drawn[1], replicates)
+    assert narrow[0].any()
+    assert all(np.array_equal(a, b) for a, b in zip(narrow, wide))
+
+
+def test_measure_argument_must_be_the_targets():
+    # another transition matrix or another adjacency is refused; an equal
+    # measure built apart is the target's
+    um = uniform_measure(full_shift(2))
+    sched = linear_schedule(2)
+    target = make_target(um, (1, 0), 2)
+    biased = MarkovGibbsMeasure(full_shift(2), [[0.6, 0.4], [0.4, 0.6]])
+    for other in (biased, _golden_measure()):
+        with pytest.raises(ValidationError, match="target's measure"):
+            simulate_nonconventional_batch(other, sched, target, 1.0, 1, 50)
+        with pytest.raises(ValidationError, match="target's measure"):
+            hitting_time_batch(other, sched, target, 2, 50, lam_cap=1.0)
+        with pytest.raises(ValidationError, match="target's measure"):
+            exact_sum_distribution_subshift(other, sched, target, 5)
+        stage = subshift_model_oracle(other, sched, 1.0, lambda n: target)
+        with pytest.raises(ValidationError, match="target's measure"):
+            stage(target.n)
+    same = uniform_measure(full_shift(2))
+    assert same is not um
+    counts, _, _ = simulate_nonconventional_batch(same, sched, target, 1.0, 1, 50)
+    assert np.array_equal(counts, simulate_nonconventional_batch(um, sched, target, 1.0, 1, 50)[0])
+    assert exact_sum_distribution_subshift(same, sched, target, 5).pmf == (
+        exact_sum_distribution_subshift(um, sched, target, 5).pmf
+    )
+
+
 def test_hit_sampling_memory_per_hit(monkeypatch):
     # the A4 target at n = 8 (65,536 terms, horizon 65,684) and 5,000
-    # replicates, about 1.3e6 hits in one batch: sampled as 8-byte packed
-    # keys and counted by one sort, the call peaks near 37 B per hit
+    # replicates, about 1.3e6 hits in one batch: sampled as 4-byte packed
+    # keys and counted by one sort, the call peaks near 22 B per hit (38 B
+    # with 8-byte keys)
     measure = uniform_measure(full_shift(2))
     sched = arithmetic_gap_schedule(2, 4.0, 0.5)
     target = make_target(measure, sample_clear_word(measure, 8, 0.25, seed=108), 8)
@@ -584,7 +636,7 @@ def test_hit_sampling_memory_per_hit(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(hits) == 1 and hits[0] > 10**6
-    assert peak <= 48 * hits[0], peak / hits[0]
+    assert peak <= 28 * hits[0], peak / hits[0]
 
 
 # -- pattern chain against the sliding-block lift ------------------------------
