@@ -255,6 +255,7 @@ _GAP_BLOCK = 512  # most steps of the killed chain per blocked power (a power of
 # and again in the guide tables: 128 MiB each
 _ENGINE_CELL_BUDGET = 1 << 24
 _FIRST_ARRIVAL_STAGES = 8  # equal term stages of sample_first
+_COUNT_BLOCK = 1 << 18  # most keys in a counted term block's slices, and most rows
 
 
 class _HitEngine:
@@ -529,47 +530,88 @@ def _counts_and_first(q_cols, keys, replicates):
     worked on in the keys' dtype.
 
     The keys are sorted once, in place, so each distinct position is a
-    run.  Each q_j is inverted on the distinct positions only, and turns
-    the hits at q_j-positions into the sorted list of (l << s) | replicate.
-    A term arrives in a replicate when its key is in all ell lists: one
-    sort of the lists side by side puts its ell copies together.  Sorted
-    by (l, replicate), each replicate's first arrival is its first term.
-    Memory is O(hits + N), whatever the horizon.
+    run.  The terms 1..N are then counted in consecutive blocks [l0, l1)
+    (see ``_term_blocks``): block by block, each q_j is inverted against
+    its rows l0..l1-1 only, on the distinct positions of the block's key
+    slice for q_j, and turns the hits at q_j-positions into the sorted
+    list of (l << s) | replicate.  A term arrives in a replicate when its
+    key is in all ell lists: one sort of the lists side by side puts its
+    ell copies together.  The arrivals of the blocks, in block order, are
+    sorted by (l, replicate), so each replicate's first arrival is its
+    first term.  Beside the keys, memory is O(``_COUNT_BLOCK`` + arrivals
+    + replicates), whatever the horizon.
     """
-    N, ell = q_cols.shape
+    ell = q_cols.shape[1]
     shift = _key_shift(int(q_cols[-1, -1]), replicates)
     keys.sort()
-    pos = keys >> shift
-    new = np.empty(pos.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(pos[1:], pos[:-1], out=new[1:])
-    run_start = np.flatnonzero(new)
-    del new
-    at = pos[run_start]
-    del pos
-    runs = np.diff(run_start, append=keys.size)
-    mask = (1 << shift) - 1
-    terms, on = [], []
-    for j in range(ell):
-        li = np.minimum(np.searchsorted(q_cols[:, j], at), N - 1)
-        on.append(q_cols[li, j] == at)
-        terms.append(li[on[j]] + 1)
-    lists = np.empty(sum(int(runs[o].sum()) for o in on), dtype=keys.dtype)
-    end = 0
-    for term, o in zip(terms, on):
-        seg = lists[end : end + int(runs[o].sum())]
-        np.bitwise_and(keys[np.repeat(o, runs)], mask, out=seg)
-        seg |= np.repeat(term.astype(keys.dtype) << shift, runs[o])
-        end += seg.size
-    lists.sort(kind="stable")  # ell sorted runs: a merge
-    m = max(0, lists.size - ell + 1)
-    arrivals = lists[:m][lists[ell - 1 :] == lists[:m]]
-    reps = arrivals & mask
+    found = [np.empty(0, dtype=keys.dtype)]
+    for l0, l1, lo, hi in _term_blocks(q_cols, keys, shift):
+        lists = np.concatenate([
+            _term_list(q_cols[l0:l1, j], l0, keys[a:b], shift)
+            for j, (a, b) in enumerate(zip(lo.tolist(), hi.tolist()))
+        ])
+        lists.sort(kind="stable")  # ell sorted runs: a merge
+        m = max(0, lists.size - ell + 1)
+        found.append(lists[:m][lists[ell - 1 :] == lists[:m]])
+    arrivals = np.concatenate(found)
+    reps = arrivals & ((1 << shift) - 1)
     counts = np.bincount(reps, minlength=replicates)
     first = np.zeros(replicates, dtype=np.int64)
     arrived, lead = np.unique(reps, return_index=True)
     first[arrived] = arrivals[lead] >> shift
     return counts, first
+
+
+def _term_blocks(q_cols, keys, shift: int):
+    """Consecutive blocks [l0, l1) of the rows of ``q_cols`` (terms l0 + 1
+    .. l1), each with the bounds ``lo``, ``hi`` (ell ints each) of its key
+    slices: slice j, ``keys[lo[j]:hi[j]]`` of the sorted ``keys``, holds
+    the hits at positions q_j(l0 + 1) .. q_j(l1).
+
+    From l0, the block takes the most of 1, 2, 4, ... rows, at most
+    ``_COUNT_BLOCK`` of them, whose slices hold at most ``_COUNT_BLOCK``
+    keys in all, and at least one row.  The bounds of all the candidate
+    ends come from one search per block.  Blocks whose slices are all
+    empty are skipped.
+    """
+    N = len(q_cols)
+    fill = (1 << shift) - 1
+    l0 = 0
+    while l0 < N:
+        span = min(N - l0, _COUNT_BLOCK)
+        ends = l0 + np.minimum(1 << np.arange((span - 1).bit_length() + 1), span)
+        # needles in the keys' dtype: numpy 1.x would copy uint32 keys to
+        # int64 to search them for int64 needles
+        lo = np.searchsorted(keys, (q_cols[l0] << shift).astype(keys.dtype))
+        hi = np.searchsorted(
+            keys, ((q_cols[ends - 1] << shift) | fill).astype(keys.dtype), side="right"
+        )
+        size = (hi - lo).sum(axis=1)
+        k = max(0, int(np.searchsorted(size, _COUNT_BLOCK, side="right")) - 1)
+        if size[k]:
+            yield l0, int(ends[k]), lo, hi[k]
+        l0 = int(ends[k])
+
+
+def _term_list(col, l0: int, keys, shift: int):
+    """Sorted (l << s) | replicate of the hits among ``keys`` at the
+    positions ``col`` = q_j(l0 + 1), q_j(l0 + 2), ..., where ``keys`` is a
+    sorted slice whose positions lie in [col[0], col[-1]].
+
+    q_j is inverted on the slice's distinct positions only: each is a run
+    of the sorted keys."""
+    pos = keys >> shift
+    new = np.empty(pos.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(pos[1:], pos[:-1], out=new[1:])
+    run_start = np.flatnonzero(new)
+    at = pos[run_start]
+    runs = np.diff(run_start, append=keys.size)
+    li = np.searchsorted(col, at)  # < len(col): at <= col[-1]
+    on = col[li] == at
+    out = keys[np.repeat(on, runs)] & ((1 << shift) - 1)
+    out |= np.repeat((li[on] + l0 + 1).astype(keys.dtype) << shift, runs[on])
+    return out
 
 
 def _first_arrivals(q_cols, replicates: int, hits, stages: int) -> np.ndarray:
@@ -627,10 +669,12 @@ def sample_counts(chain, accept, q_cols, rng, replicates: int):
     Each batch (see ``_batches``) draws all its hits up to the horizon as
     packed keys, 32-bit when they fit (see ``_key_dtype``), which
     ``_counts_and_first`` counts.  Under ``tracemalloc`` a batch of the A4
-    target at n = 8 peaks near 18 B per hit with 32-bit keys (90.5 MiB for
-    the 5.1e6 hits of 20,000 replicates) and near 34 B per hit with int64
-    keys (651.5 MiB for the 2.0e7 hits of one 77,948-replicate batch,
-    whose keys need 34 bits).  First arrivals come from ``sample_first``,
+    target at n = 8 peaks near 7 B per hit with 32-bit keys (34.5 MiB for
+    the 5.1e6 hits of 20,000 replicates) and near 14 B per hit with int64
+    keys (259.7 MiB for the 2.0e7 hits of one 77,948-replicate batch,
+    whose keys need 34 bits).  The peak is the sampler's key buffer as it
+    doubles; the counter adds 2.0 MiB (6.8 MiB with int64 keys) to the
+    keys.  First arrivals come from ``sample_first``,
     which stops each replicate at its first arrival and leaves their law
     unchanged.
     """

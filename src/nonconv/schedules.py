@@ -25,6 +25,7 @@ COLUMN_CELL_BUDGET = 1 << 25
 # Vectorized checks flag a row for the scalar check within this margin of the
 # gap bound, so that np.log and math.log rounding apart cannot change a verdict.
 _GAP_SCREEN_SLACK = 1e-6
+_CHECK_CHUNK = 1 << 16  # rows per chunk of the vectorized column screen
 
 
 @dataclass(frozen=True)
@@ -124,20 +125,22 @@ class QSchedule:
         return q
 
     def _check_columns(self, q: np.ndarray):
-        # Vectorized screen for the rows evaluate() would check; each flagged
+        # Vectorized screen for the rows evaluate() would check, past the
+        # validation horizon, in chunks of _CHECK_CHUNK rows; each flagged
         # row goes through the scalar check, which raises with its message.
-        l = np.arange(1, len(q) + 1)
-        suspect = q[:, 0] < l
-        if self.ell > 1:
-            gaps = np.diff(q, axis=1).min(axis=1)
-            suspect |= gaps <= 0
-            if self.gap_params is not None:
-                c, gamma = self.gap_params
-                need = c * np.log(l) ** (1.0 + gamma)
-                suspect |= gaps < need - 1e-9 + _GAP_SCREEN_SLACK
-        suspect[: self.validation_horizon] = False
-        for row in np.flatnonzero(suspect):
-            self._check_row(int(row) + 1, tuple(q[row].tolist()), None)
+        for a in range(self.validation_horizon, len(q), _CHECK_CHUNK):
+            rows = q[a : a + _CHECK_CHUNK]
+            l = np.arange(a + 1, a + 1 + len(rows))
+            suspect = rows[:, 0] < l
+            if self.ell > 1:
+                gaps = np.diff(rows, axis=1).min(axis=1)
+                suspect |= gaps <= 0
+                if self.gap_params is not None:
+                    c, gamma = self.gap_params
+                    need = c * np.log(l) ** (1.0 + gamma)
+                    suspect |= gaps < need - 1e-9 + _GAP_SCREEN_SLACK
+            for row in np.flatnonzero(suspect):
+                self._check_row(a + int(row) + 1, tuple(rows[row].tolist()), None)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +206,13 @@ def arithmetic_gap_schedule(ell: int, c: float, gamma: float) -> QSchedule:
     """q_j(l) = l + (j-1) * g(l) with g(l) = max(1, ceil(c (ln l)^(1+gamma)))."""
 
     def columns(N: int) -> np.ndarray:
-        g = _loggap_runs(N, c, gamma)[:, None]
-        return _terms(N) + g * np.arange(ell, dtype=np.int64)
+        # filled in place, column by column: no (N, ell) temporaries
+        q = np.empty((N, ell), dtype=np.int64)
+        q[:, 0] = np.arange(1, N + 1)
+        g = _loggap_runs(N, c, gamma)
+        for j in range(1, ell):
+            np.add(q[:, j - 1], g, out=q[:, j])
+        return q
 
     return QSchedule(
         ell,

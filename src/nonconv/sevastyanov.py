@@ -190,7 +190,9 @@ def _runs(q: np.ndarray) -> np.ndarray:
     A run is a maximal interval of term indices over which every column of
     q steps by exactly 1.
     """
-    steps_by_one = (np.diff(q, axis=0) == 1).all(axis=1)
+    steps_by_one = np.ones(max(0, len(q) - 1), dtype=bool)
+    for j in range(q.shape[1]):  # one column's diff at a time
+        steps_by_one &= np.diff(q[:, j]) == 1
     return np.concatenate([[1], np.flatnonzero(~steps_by_one) + 2]).astype(np.int64)
 
 

@@ -24,8 +24,8 @@ from nonconv import (
     rho,
     table_schedule,
 )
-from nonconv.schedules import COLUMN_CELL_BUDGET, _loggap
-from nonconv.sevastyanov import _clustered_partners
+from nonconv.schedules import COLUMN_CELL_BUDGET, _loggap, _loggap_runs
+from nonconv.sevastyanov import _clustered_partners, _runs
 
 
 def test_evaluate_linear():
@@ -283,3 +283,48 @@ def test_columns_reject_rows_evaluate_rejects(q_fn, bad_l, vectorized):
     with pytest.raises(ScheduleError) as rejected:
         sched.columns(300)  # row 300 is valid; the fault is inside
     assert str(rejected.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("bad_l", [128 + 2**16 + 1, 70_001])
+def test_columns_reject_a_row_past_the_first_screen_chunk(bad_l):
+    # the screen starts past the validation horizon (128) in chunks of 2^16
+    # rows: the first faulty row opens the second chunk, or lies inside it
+    def q_fn(j, l):
+        return l + (j - 1) * (1 if bad_l <= l < bad_l + 10 else _loggap(l, 1.0, 0.5))
+
+    def vector_form(N):
+        g = _loggap_runs(N, 1.0, 0.5)
+        g[bad_l - 1 : bad_l + 9] = 1
+        return np.arange(1, N + 1)[:, None] + g[:, None] * np.arange(2)
+
+    sched = QSchedule(2, q_fn, name="late", gap_params=(1.0, 0.5), _columns=vector_form)
+    with pytest.raises(ScheduleError) as scalar:
+        sched.evaluate(bad_l)
+    sched.columns(bad_l - 1)
+    with pytest.raises(ScheduleError) as rejected:
+        sched.columns(80_000)
+    assert str(rejected.value) == str(scalar.value)
+
+
+def test_columns_and_runs_build_without_big_temporaries():
+    # 2^20 terms of the A6 schedule: the table itself is 16 MiB
+    sched = arithmetic_gap_schedule(2, 4.0, 0.5)
+    N = 2**20
+    tracemalloc.start()
+    try:
+        q = sched.columns(N)
+        _, col_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        starts = _runs(q)
+        runs_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert q.nbytes == 16 * 2**20
+    assert col_peak < 2.5 * q.nbytes, col_peak / q.nbytes
+    assert runs_peak < 12 * 2**20, runs_peak
+    # the same table and runs as the closed form over whole arrays
+    g = _loggap_runs(N, 4.0, 0.5)
+    assert np.array_equal(q, np.arange(1, N + 1)[:, None] + g[:, None] * np.arange(2))
+    steps_by_one = (np.diff(q, axis=0) == 1).all(axis=1)
+    assert np.array_equal(starts, np.concatenate([[1], np.flatnonzero(~steps_by_one) + 2]))

@@ -5,6 +5,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -383,31 +384,48 @@ _counter_schedules = st.sampled_from([
 ])
 
 
-@given(_counter_schedules, st.data())
-@settings(max_examples=150, deadline=None)
+_block_schedules = st.sampled_from([
+    *(linear_schedule(ell) for ell in (1, 2, 3)),
+    *(arithmetic_gap_schedule(ell, 4.0, 0.5) for ell in (1, 2, 3)),
+    polynomial_schedule(1, 3),  # sparse: q_1(l) = l^3
+    polynomial_schedule(2, 2),  # q_1(l) = l^2 != l
+    table_schedule([(2,), (3,), (7,), (8,), (11,), (12,)]),
+    table_schedule([(2, 5), (3, 9), (7, 10), (8, 14), (11, 20), (12, 30)]),
+    table_schedule([(1, 4, 6), (2, 5, 9), (4, 8, 12), (5, 9, 20), (6, 13, 21)]),
+])
+
+
+@given(_block_schedules, st.data())
+@settings(max_examples=200, deadline=None)
 def test_counts_and_first_match_brute_force(sched, data):
-    N = data.draw(st.integers(1, min(30, sched.validation_horizon)), label="N")
+    # counted in term blocks of 1..64 keys and rows, which split the runs of one position across
+    # blocks and leave some blocks without keys; the keys come in any order
+    N = data.draw(st.integers(1, min(40, sched.validation_horizon)), label="N")
     q = sched.columns(N)
     horizon = int(q[-1, -1])
-    # hits fall on schedule positions often enough to complete terms
-    candidates = sorted(set(q.ravel().tolist()) | set(range(min(horizon, 12) + 1)))
-    replicates = data.draw(st.integers(1, 6), label="replicates")
+    candidates = sorted(set(q.ravel().tolist()) | {0, 1, horizon})
+    replicates = data.draw(st.integers(1, 40), label="replicates")
     hit_sets = [
-        sorted(data.draw(st.sets(st.sampled_from(candidates)), label=f"hits[{r}]"))
+        data.draw(st.sets(st.sampled_from(candidates), max_size=8), label=f"hits[{r}]")
         for r in range(replicates)
     ]
-    # emitted as sample_hits does: round k holds the packed key of the k-th
-    # hit of every replicate that has one, replicate ids sorted within the round
+    # many replicates at one position, and hits at the horizon
+    crowd = data.draw(st.sampled_from(candidates), label="crowd")
+    for r in range(data.draw(st.integers(0, replicates), label="crowded")):
+        hit_sets[r].add(crowd)
+    if data.draw(st.booleans(), label="at_horizon"):
+        hit_sets[-1].add(horizon)
     shift = _key_shift(horizon, replicates)
-    keys = []
-    for k in range(max(map(len, hit_sets))):
-        for r, hits in enumerate(hit_sets):
-            if k < len(hits):
-                keys.append((hits[k] << shift) | r)
+    keys = [(h << shift) | r for r, hits in enumerate(hit_sets) for h in hits]
+    keys = data.draw(st.permutations(keys), label="order")
     dtype = data.draw(st.sampled_from([np.int64, np.uint32]), label="dtype")
-    counts, first = _counts_and_first(q, np.array(keys, dtype=dtype), replicates)
+    keys = np.array(keys, dtype=dtype)
+    block = data.draw(st.integers(1, 64), label="block")
+    with mock.patch("nonconv.markov._COUNT_BLOCK", block):
+        counts, first = _counts_and_first(q, keys, replicates)
+    assert keys.tolist() == sorted(keys.tolist())
     for r, hits in enumerate(hit_sets):
-        arrived = [l for l in range(1, N + 1) if set(q[l - 1].tolist()) <= set(hits)]
+        arrived = [l for l in range(1, N + 1) if set(q[l - 1].tolist()) <= hits]
         assert counts[r] == len(arrived)
         assert first[r] == (arrived[0] if arrived else 0)
 
@@ -615,28 +633,38 @@ def test_measure_argument_must_be_the_targets():
 def test_hit_sampling_memory_per_hit(monkeypatch):
     # the A4 target at n = 8 (65,536 terms, horizon 65,684) and 5,000
     # replicates, about 1.3e6 hits in one batch: sampled as 4-byte packed
-    # keys and counted by one sort, the call peaks near 22 B per hit (38 B
-    # with 8-byte keys)
+    # keys into one doubling buffer, which peaks at the sampler's last
+    # growth; the counter sorts them in place and counts in term blocks of
+    # O(_COUNT_BLOCK) memory.  The call peaks near 10 B per hit (near 22 B
+    # when the counter's term lists covered all the hits at once).
     measure = uniform_measure(full_shift(2))
     sched = arithmetic_gap_schedule(2, 4.0, 0.5)
     target = make_target(measure, sample_clear_word(measure, 8, 0.25, seed=108), 8)
     q = sched.columns(replicate_count(target, 2, 1.0))
     chain, accept = pattern_chain(measure, target.blocks)
-    hits = []
+    hits, own, peaks = [], [], []
 
     def count(q_cols, keys, replicates):
         hits.append(keys.size)
-        return _counts_and_first(q_cols, keys, replicates)
+        before, sampled = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = _counts_and_first(q_cols, keys, replicates)
+        own.append(tracemalloc.get_traced_memory()[1] - before)
+        peaks.append(sampled)
+        return out
 
     monkeypatch.setattr("nonconv.markov._counts_and_first", count)
     tracemalloc.start()
     try:
         sample_counts(chain, accept, q, derive_rng(42, 0), 5000)
-        _, peak = tracemalloc.get_traced_memory()
+        peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
     assert len(hits) == 1 and hits[0] > 10**6
-    assert peak <= 28 * hits[0], peak / hits[0]
+    peak = max(peaks)
+    assert peak <= 12 * hits[0], peak / hits[0]
+    # the counter's own peak, above the keys, is a few blocks' worth
+    assert own[0] < 8 * 2**20, own[0]
 
 
 # -- pattern chain against the sliding-block lift ------------------------------
