@@ -571,7 +571,7 @@ def _term_blocks(q_cols, keys, shift: int):
     From l0, the block takes the most of 1, 2, 4, ... rows, at most
     ``_COUNT_BLOCK`` of them, whose slices hold at most ``_COUNT_BLOCK``
     keys in all, and at least one row.  The bounds of all the candidate
-    ends come from one search per block.  Blocks whose slices are all
+    ends come from two searches per block.  Blocks whose slices are all
     empty are skipped.
     """
     N = len(q_cols)

@@ -398,8 +398,9 @@ _block_schedules = st.sampled_from([
 @given(_block_schedules, st.data())
 @settings(max_examples=200, deadline=None)
 def test_counts_and_first_match_brute_force(sched, data):
-    # counted in term blocks of 1..64 keys and rows, which split the runs of one position across
-    # blocks and leave some blocks without keys; the keys come in any order
+    # counted in term blocks of 1..64 keys and rows, which split the runs
+    # of one position across blocks and leave some blocks without keys;
+    # the keys come in any order
     N = data.draw(st.integers(1, min(40, sched.validation_horizon)), label="N")
     q = sched.columns(N)
     horizon = int(q[-1, -1])
@@ -635,8 +636,7 @@ def test_hit_sampling_memory_per_hit(monkeypatch):
     # replicates, about 1.3e6 hits in one batch: sampled as 4-byte packed
     # keys into one doubling buffer, which peaks at the sampler's last
     # growth; the counter sorts them in place and counts in term blocks of
-    # O(_COUNT_BLOCK) memory.  The call peaks near 10 B per hit (near 22 B
-    # when the counter's term lists covered all the hits at once).
+    # O(_COUNT_BLOCK) memory.  The call peaks near 8.5 B per hit.
     measure = uniform_measure(full_shift(2))
     sched = arithmetic_gap_schedule(2, 4.0, 0.5)
     target = make_target(measure, sample_clear_word(measure, 8, 0.25, seed=108), 8)
