@@ -252,10 +252,13 @@ def simulate_arrival_batch(chain, schedule, gamma, n, seed, replicates) -> np.nd
 _GAP_TAIL_TOL = 1e-15
 _GAP_BLOCK = 512  # most steps of the killed chain per blocked power (a power of two)
 # most 8-byte cells held in the blocked powers, again in the event tables
-# and again in the guide tables: 128 MiB each
+# and again in the bucket words: 128 MiB each
 _ENGINE_CELL_BUDGET = 1 << 24
 _FIRST_ARRIVAL_STAGES = 8  # equal term stages of sample_first
-_COUNT_BLOCK = 1 << 18  # most keys in a counted term block's slices, and most rows
+# most keys in a counted term block's slices, and most rows; at 2^18 the
+# blocks' temporaries left the subshift benchmark's peak RSS at one of two
+# levels 6 MB apart, by heap layout
+_COUNT_BLOCK = 1 << 17
 
 
 class _HitEngine:
@@ -283,17 +286,27 @@ class _HitEngine:
     table A - 1, initial table, so that an entry's accept state is the
     flat index of the table of the next gap.  Each table is followed by a
     sentinel slot, the draw of "no further hit", whose time lies past the
-    horizon.  A table of L entries has a guide of G + 1 cells, G the
-    smallest power of two >= 2 L: guide[k] = searchsorted(cdf, k / G,
-    "right").  A uniform u in bucket k = floor(u G) draws guide[k] when
-    guide[k + 1] equals it; k / G and u G are exact in float64.  The
-    other, open buckets of a round are searched in one call: each slot
-    has the key (table, cdf), a complex number with the table as real part
-    and the cdf as imaginary part (inf for a sentinel), so the flat keys
-    are sorted, and the right-side search for (table, u) finds the first
-    slot of that table whose cdf exceeds u.  Every draw equals
-    ``searchsorted(cdf, u, "right")``.  The guides' cells are checked by
-    ``_check_cells`` before they are allocated.
+    horizon.  A draw comes out as the slot's word (time << b) | next
+    table, b the bits of a table index.  A table of L entries has G
+    buckets, G the smallest power of two >= 2 L; a uniform u falls in
+    bucket k = floor(u G), and k / G <= u < (k + 1) / G is exact in
+    float64.  Bucket k is closed when searchsorted(cdf, k / G, "right")
+    and searchsorted(cdf, (k + 1) / G, "right") agree: every u in it
+    draws that slot, and the bucket holds the slot's word, one gather a
+    draw.  An open bucket holds -1, and the open draws of a round are
+    searched in one call: each slot has the key (table, cdf), a complex
+    number with the table as real part and the cdf as imaginary part (inf
+    for a sentinel), so the flat keys are sorted, and the right-side
+    search for (table, u) finds the first slot of that table whose cdf
+    exceeds u.  Every draw is the slot of ``searchsorted(cdf, u,
+    "right")``.  The bucket words are checked by ``_check_cells`` before
+    they are allocated.
+
+    On the benchmark's A4 targets about 4.5% of the draws land in open
+    buckets.  In process (2-core VM, numpy 2.4), sampling the 5.1e6 hits
+    of 20,000 replicates at n = 8 takes about 0.15 s of CPU, against
+    0.19 s when a draw read two guide cells and then the slot's time and
+    next table.
 
     A table stops at the first time t whose survival mass (no entry in
     [t0, t]) is below ``_GAP_TAIL_TOL``, or at the horizon.  The mass left
@@ -312,6 +325,7 @@ class _HitEngine:
     def __init__(self, chain: FiniteMarkovChain, accept, horizon: int):
         self.horizon = horizon
         accept = np.asarray(accept, dtype=np.int64)
+        self.rate = float(chain.mu[accept].sum())  # stationary hits per position
         live = np.setdiff1d(np.arange(chain.M), accept)
         A = accept.size
         B = min(_GAP_BLOCK, 1 << max(0, horizon - 1).bit_length())
@@ -368,14 +382,20 @@ class _HitEngine:
 
     def _store(self, tables):
         """Lay the tables out flat in the given order, each followed by a
-        sentinel slot, and build their guides; the last is the initial
+        sentinel slot, and fill their bucket words; the last is the initial
         table."""
         sizes = np.array([cdf.size for _, _, cdf in tables])
         # G: the smallest power of two >= 2 L
         G = np.array([1 << max(1, (2 * L - 1).bit_length()) for L in sizes.tolist()])
-        _check_cells("guide tables", int(G.sum()) + G.size)
+        _check_cells("bucket words", int(G.sum()))
+        self._bits = max(1, (len(tables) - 1).bit_length())
+        if (self.horizon + 1) << self._bits > np.iinfo(np.int64).max:
+            raise ResourceError(
+                f"hit engine words of horizon {self.horizon} and {len(tables)} tables "
+                f"overflow int64"
+            )
         start = np.cumsum(sizes + 1) - (sizes + 1)
-        self._gstart = np.cumsum(G + 1) - (G + 1)
+        self._gstart = np.cumsum(G) - G
         self._buckets = G.astype(float)
         self._init = len(tables) - 1
         total = int(sizes.sum()) + sizes.size
@@ -388,13 +408,14 @@ class _HitEngine:
         self._key.real = np.repeat(np.arange(sizes.size), sizes + 1)
         self._key.imag = np.inf
         cdfs = self._key.imag
-        self._guide = np.empty(int(G.sum()) + G.size, dtype=np.int64)
+        self._word = np.empty(int(G.sum()), dtype=np.int64)
         views = []
         for (times, blocks, cdf), a, g, n in zip(tables, start, self._gstart, G):
             b = a + cdf.size
             self._time[a:b], self._next[a:b], cdfs[a:b] = times, blocks, cdf
-            edges = np.arange(n + 1) / n
-            self._guide[g : g + n + 1] = a + np.searchsorted(cdf, edges, side="right")
+            edges = a + np.searchsorted(cdf, np.arange(n + 1) / n, side="right")
+            lo = edges[:-1]
+            self._word[g : g + n] = np.where(lo == edges[1:], self._slot_word(lo), -1)
             views.append((self._time[a:b], self._next[a:b], cdfs[a:b]))
         *self.gap_tables, (self.init_times, self.init_blocks, self.init_cdf) = views
 
@@ -405,21 +426,25 @@ class _HitEngine:
         stop = (survival < _GAP_TAIL_TOL) | (t0[:, None] + start + j >= self.horizon)
         return np.where(stop.any(axis=1), start + stop.argmax(axis=1), -1)
 
+    def _slot_word(self, idx):
+        """The words (time << b) | next table of the flat slots ``idx``."""
+        return (self._time[idx] << self._bits) | self._next[idx]
+
     def _draw(self, table, u):
-        """Flat index of the entry that each uniform ``u`` draws from its
-        table, or of the table's sentinel: ``searchsorted(cdf, u, "right")``
-        by the guide.  u G is exact in float64, so u's bucket k holds
-        k/G <= u < (k+1)/G and its index lies in [guide[k], guide[k+1]];
-        the open buckets search the slot keys for (table, u) in one call."""
-        g = self._gstart[table] + (u * self._buckets[table]).astype(np.int64)
-        idx = self._guide[g]
-        open_ = np.flatnonzero(idx < self._guide[g + 1])
+        """The word of the slot that each uniform ``u`` draws from its table
+        (the slot of ``searchsorted(cdf, u, "right")``, a sentinel when u >=
+        cdf[-1]): its bucket's word when the bucket is closed; the open
+        buckets search the slot keys for (table, u) in one call."""
+        # take: about twice as fast as fancy indexing on these arrays
+        g = self._gstart.take(table) + (u * self._buckets.take(table)).astype(np.int64)
+        word = self._word.take(g)
+        open_ = np.flatnonzero(word < 0)
         if open_.size:
             query = np.empty(open_.size, dtype=complex)
             query.real = table if np.ndim(table) == 0 else table[open_]
             query.imag = u[open_]
-            idx[open_] = np.searchsorted(self._key, query, side="right")
-        return idx
+            word[open_] = self._slot_word(np.searchsorted(self._key, query, side="right"))
+        return word
 
     def start(self, rng, replicates: int) -> _Pending:
         """A fresh batch for ``sample_hits``: every replicate's first hit,
@@ -443,20 +468,26 @@ class _HitEngine:
         """
         cut = (limit + 1) << pending.shift  # keys of positions past the limit
         key, table = pending.key, pending.table
-        # One buffer, doubled when full: a list of the rounds' arrays
-        # (hundreds, of up to 160 KB each) fills the malloc heap, and how much
-        # of it stays resident once they are freed varies from run to run by
-        # up to 20 MB.
+        # One buffer, sized from the stationary hit rate over the positions
+        # after the last limit and grown by a quarter when full: a list of
+        # the rounds' arrays (hundreds, of up to 160 KB each) fills the
+        # malloc heap, and how much of it stays resident once they are freed
+        # varies from run to run by up to 20 MB.
         dtype = _key_dtype(self.horizon, pending.shift)
-        out, n = np.empty(16 * key.size, dtype=dtype), 0
+        top = min(limit, self.horizon)
+        expected = key.size * max(0, top - pending.limit) * self.rate
+        out = np.empty(int(expected + 8 * math.sqrt(expected)) + key.size, dtype=dtype)
+        n = 0
+        pending.limit = max(pending.limit, top)
         parked = []
         while key.size:
-            late = key >= cut
-            if late.any():
-                parked.append((key[late], table[late]))
-                key, table = key[~late], table[~late]
+            if limit < self.horizon:  # _step drops every key past the horizon
+                late = key >= cut
+                if late.any():
+                    parked.append((key[late], table[late]))
+                    key, table = key[~late], table[~late]
             if n + key.size > out.size:
-                grown = np.empty(2 * (n + key.size), dtype=dtype)
+                grown = np.empty(out.size + max(key.size, out.size // 4), dtype=dtype)
                 grown[:n] = out[:n]
                 out = grown
             out[n : n + key.size] = key
@@ -476,10 +507,11 @@ class _HitEngine:
             by_table = np.empty_like(u)
             by_table[np.argsort(table, kind="stable")] = u
             u = by_table
-        idx = self._draw(table, u)
-        step = self._time[idx] << shift
+        word = self._draw(table, u)
+        step = (word >> self._bits) << shift
         ok = step < ((self.horizon + 1) << shift) - key
-        return key[ok] + step[ok], self._next[idx[ok]]
+        step += key  # a sum past the horizon may wrap; it is dropped
+        return step[ok], word[ok] & ((1 << self._bits) - 1)
 
 
 @dataclass
@@ -487,11 +519,12 @@ class _Pending:
     """A batch between ``_HitEngine.sample_hits`` calls: per live
     replicate, its next hit, drawn but not yet emitted, as a packed key
     (position << shift) | replicate (see ``_key_shift``), and the table of
-    the gap after it."""
+    the gap after it; ``limit`` is the largest limit sampled so far."""
 
     key: np.ndarray
     table: np.ndarray
     shift: int
+    limit: int = -1
 
     def retire(self, done: np.ndarray):
         """Drop the replicates whose entry of the boolean ``done`` is set."""
@@ -531,28 +564,43 @@ def _counts_and_first(q_cols, keys, replicates):
 
     The keys are sorted once, in place, so each distinct position is a
     run.  The terms 1..N are then counted in consecutive blocks [l0, l1)
-    (see ``_term_blocks``): block by block, each q_j is inverted against
-    its rows l0..l1-1 only, on the distinct positions of the block's key
-    slice for q_j, and turns the hits at q_j-positions into the sorted
-    list of (l << s) | replicate.  A term arrives in a replicate when its
-    key is in all ell lists: one sort of the lists side by side puts its
-    ell copies together.  The arrivals of the blocks, in block order, are
-    sorted by (l, replicate), so each replicate's first arrival is its
-    first term.  Beside the keys, memory is O(``_COUNT_BLOCK`` + arrivals
-    + replicates), whatever the horizon.
+    (see ``_term_blocks``) in q_1 coordinates: term list j holds
+    (q_1(l) << s) | replicate for the hits at q_j(l).  List 1 is the
+    block's sorted key slice for q_1 as it stands; lists 2..ell invert q_j
+    against the block's rows only, on the distinct positions of the slice
+    for q_j (see ``_relabel``).  A term arrives in a replicate when its key
+    is in all ell lists: one sort of the lists side by side puts its ell
+    copies together, and a key at a position outside q_1's image is in no
+    other list.  Only the arrivals are then turned into (l << s) |
+    replicate, by inverting q_1 (for ell = 1 this drops the hits outside
+    q_1's image).  The arrivals of the blocks, in block order, are sorted
+    by (l, replicate), so each replicate's first arrival is its first term.
+    Beside the keys, memory is O(``_COUNT_BLOCK`` + arrivals +
+    replicates), whatever the horizon.
+
+    In process (2-core VM, numpy 2.4) the benchmark's arrivals calls count
+    their 5.1e6 keys at n = 8 in about 0.14 s of CPU and their 1.0e6 keys
+    at n = 10 in about 0.07 s, against 0.18 s and 0.125 s when every list
+    was inverted to l and merged by a stable sort.
     """
     ell = q_cols.shape[1]
     shift = _key_shift(int(q_cols[-1, -1]), replicates)
     keys.sort()
     found = [np.empty(0, dtype=keys.dtype)]
     for l0, l1, lo, hi in _term_blocks(q_cols, keys, shift):
-        lists = np.concatenate([
-            _term_list(q_cols[l0:l1, j], l0, keys[a:b], shift)
-            for j, (a, b) in enumerate(zip(lo.tolist(), hi.tolist()))
-        ])
-        lists.sort(kind="stable")  # ell sorted runs: a merge
-        m = max(0, lists.size - ell + 1)
-        found.append(lists[:m][lists[ell - 1 :] == lists[:m]])
+        q1 = q_cols[l0:l1, 0]
+        lists = keys[lo[0] : hi[0]]
+        if ell > 1:
+            lists = np.concatenate([lists] + [
+                _relabel(q_cols[l0:l1, j], keys[lo[j] : hi[j]], shift, q1)
+                for j in range(1, ell)
+            ])
+            # equal keys meet in any sort; numpy's quicksort beats the
+            # stable sort's merge of the ell runs
+            lists.sort()
+            m = max(0, lists.size - ell + 1)
+            lists = lists[:m][lists[ell - 1 :] == lists[:m]]
+        found.append(_relabel(q1, lists, shift, l0 + 1))
     arrivals = np.concatenate(found)
     reps = arrivals & ((1 << shift) - 1)
     counts = np.bincount(reps, minlength=replicates)
@@ -593,13 +641,17 @@ def _term_blocks(q_cols, keys, shift: int):
         l0 = int(ends[k])
 
 
-def _term_list(col, l0: int, keys, shift: int):
-    """Sorted (l << s) | replicate of the hits among ``keys`` at the
-    positions ``col`` = q_j(l0 + 1), q_j(l0 + 2), ..., where ``keys`` is a
-    sorted slice whose positions lie in [col[0], col[-1]].
+def _relabel(col, keys, shift: int, labels):
+    """The hits among the sorted ``keys`` at the increasing positions
+    ``col``, as sorted (label << s) | replicate, where every key's position
+    lies in [col[0], col[-1]].  A hit at col[i] takes the label labels[i]
+    when ``labels`` is an increasing array like ``col``, and labels + i
+    when it is an int.
 
-    q_j is inverted on the slice's distinct positions only: each is a run
-    of the sorted keys."""
+    ``col`` is searched for the keys' distinct positions only: each is a
+    run of the sorted keys."""
+    if not keys.size:
+        return keys
     pos = keys >> shift
     new = np.empty(pos.size, dtype=bool)
     new[:1] = True
@@ -610,7 +662,9 @@ def _term_list(col, l0: int, keys, shift: int):
     li = np.searchsorted(col, at)  # < len(col): at <= col[-1]
     on = col[li] == at
     out = keys[np.repeat(on, runs)] & ((1 << shift) - 1)
-    out |= np.repeat((li[on] + l0 + 1).astype(keys.dtype) << shift, runs[on])
+    li = li[on]
+    label = labels[li] if isinstance(labels, np.ndarray) else li + labels
+    out |= np.repeat(label.astype(keys.dtype) << shift, runs[on])
     return out
 
 
@@ -669,14 +723,14 @@ def sample_counts(chain, accept, q_cols, rng, replicates: int):
     Each batch (see ``_batches``) draws all its hits up to the horizon as
     packed keys, 32-bit when they fit (see ``_key_dtype``), which
     ``_counts_and_first`` counts.  Under ``tracemalloc`` a batch of the A4
-    target at n = 8 peaks near 7 B per hit with 32-bit keys (34.5 MiB for
-    the 5.1e6 hits of 20,000 replicates) and near 14 B per hit with int64
-    keys (259.7 MiB for the 2.0e7 hits of one 77,948-replicate batch,
-    whose keys need 34 bits).  The peak is the sampler's key buffer as it
-    doubles; the counter adds 2.0 MiB (6.8 MiB with int64 keys) to the
-    keys.  First arrivals come from ``sample_first``,
-    which stops each replicate at its first arrival and leaves their law
-    unchanged.
+    target at n = 8 peaks near 4.8 B per hit with 32-bit keys (23.5 MiB
+    for the 5.1e6 hits of 20,000 replicates) and near 8.4 B per hit with
+    int64 keys (160.7 MiB for the 2.0e7 hits of one 77,948-replicate
+    batch, whose keys need 34 bits).  The peak is the sampler's one key
+    buffer, sized from the expected hits; the counter adds 1.0 MiB (5.6 MiB
+    with int64 keys) to the keys.  First arrivals come from
+    ``sample_first``, which stops each replicate at its first arrival and
+    leaves their law unchanged.
     """
     counts = np.empty(replicates, dtype=np.int64)
     for engine, part in _batches(chain, accept, q_cols, replicates):

@@ -182,22 +182,38 @@ def _loggap(l: int, c: float, gamma: float) -> int:
 def _loggap_runs(N: int, c: float, gamma: float) -> np.ndarray:
     """g(l) = _loggap(l, c, gamma) for l = 1..N, as an int64 array.
 
-    g is nondecreasing in l, so it is constant on O(g(N)) runs; each run's
-    first l is found by bisection on the scalar ``_loggap``, which makes
-    every value equal to the scalar one.
+    g is nondecreasing in l, so it is constant on O(g(N)) runs.  The run
+    after value v starts at the least l with c (ln l)^(1+gamma) > v, which
+    is floor(exp((v / c)^(1 / (1 + gamma)))) + 1 in exact arithmetic.  That
+    guess and the l before it are checked with the scalar ``_loggap``, and
+    bisection on the scalar finishes the search when rounding put the guess
+    off, so every value equals the scalar one.
     """
     starts, values = [1], [_loggap(1, c, gamma)]
     last = _loggap(N, c, gamma)
     while values[-1] != last:
-        lo, hi = starts[-1], N  # g(lo) == values[-1] < g(hi)
+        lo, hi, at_hi = starts[-1], N, last  # g(lo) == values[-1] < g(hi)
+        try:
+            x = (values[-1] / c) ** (1.0 / (1.0 + gamma))
+            guess = int(math.exp(min(x, 700.0))) + 1
+        except (ArithmeticError, ValueError):
+            guess = lo
+        for probe in (guess - 1, guess):
+            if lo < probe < hi:
+                at = _loggap(probe, c, gamma)
+                if at == values[-1]:
+                    lo = probe
+                else:
+                    hi, at_hi = probe, at
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if _loggap(mid, c, gamma) == values[-1]:
+            at = _loggap(mid, c, gamma)
+            if at == values[-1]:
                 lo = mid
             else:
-                hi = mid
+                hi, at_hi = mid, at
         starts.append(hi)
-        values.append(_loggap(hi, c, gamma))
+        values.append(at_hi)
     lengths = np.diff(np.array(starts + [N + 1], dtype=np.int64))
     return np.repeat(np.array(values, dtype=np.int64), lengths)
 

@@ -386,6 +386,31 @@ def _ratio_pairs(q, N, threshold, cutoff, rng, ratio_samples) -> list[tuple[int,
     return pairs
 
 
+def _suffix_sums(b: np.ndarray, count: int) -> np.ndarray:
+    """sum_{j > i} b_j for i = 1..count, equal bit for bit to
+    ``np.cumsum(b[::-1])[::-1][1:]`` (the empty sum at i = N is 0.0).
+
+    The sums are accumulated from the end in chunks of ``_CHUNK`` terms,
+    each chunk's cumsum starting from the running total as its first
+    element, so that the additions are those of one cumsum while only a
+    chunk's floats are held.
+    """
+    out = np.zeros(count)
+    total = -0.0  # x + -0.0 is x for every float x, so the first sum is b_N's
+    hi = b.size
+    while hi > 1:
+        lo = max(1, hi - _CHUNK)
+        acc = np.cumsum(np.concatenate(([total], b[lo:hi][::-1])))
+        # acc[m] is the sum over j >= hi - m (0-based); write those with
+        # 1 <= hi - m <= count into out[hi - m - 1]
+        a, z = lo, min(hi - 1, count)
+        if a <= z:
+            out[a - 1 : z] = acc[hi - a : hi - z - 1 : -1]
+        total = acc[-1]
+        hi = lo
+    return out
+
+
 def _stage_sampled(
     cache, q, starts, n, N, threshold, cutoff, b1, rng, pair_samples, ratio_samples
 ) -> StageResult:
@@ -424,7 +449,7 @@ def _stage_sampled(
     rows = np.concatenate([clustered, np.array(far, dtype=np.int64).reshape(-1, 2)])
     b_a = cache(rows) if sizes else np.zeros(0)
     b_near, b_far = b_a[:len(clustered)], b_a[len(clustered):]
-    suffix = np.concatenate([np.cumsum(b1[::-1])[::-1][1:], [0.0]])  # sum_{j>i} b_j
+    suffix = _suffix_sums(b1, len(sizes))
     joint, product, offset = 0.0, 0.0, 0
     for i, (rest, k) in enumerate(sizes, start=1):
         product += b1[i - 1] * suffix[i - 1]

@@ -1,5 +1,6 @@
 """Doeblin chains: invariant measure, mixing, arrival sums, exact oracles."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -26,7 +27,14 @@ from nonconv import (
 )
 from nonconv.bernoulli import BernoulliScheme, exact_distribution, simulate_batch
 from nonconv.errors import ResourceError
-from nonconv.markov import EXACT_B_TIME_BUDGET, _HitEngine, exact_b, exact_sum_distribution
+from nonconv.markov import (
+    EXACT_B_TIME_BUDGET,
+    _HitEngine,
+    exact_b,
+    exact_sum_distribution,
+    sample_first,
+)
+from nonconv.rng import derive_rng
 from nonconv.schedules import (
     QSchedule,
     arithmetic_gap_schedule,
@@ -129,6 +137,22 @@ def test_simulate_arrival_iid_reduction():
     mean_true = n * 0.25
     sigma = math.sqrt(n * 0.25 * 0.75 / reps)
     assert abs(draws.mean() - mean_true) < 3 * sigma
+
+
+def test_multi_table_draws_are_pinned():
+    # sha256 of arrival counts and first arrivals on an engine with two gap
+    # tables, whose uniforms are handed out in table order; the digests were
+    # taken before the guide tables became one word per bucket
+    def sha(a):
+        return hashlib.sha256(a.astype(a.dtype.newbyteorder("<")).tobytes()).hexdigest()
+
+    chain = FiniteMarkovChain([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]])
+    assert len(_HitEngine(chain, [0, 2], 100).gap_tables) == 2
+    sched = arithmetic_gap_schedule(2, 4.0, 0.5)
+    counts = simulate_arrival_batch(chain, sched, {0, 2}, 300, 7, 3000)
+    assert sha(counts) == "6efcf5e157691f087a2e931ec8e46dd1bcb263e0fef8ca16245ee7970a016639"
+    first = sample_first(chain, [0, 2], sched.columns(300), derive_rng(7, 0), 3000)
+    assert sha(first) == "88b9a6aef7db748cfa6848067189d893d65be1fff0efcc54a5655d83e9ab361a"
 
 
 def test_exact_b_iid_chain():
@@ -777,20 +801,36 @@ def _adversarial_cdf(rng, kind):
 
 
 def test_guide_draws_equal_binary_search():
-    # every draw of the guide tables equals searchsorted(cdf, u, "right")
-    # on the uniforms where they could differ: bucket edges, cdf values and
-    # their neighbours, and the mass past cdf[-1]
+    # every draw of the bucket words is the word of the slot of
+    # searchsorted(cdf, u, "right") on the uniforms where they could differ:
+    # bucket edges, cdf values and their neighbours, and the mass past
+    # cdf[-1].  Each entry has its own time, so a word names its slot (the
+    # sentinels, all alike, share theirs).
     rng = np.random.default_rng(2024)
     kinds = ["full", "short", "tail", "single"] * 6
     cdfs = [_adversarial_cdf(rng, kind) for kind in kinds]
     engine = _HitEngine.__new__(_HitEngine)
-    engine.horizon = 10
-    engine._store([(np.zeros(c.size, dtype=np.int64),) * 2 + (c,) for c in cdfs])
+    engine.horizon = 10**6
+    firsts = np.cumsum([0] + [c.size + 1 for c in cdfs])
+    engine._store([
+        (a + 1 + np.arange(c.size), np.full(c.size, k), c)
+        for k, (a, c) in enumerate(zip(firsts.tolist(), cdfs))
+    ])
     start = 0
     tables, us, wants = [], [], []
     for k, cdf in enumerate(cdfs):
         G = int(engine._buckets[k])
         assert G >= 2 * cdf.size and G & (G - 1) == 0
+        # each closed bucket holds its slot's time and next table, each
+        # open one -1
+        lo = start + np.searchsorted(cdf, np.arange(G) / G, side="right")
+        hi = start + np.searchsorted(cdf, np.arange(1, G + 1) / G, side="right")
+        words = engine._word[engine._gstart[k] : engine._gstart[k] + G]
+        closed = lo == hi
+        assert closed.any()
+        assert np.array_equal(words[~closed], np.full((~closed).sum(), -1))
+        assert np.array_equal(words[closed] >> engine._bits, engine._time[lo[closed]])
+        assert np.array_equal(words[closed] & ((1 << engine._bits) - 1), engine._next[lo[closed]])
         edges = np.arange(1, G) / G
         u = np.concatenate([
             [0.0], edges, np.nextafter(edges, 0.0),
@@ -799,8 +839,8 @@ def test_guide_draws_equal_binary_search():
         ])
         u = u[u < 1.0]
         want = np.searchsorted(cdf, u, side="right")
-        assert np.array_equal(engine._draw(k, u) - start, want)
-        assert np.array_equal(engine._draw(np.full(u.size, k), u) - start, want)
+        assert np.array_equal(engine._draw(k, u), engine._slot_word(start + want))
+        assert np.array_equal(engine._draw(np.full(u.size, k), u), engine._slot_word(start + want))
         tables.append(np.full(u.size, k))
         us.append(u)
         wants.append(start + want)
@@ -810,11 +850,11 @@ def test_guide_draws_equal_binary_search():
     order = rng.permutation(sum(u.size for u in us))
     table, u, want = (np.concatenate(a)[order] for a in (tables, us, wants))
     g = engine._gstart[table] + (u * engine._buckets[table]).astype(np.int64)
-    assert np.unique(table[engine._guide[g] < engine._guide[g + 1]]).size > 1
+    assert np.unique(table[engine._word[g] < 0]).size > 1
     ends = np.cumsum([c.size + 1 for c in cdfs]) - 1  # the sentinels' slots
     past = u >= np.array([c[-1] for c in cdfs])[table]
     assert past.any() and np.array_equal(want[past], ends[table[past]])
-    assert np.array_equal(engine._draw(table, u), want)
+    assert np.array_equal(engine._draw(table, u), engine._slot_word(want))
 
 
 # -- the hit engine's exact count law ------------------------------------------

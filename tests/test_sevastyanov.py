@@ -4,6 +4,7 @@ import functools
 import math
 import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from nonconv.sevastyanov import (
     _ratio_pairs,
     _runs,
     _singles,
+    _suffix_sums,
     _tuple_terms,
     bernoulli_model_oracle,
     pattern_chain_oracle,
@@ -725,3 +727,19 @@ def test_verdict_monotone_in_tolerances(t_small, extra):
     if v_tight.passed:
         assert v_loose.passed
     assert set(v_loose.failures) <= set(v_tight.failures)
+
+
+@given(st.integers(1, 200), st.integers(1, 9), st.data())
+@settings(max_examples=150, deadline=None)
+def test_suffix_sums_equal_one_cumsum_bit_for_bit(N, chunk, data):
+    # chunked sums carry the running total into each chunk's cumsum, so
+    # each sum is the same float as that of one reversed cumsum, for any
+    # chunk size and any magnitudes
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    b = rng.random(N) * 10.0 ** rng.uniform(-30, 0, N)
+    count = data.draw(st.integers(0, N), label="count")
+    want = np.concatenate([np.cumsum(b[::-1])[::-1][1:], [0.0]])[:count]
+    with mock.patch("nonconv.sevastyanov._CHUNK", chunk):
+        got = _suffix_sums(b, count)
+    assert got.tobytes() == want.tobytes()
