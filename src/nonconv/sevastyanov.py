@@ -401,11 +401,11 @@ def _suffix_sums(b: np.ndarray, count: int) -> np.ndarray:
     while hi > 1:
         lo = max(1, hi - _CHUNK)
         acc = np.cumsum(np.concatenate(([total], b[lo:hi][::-1])))
-        # acc[m] is the sum over j >= hi - m (0-based); write those with
-        # 1 <= hi - m <= count into out[hi - m - 1]
-        a, z = lo, min(hi - 1, count)
-        if a <= z:
-            out[a - 1 : z] = acc[hi - a : hi - z - 1 : -1]
+        # acc[m] is the sum over j >= hi - m (0-based); out[k - 1] takes
+        # the one with hi - m = k, for lo <= k <= min(hi - 1, count)
+        top = min(hi - 1, count)
+        if lo <= top:
+            out[lo - 1 : top] = acc[hi - lo : hi - top - 1 : -1]
         total = acc[-1]
         hi = lo
     return out

@@ -765,6 +765,20 @@ def test_hit_engine_memory_on_wide_lift():
     assert peak < 256 * 2**20, peak
 
 
+def test_hit_engine_refuses_words_that_overflow():
+    # a bucket word is (time << b) | next table, and a sentinel's time is
+    # horizon + 1: with 3 tables (b = 2) the horizon 2^61 - 2 fits, 2^61
+    # does not
+    chain = FiniteMarkovChain([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]])
+    engine = _HitEngine(chain, [0, 2], 2**61 - 2)
+    assert engine._bits == 2 and len(engine.gap_tables) == 2
+    rng = derive_rng(1, 0)
+    keys = engine.sample_hits(rng, engine.start(rng, 2), 1000)
+    assert keys.size > 0 and keys.max() >> 1 <= 1000
+    with pytest.raises(ResourceError, match="words of horizon 2305843009213693952"):
+        _HitEngine(chain, [0, 2], 2**61)
+
+
 def test_hit_engine_refuses_over_budget_before_allocating():
     # 1023 of 1024 states accept and the horizon asks for a 512-step block:
     # the first block of event tables alone would be 1024 x 513 x 1023 cells
