@@ -304,8 +304,8 @@ class _HitEngine:
 
     On the benchmark's A4 targets about 4.5% of the draws land in open
     buckets.  In process (2-core VM, numpy 2.4), sampling the 5.1e6 hits
-    of 20,000 replicates at n = 8 takes about 0.15 s of CPU, against
-    0.19 s when a draw read two guide cells and then the slot's time and
+    of 20,000 replicates at n = 8 takes about 0.145 s of CPU, against
+    0.184 s when a draw read two guide cells and then the slot's time and
     next table.
 
     A table stops at the first time t whose survival mass (no entry in
@@ -579,8 +579,8 @@ def _counts_and_first(q_cols, keys, replicates):
     replicates), whatever the horizon.
 
     In process (2-core VM, numpy 2.4) the benchmark's arrivals calls count
-    their 5.1e6 keys at n = 8 in about 0.14 s of CPU and their 1.0e6 keys
-    at n = 10 in about 0.07 s, against 0.18 s and 0.125 s when every list
+    their 5.1e6 keys at n = 8 in about 0.129 s of CPU and their 1.0e6 keys
+    at n = 10 in about 0.068 s, against 0.169 s and 0.116 s when every list
     was inverted to l and merged by a stable sort.
     """
     ell = q_cols.shape[1]
