@@ -9,7 +9,8 @@ Config grammar (YAML mapping); ``validate_config`` checks every rule below
 and lists each fault it finds.  A number is an int or a finite float, never
 a boolean.  A key not named below, at the top level or in a section, is a
 fault, and so is a schedule that its family refuses to build (ell < 1,
-degree < 1, table rows that are not strictly increasing with q_1(l) >= l).
+degree < 1, gamma < -1, table rows that are not strictly increasing with
+q_1(l) >= l).
 Every section but schedule is optional and may be null, which reads as empty.
 
   model:       bernoulli | markov | subshift
@@ -19,8 +20,8 @@ Every section but schedule is optional and may be null, which reads as empty.
   replicates:  integer >= 0 (default 0; 0 = exact-only tables, and
                hitting_time_survival needs replicates > 0)
   schedule:    {family: linear|arithmetic_gap|polynomial|exponential_gap|table,
-                ell: int (not for table), c: num and gamma: num (arithmetic_gap),
-                degree: int (polynomial),
+                ell: int (not for table), c: num and gamma: num >= -1
+                (arithmetic_gap), degree: int (polynomial),
                 rows: (table) nonempty list, or mapping from integer l >= 1,
                 of equal-length nonempty lists of integers}
   outputs:     nonempty list of table names defined for the model
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -66,13 +68,7 @@ from .distributions import PoissonLaw, empirical_distribution, tv_distance
 from .errors import ConfigError, NonconvError, ScheduleError, ValidationError
 from .markov import ROW_SUM_TOL
 from .rng import STREAM_HITTING, derive_seed
-from .schedules import (
-    QSchedule,
-    SCHEDULE_FAMILIES,
-    logpow_cutoff,
-    ratio_cutoff_index,
-    table_schedule,
-)
+from .schedules import QSchedule, SCHEDULE_FAMILIES, logpow_cutoff, ratio_cutoff_index
 from .sevastyanov import DEFAULT_ENUMERATION_BUDGET
 
 _MODELS = ("bernoulli", "markov", "subshift")
@@ -181,14 +177,10 @@ _SECTIONS = {
         ),
     },
 }
-# schedule family -> the keys of its spec after family, in the order that
-# its constructor takes them
+# schedule family -> the keys of its spec after family: its constructor's
+# parameters, in order
 _FAMILIES = {
-    "linear": ("ell",),
-    "exponential_gap": ("ell",),
-    "arithmetic_gap": ("ell", "c", "gamma"),
-    "polynomial": ("ell", "degree"),
-    "table": ("rows",),
+    fam: tuple(inspect.signature(build).parameters) for fam, build in SCHEDULE_FAMILIES.items()
 }
 _KEYS = {"model", "seed", "n_grid", "schedule", "outputs", *_DEFAULTS, *_SECTIONS,
          "_raw_bytes"}  # the loader adds _raw_bytes
@@ -322,7 +314,7 @@ def validate_config(cfg: dict) -> list[str]:
 
 def build_schedule(spec: dict) -> QSchedule:
     fam = spec["family"]
-    build = table_schedule if fam == "table" else SCHEDULE_FAMILIES[fam]
+    build = SCHEDULE_FAMILIES[fam]
     # c and gamma reach the schedule's name, and so its faults, as floats
     return build(*(float(spec[k]) if k in ("c", "gamma") else spec[k] for k in _FAMILIES[fam]))
 

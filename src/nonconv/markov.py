@@ -32,6 +32,8 @@ LIFT_STATE_BUDGET = 1 << 12  # most lifted states: a dense S-by-S P of 128 MiB
 EXACT_B_TIME_BUDGET = 4096  # most restriction times per exact_b row
 _GATHER_CELLS = 1 << 20  # most gathered block cells per batched exact_b product (8 MiB)
 _PROJECTION_TOL = 1e-15
+_DOEBLIN_N0_MAX = 64  # highest power P^n0 searched for the Doeblin certificate
+_MIXING_HORIZON = 64  # steps n = 1..64 of the mixing-rate distances d(n)
 
 
 class FiniteMarkovChain:
@@ -42,7 +44,7 @@ class FiniteMarkovChain:
     (n0, C) against the uniform reference measure.
     """
 
-    def __init__(self, P, nu=None, n0_max: int = 64):
+    def __init__(self, P, nu=None):
         P = np.asarray(P, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValidationError(f"transition matrix must be square, got {P.shape}")
@@ -58,7 +60,7 @@ class FiniteMarkovChain:
         if nu.shape != (self.M,) or np.any(nu < 0) or abs(nu.sum() - 1.0) > 1e-9:
             raise ValidationError("initial distribution must be a probability vector")
         self.nu = nu
-        self.n0, self.C = doeblin_certificate(P, n0_max)
+        self.n0, self.C = doeblin_certificate(P)
         self.mu = invariant_measure(self)
         # the level test compares with mu, which is known to about the
         # solve's residual
@@ -127,7 +129,7 @@ class FiniteMarkovChain:
         return steps if lvl is None or steps < lvl else lvl
 
 
-def doeblin_certificate(P, n0_max: int = 64) -> tuple[int, float]:
+def doeblin_certificate(P) -> tuple[int, float]:
     """Smallest n0 with P^n0 entrywise positive, and the matching constant.
 
     With the uniform reference measure m, C = max(M * max P, 1 / (M * min P^n0))
@@ -136,14 +138,14 @@ def doeblin_certificate(P, n0_max: int = 64) -> tuple[int, float]:
     P = np.asarray(P, dtype=float)
     M = P.shape[0]
     Pk = np.eye(M)
-    for n0 in range(1, n0_max + 1):
+    for n0 in range(1, _DOEBLIN_N0_MAX + 1):
         Pk = Pk @ P
         mn = Pk.min()
         if mn > 0.0:
             C = max(M * P.max(), 1.0 / (M * mn))
             return n0, float(C)
     raise CertificationError(
-        f"no positive power P^n0 for n0 <= {n0_max}; chain is reducible or periodic"
+        f"no positive power P^n0 for n0 <= {_DOEBLIN_N0_MAX}; chain is reducible or periodic"
     )
 
 
@@ -167,7 +169,7 @@ def invariant_measure(chain: FiniteMarkovChain) -> np.ndarray:
 class MixingCertificate:
     C1: float
     beta: float
-    distances: tuple[float, ...]  # d(n) for n = 1..horizon
+    distances: tuple[float, ...]  # d(n) for n = 1.._MIXING_HORIZON
 
 
 def envelope_fit(d) -> tuple[float, float]:
@@ -194,18 +196,18 @@ def envelope_fit(d) -> tuple[float, float]:
     return float(C), beta
 
 
-def mixing_rate(chain: FiniteMarkovChain, horizon: int = 64) -> MixingCertificate:
+def mixing_rate(chain: FiniteMarkovChain) -> MixingCertificate:
     """Tightest exponential envelope on density discrepancies.
 
     d(n) = max_{x,y} |M * P^n(x,y) - M * mu(y)| (densities against uniform),
-    for n = 1..horizon, fit by ``envelope_fit``.  Chains that mix exactly
-    report C1 = 0 and beta = inf.
+    for n = 1..``_MIXING_HORIZON``, fit by ``envelope_fit``.  Chains that mix
+    exactly report C1 = 0 and beta = inf.
     """
     M = chain.M
     target = np.tile(chain.mu, (M, 1))
     Pk = np.eye(M)
     d = []
-    for _ in range(horizon):
+    for _ in range(_MIXING_HORIZON):
         Pk = Pk @ chain.P
         d.append(float(M * np.max(np.abs(Pk - target))))
     C1, beta = envelope_fit(d)

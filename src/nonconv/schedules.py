@@ -22,10 +22,6 @@ _INT64_MAX = np.iinfo(np.int64).max
 # most int64 cells of one ``QSchedule.columns`` table (256 MiB): the n = 12
 # factorization stage of an ell = 2 arithmetic-gap schedule has N = 2^24
 COLUMN_CELL_BUDGET = 1 << 25
-# Vectorized checks flag a row for the scalar check within this margin of the
-# gap bound, so that np.log and math.log rounding apart cannot change a verdict.
-_GAP_SCREEN_SLACK = 1e-6
-_CHECK_CHUNK = 1 << 16  # rows per chunk of the vectorized column screen
 
 
 @dataclass(frozen=True)
@@ -33,12 +29,17 @@ class QSchedule:
     """Family of strictly increasing index functions.
 
     ``q_fn(j, l)`` evaluates the j-th function (1-based, j <= ell) at l >= 1.
-    ``gap_params = (c, gamma)``, when present, declares the lower bound
-    q_{j+1}(l) - q_j(l) >= c * (ln l)^(1+gamma); it is verified on
-    construction up to ``validation_horizon``.
+    Each row has l <= q_1(l) < ... < q_ell(l), and each q_j increases
+    strictly in l.  ``gap_params = (c, gamma)``, when present, declares the
+    lower bound q_{j+1}(l) - q_j(l) >= c * (ln l)^(1+gamma).  ``_check_row``
+    applies these rules; it checks rows l <= ``validation_horizon`` on
+    construction.
 
-    ``_columns(N)``, set by the built-in family constructors, is a
-    vectorized form of ``q_fn`` over l = 1..N; see ``columns``.
+    ``_columns(N)``, set by the family constructors, is a vectorized form
+    of ``q_fn`` over l = 1..N whose rows obey the rules by construction, so
+    no row of such a schedule is checked again.  A schedule without it (a
+    custom ``q_fn``) has each row past the horizon checked against the row
+    before it by ``evaluate``, which ``columns`` calls for every row.
     """
 
     ell: int
@@ -87,12 +88,12 @@ class QSchedule:
                     )
 
     def evaluate(self, l: int) -> tuple[int, ...]:
-        """Return (q_1(l), ..., q_ell(l))."""
+        """Return (q_1(l), ..., q_ell(l)), checking a custom row past the horizon."""
         if l < 1:
             raise ValidationError(f"l must be >= 1, got {l}")
         vals = self._raw(l)
-        if l > self.validation_horizon:
-            self._check_row(l, vals, None)
+        if l > self.validation_horizon and self._columns is None:
+            self._check_row(l, vals, self._raw(l - 1) if l > 1 else None)
         return vals
 
     def max_index(self, n: int) -> int:
@@ -102,11 +103,11 @@ class QSchedule:
     def columns(self, N: int) -> np.ndarray:
         """(N, ell) int64 array whose row l - 1 is ``evaluate(l)``, l = 1..N.
 
-        Built-in families are computed in closed form and checked like
-        ``evaluate`` checks rows past ``validation_horizon``; other
-        schedules evaluate row by row.  Raises ``ResourceError`` when
-        q_ell(N) does not fit in int64, or before any O(N) array is
-        allocated when the table has more than ``COLUMN_CELL_BUDGET`` cells.
+        A schedule with ``_columns`` takes its table from it; other
+        schedules evaluate, and so check, row by row.  Raises
+        ``ResourceError`` when q_ell(N) does not fit in int64, or before any
+        O(N) array is allocated when the table has more than
+        ``COLUMN_CELL_BUDGET`` cells.
         """
         if N * self.ell > COLUMN_CELL_BUDGET:
             raise ResourceError(
@@ -120,27 +121,7 @@ class QSchedule:
             )
         if self._columns is None:
             return np.array([self.evaluate(l) for l in range(1, N + 1)], dtype=np.int64)
-        q = self._columns(N)
-        self._check_columns(q)
-        return q
-
-    def _check_columns(self, q: np.ndarray):
-        # Vectorized screen for the rows evaluate() would check, past the
-        # validation horizon, in chunks of _CHECK_CHUNK rows; each flagged
-        # row goes through the scalar check, which raises with its message.
-        for a in range(self.validation_horizon, len(q), _CHECK_CHUNK):
-            rows = q[a : a + _CHECK_CHUNK]
-            l = np.arange(a + 1, a + 1 + len(rows))
-            suspect = rows[:, 0] < l
-            if self.ell > 1:
-                gaps = np.diff(rows, axis=1).min(axis=1)
-                suspect |= gaps <= 0
-                if self.gap_params is not None:
-                    c, gamma = self.gap_params
-                    need = c * np.log(l) ** (1.0 + gamma)
-                    suspect |= gaps < need - 1e-9 + _GAP_SCREEN_SLACK
-            for row in np.flatnonzero(suspect):
-                self._check_row(a + int(row) + 1, tuple(rows[row].tolist()), None)
+        return self._columns(N)
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +163,10 @@ def _loggap(l: int, c: float, gamma: float) -> int:
 def _loggap_runs(N: int, c: float, gamma: float) -> np.ndarray:
     """g(l) = _loggap(l, c, gamma) for l = 1..N, as an int64 array.
 
-    g is nondecreasing in l, so it is constant on O(g(N)) runs.  The run
-    after value v starts at the least l with c (ln l)^(1+gamma) > v, which
-    is floor(exp((v / c)^(1 / (1 + gamma)))) + 1 in exact arithmetic.  That
+    g is nondecreasing in l for gamma >= -1, which ``arithmetic_gap_schedule``
+    requires, so it is constant on O(g(N)) runs.  The run after value v
+    starts at the least l with c (ln l)^(1+gamma) > v, which is
+    floor(exp((v / c)^(1 / (1 + gamma)))) + 1 in exact arithmetic.  That
     guess and the l before it are checked with the scalar ``_loggap``, and
     bisection on the scalar finishes the search when rounding put the guess
     off, so every value equals the scalar one.
@@ -219,7 +201,14 @@ def _loggap_runs(N: int, c: float, gamma: float) -> np.ndarray:
 
 
 def arithmetic_gap_schedule(ell: int, c: float, gamma: float) -> QSchedule:
-    """q_j(l) = l + (j-1) * g(l) with g(l) = max(1, ceil(c (ln l)^(1+gamma)))."""
+    """q_j(l) = l + (j-1) * g(l) with g(l) = max(1, ceil(c (ln l)^(1+gamma))).
+
+    Raises ``ScheduleError`` for gamma < -1: there g can fall as l grows,
+    so q_2 can stop increasing.  For gamma >= -1, g is nondecreasing, and
+    every row meets the schedule rules and the declared gap by construction.
+    """
+    if not gamma >= -1.0:
+        raise ScheduleError(f"schedule arithmetic_gap: gamma must be >= -1, got {gamma}")
 
     def columns(N: int) -> np.ndarray:
         # filled in place, column by column: no (N, ell) temporaries
@@ -266,7 +255,8 @@ def exponential_gap_schedule(ell: int) -> QSchedule:
 def table_schedule(rows: Mapping[int, Iterable[int]] | list) -> QSchedule:
     """Explicit table of q values; rows[l] = (q_1(l), ..., q_ell(l)).
 
-    A list input is interpreted as rows for l = 1, 2, ....
+    A list input is interpreted as rows for l = 1, 2, ....  Every row is
+    checked on construction: the validation horizon is the table's length.
     """
     if isinstance(rows, list):
         table = {l + 1: tuple(int(v) for v in row) for l, row in enumerate(rows)}
@@ -288,7 +278,10 @@ def table_schedule(rows: Mapping[int, Iterable[int]] | list) -> QSchedule:
         except KeyError:
             raise ValidationError(f"schedule table has no row for l={l}") from None
 
-    return QSchedule(ell, q_fn, name="table", validation_horizon=horizon)
+    def columns(N: int) -> np.ndarray:
+        return np.array([table[l] for l in range(1, N + 1)], dtype=np.int64)
+
+    return QSchedule(ell, q_fn, name="table", validation_horizon=horizon, _columns=columns)
 
 
 SCHEDULE_FAMILIES = {
@@ -296,6 +289,7 @@ SCHEDULE_FAMILIES = {
     "arithmetic_gap": arithmetic_gap_schedule,
     "polynomial": polynomial_schedule,
     "exponential_gap": exponential_gap_schedule,
+    "table": table_schedule,
 }
 
 

@@ -50,6 +50,8 @@ from .rng import (
 )
 from .schedules import QSchedule, logpow_cutoff
 
+_CLEAR_WORD_TRIES = 10_000  # words drawn by sample_clear_word before it gives up
+
 
 @dataclass(frozen=True)
 class SubshiftSFT:
@@ -287,15 +289,15 @@ def aep_deviation(measure: MarkovGibbsMeasure, word) -> float:
 
 
 def sample_clear_word(
-    measure: MarkovGibbsMeasure, n: int, eps: float, seed: int, max_tries: int = 10_000
+    measure: MarkovGibbsMeasure, n: int, eps: float, seed: int
 ) -> tuple[int, ...]:
     """Rejection-sample a word of length n passing the short-return screen."""
     a_n = logpow_cutoff(n, eps)
-    for t in range(max_tries):
+    for t in range(_CLEAR_WORD_TRIES):
         w = sample_point(measure, n, seed + t)
         if short_return_check(measure.sft, w, a_n):
             return w
-    raise ResourceError(f"no short-return-clear word of length {n} in {max_tries} tries")
+    raise ResourceError(f"no short-return-clear word of length {n} in {_CLEAR_WORD_TRIES} tries")
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,27 @@ def test_run_is_byte_identical(tmp_path):
     assert _hash_dir(out1) == _hash_dir(out2)
 
 
+@pytest.mark.parametrize("as_mapping", [False, True])
+def test_table_schedule_runs_like_its_family(tmp_path, as_mapping):
+    rows = [[l, 2 * l] for l in range(1, 65)]
+    text = BERNOULLI_CFG.replace("n_grid: [8, 12]", "n_grid: [16, 64]").replace(
+        "chen_stein_terms]", "chen_stein_terms, sevastyanov_report]"
+    )
+    table = {l: row for l, row in enumerate(rows, start=1)} if as_mapping else rows
+    spec = yaml.safe_dump({"family": "table", "rows": table}, default_flow_style=True)
+    tables = ["pmf_vs_poisson", "tv_and_bounds", "chen_stein_terms", "sevastyanov_report"]
+    outs = {}
+    for name, cfg_text in [
+        ("linear", text),
+        ("table", text.replace("{family: linear, ell: 2}", spec.strip())),
+    ]:
+        cfg = _write(tmp_path, cfg_text, f"{name}.yaml")
+        assert validate_config(load_config(cfg)) == []
+        run(cfg, tmp_path / name)
+        outs[name] = {t: (tmp_path / name / f"{t}.csv").read_bytes() for t in tables}
+    assert outs["table"] == outs["linear"]
+
+
 def test_manifest_contents(tmp_path):
     cfg = _write(tmp_path, BERNOULLI_CFG)
     out = tmp_path / "out"
