@@ -22,14 +22,11 @@ from .schedules import (
     QSchedule,
     SCHEDULE_FAMILIES,
     arithmetic_gap_schedule,
-    classify_tuple,
-    cluster_partition,
     exponential_gap_schedule,
     linear_schedule,
     logpow_cutoff,
     polynomial_schedule,
     ratio_cutoff_index,
-    rho,
     table_schedule,
 )
 from .distributions import (
@@ -45,7 +42,6 @@ from .bernoulli import (
     chen_stein_terms,
     exact_distribution,
     simulate_batch,
-    simulate_sum,
     verify_poisson_bound,
 )
 from .markov import (
@@ -57,7 +53,6 @@ from .markov import (
     invariant_measure,
     mixing_rate,
     simulate_arrival_batch,
-    simulate_arrival_sum,
     word_lift,
 )
 from .subshift import (

@@ -64,7 +64,8 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .distributions import PoissonLaw, empirical_distribution, tv_distance
+from .distributions import PoissonLaw, empirical_distribution
+from .distributions import tv_distance  # noqa: F401  the benchmark's traced run wraps this name
 from .errors import ConfigError, NonconvError, ScheduleError, ValidationError
 from .markov import ROW_SUM_TOL
 from .rng import STREAM_HITTING, derive_seed

@@ -227,11 +227,6 @@ def _states(chain, gamma) -> list[int]:
     return gamma
 
 
-def simulate_arrival_sum(chain, schedule, gamma, n: int, seed: int) -> int:
-    """One draw of the arrival count over terms l = 1..n."""
-    return int(simulate_arrival_batch(chain, schedule, gamma, n, seed, 1)[0])
-
-
 def simulate_arrival_batch(chain, schedule, gamma, n, seed, replicates) -> np.ndarray:
     """Arrival-count draws across replicates.
 
@@ -306,9 +301,7 @@ class _HitEngine:
 
     On the benchmark's A4 targets about 4.5% of the draws land in open
     buckets.  In process (2-core VM, numpy 2.4), sampling the 5.1e6 hits
-    of 20,000 replicates at n = 8 takes about 0.145 s of CPU, against
-    0.184 s when a draw read two guide cells and then the slot's time and
-    next table.
+    of 20,000 replicates at n = 8 takes about 0.145 s of CPU.
 
     A table stops at the first time t whose survival mass (no entry in
     [t0, t]) is below ``_GAP_TAIL_TOL``, or at the horizon.  The mass left
@@ -582,8 +575,7 @@ def _counts_and_first(q_cols, keys, replicates):
 
     In process (2-core VM, numpy 2.4) the benchmark's arrivals calls count
     their 5.1e6 keys at n = 8 in about 0.129 s of CPU and their 1.0e6 keys
-    at n = 10 in about 0.068 s, against 0.169 s and 0.116 s when every list
-    was inverted to l and merged by a stable sort.
+    at n = 10 in about 0.068 s.
     """
     ell = q_cols.shape[1]
     shift = _key_shift(int(q_cols[-1, -1]), replicates)
@@ -945,7 +937,6 @@ class TargetSet:
 class TargetSetSequence:
     lam: float
     ell: int
-    measure: object  # the chain's MarkovGibbsMeasure, whose cylinders the words are
     entries: dict[int, TargetSet]
 
 
@@ -1064,4 +1055,4 @@ def choose_target_sets(
         # unravel_index reads the most significant digit, w_(k-1), first
         words = sorted(tuple(int(a) for a in np.unravel_index(i, (M,) * k)[::-1]) for i in chosen)
         entries[n] = TargetSet(measure, tuple(words), float(total), float(realized))
-    return TargetSetSequence(lam=lam, ell=ell, measure=measure, entries=entries)
+    return TargetSetSequence(lam=lam, ell=ell, entries=entries)

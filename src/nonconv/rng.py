@@ -1,27 +1,24 @@
 """Deterministic random-stream derivation.
 
-Every simulation entry point takes an explicit 64-bit seed.  Parallel or
-batched replicates derive independent streams with
-
-    derive_rng(seed, stream_tag, replicate_index)
-
-which feeds (seed, stream_tag, replicate_index) into a counter-based
-``numpy.random.SeedSequence``.  Serial and parallel runs therefore produce
-identical draws for the same (seed, tag, index) triple.
+Every simulation entry point takes an explicit 64-bit seed and draws all
+of its batches from one Generator, ``derive_rng(seed, stream_tag)``, which
+feeds (seed, stream_tag) into a ``numpy.random.SeedSequence``.  The stream
+tags below, one per consumer, keep subsystems that share a seed apart.
+``derive_seed`` turns (seed, *keys) into an integer seed, for a caller that
+passes each of several calls a seed of its own.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Stream tags, one per consumer, so different subsystems sharing a seed
-# never collide.
 STREAM_BERNOULLI = 1
 STREAM_MARKOV = 2
 STREAM_SUBSHIFT = 3
 STREAM_HITTING = 4
 STREAM_SAMPLE_POINT = 5
 STREAM_TARGET_REFINE = 6
+STREAM_SEVASTYANOV = 7
 
 
 def _seed_sequence(seed: int, keys) -> np.random.SeedSequence:

@@ -1,17 +1,15 @@
-"""Index schedules q_1(l) < ... < q_ell(l) and their combinatorics.
+"""Index schedules q_1(l) < ... < q_ell(l) and the cutoffs built on them.
 
 A schedule drives every nonconventional sum in the package: the l-th term
 of a sum looks at positions q_1(l), ..., q_ell(l).  This module also holds
-the proximity metric ``rho``, the decomposition of index tuples into
-proximity clusters, and the classification of tuples into "rare" classes
-used by the Poisson-factorization checker.
+the low-index cutoffs of the arrival-statistics experiments; the rare-set
+rule of the Poisson-factorization checker is ``sevastyanov._rare_mask``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -291,103 +289,6 @@ SCHEDULE_FAMILIES = {
     "exponential_gap": exponential_gap_schedule,
     "table": table_schedule,
 }
-
-
-# ---------------------------------------------------------------------------
-# Proximity metric and clusters
-# ---------------------------------------------------------------------------
-
-def rho(schedule: QSchedule, l: int, l2: int) -> int:
-    """min over i, j of |q_i(l) - q_j(l2)|; symmetric, rho(l, l) = 0."""
-    a = schedule.evaluate(l)
-    b = schedule.evaluate(l2)
-    return min(abs(x - y) for x in a for y in b)
-
-
-class _UnionFind:
-    """Minimal disjoint-set over arbitrary hashables (path compression)."""
-
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-            return x
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        px, py = self.find(x), self.find(y)
-        if px != py:
-            self.parent[max(px, py)] = min(px, py)
-
-
-@dataclass(frozen=True)
-class ClusterPartition:
-    """Partition of an index tuple into maximal proximity clusters.
-
-    Two indices are linked when rho <= threshold; clusters are the connected
-    components of that graph, so distinct clusters are pairwise farther than
-    the threshold.
-    """
-
-    tuple_: tuple[int, ...]
-    threshold: int
-    clusters: tuple[tuple[int, ...], ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.clusters)
-
-
-def cluster_partition(schedule: QSchedule, indices, threshold: int) -> ClusterPartition:
-    """Split ``indices`` into maximal clusters at the given rho threshold."""
-    idx = tuple(int(i) for i in indices)
-    if len(set(idx)) != len(idx):
-        raise ValidationError(f"duplicate entries in index tuple {idx}")
-    if any(i < 1 for i in idx):
-        raise ValidationError(f"index tuple entries must be positive: {idx}")
-    uf = _UnionFind()
-    for i in idx:
-        uf.find(i)
-    for a, b in combinations(idx, 2):
-        if rho(schedule, a, b) <= threshold:
-            uf.union(a, b)
-    groups: dict[int, list[int]] = {}
-    for i in idx:
-        groups.setdefault(uf.find(i), []).append(i)
-    clusters = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
-    return ClusterPartition(idx, int(threshold), clusters)
-
-
-@dataclass(frozen=True)
-class RareSetClass:
-    """Class label of an r-tuple: cluster count k, low-index cluster count, cutoff."""
-
-    k: int
-    l_flag: int
-    cutoff: int
-
-    def __post_init__(self):
-        if not 0 <= self.l_flag <= self.k:
-            raise ValidationError(f"need 0 <= l_flag <= k, got {self}")
-
-
-def classify_tuple(schedule: QSchedule, indices, threshold: int, cutoff: int):
-    """Classify a tuple and decide whether it is rare.
-
-    Returns ``(RareSetClass, rare)``.  A tuple is rare when some cluster has
-    more than one element or its minimal index is <= cutoff.
-    """
-    part = cluster_partition(schedule, indices, threshold)
-    l_flag = sum(1 for c in part.clusters if min(c) <= cutoff)
-    rare = any(len(c) > 1 for c in part.clusters) or min(part.tuple_) <= cutoff
-    return RareSetClass(part.k, l_flag, int(cutoff)), rare
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import ResourceError, ValidationError
-from .rng import derive_rng
+from .rng import STREAM_SEVASTYANOV, derive_rng
 from .schedules import QSchedule
 
 DEFAULT_ENUMERATION_BUDGET = 200_000
-_STREAM_SEVASTYANOV = 7
 _CHUNK = 65_536  # tuple rows per vectorized block
 
 
@@ -205,8 +204,10 @@ def _rare_mask(q: np.ndarray, tups: np.ndarray, threshold: int, cutoff: int) -> 
     """Rare rows of a (K, r) array of 1-based index tuples.
 
     A tuple is rare when its smallest index is at most the cutoff or two of
-    its indices have positions within the threshold of each other; this is
-    ``schedules.classify_tuple``'s rule over arrays.
+    its indices l, l' are close: rho(l, l') = min over i, j of
+    |q_i(l) - q_j(l')| is at most the threshold.  Two close indices make a
+    proximity cluster of more than one index, so this is the rare-set rule
+    of the factorization conditions: a proximity cluster or a low index.
     """
     rare = tups.min(axis=1) <= cutoff
     pos = q[tups - 1]  # (K, r, ell)
@@ -504,7 +505,7 @@ def check_conditions(
     grid = tuple(int(v) for v in n_grid)
     if not grid:
         raise ValidationError("empty n_grid")
-    rng = derive_rng(seed, _STREAM_SEVASTYANOV)
+    rng = derive_rng(seed, STREAM_SEVASTYANOV)
     stages = []
     for n in grid:
         stage = model_oracle(n)

@@ -9,9 +9,10 @@ Every exact law of the target's occurrences comes from its pattern chain
 (``pattern_chain``): the Markov-chain embedding of block occurrences (Fu &
 Koutras, JASA 1994) on an Aho-Corasick automaton of the target blocks (Aho
 & Corasick, CACM 1975), with at most (total block length) + iota states.
-``CylinderTarget.chain`` builds it once per target; the samplers, the exact
-law and the stage oracle read it there, with the target's measure; each
-refuses a ``measure`` argument that is not the target's.
+``CylinderTarget.chain`` builds it once per target; the samplers and the
+stage oracle read it there, with the target's measure, and each refuses a
+``measure`` argument that is not the target's.  The exact count law is
+``markov.exact_sum_distribution`` on that chain.
 
 Simulation of the arrival statistic is exact but sparse: instead of
 materializing a sample path of length q_ell(N) we sample the successive
@@ -36,9 +37,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import CountDistribution
 from .errors import CertificationError, ResourceError, ValidationError
-from .markov import FiniteMarkovChain, envelope_fit, exact_sum_distribution, lex_words
+from .markov import FiniteMarkovChain, envelope_fit, lex_words
 from .markov import sample_counts, sample_first
 from .markov import word_lift  # noqa: F401  the benchmark's traced run wraps this name
 from .rng import (
@@ -520,18 +520,3 @@ def hitting_time_batch(
     first = _sample_target(sample_first, schedule, target, N_cap, rng, replicates)
     censored = first == 0
     return np.where(censored, lam_cap, first * target.prob**schedule.ell), censored
-
-
-# ---------------------------------------------------------------------------
-# Exact oracles
-# ---------------------------------------------------------------------------
-
-def exact_sum_distribution_subshift(
-    measure: MarkovGibbsMeasure, schedule: QSchedule, target: CylinderTarget, N: int
-) -> CountDistribution:
-    """Exact law of the arrival count over terms l <= N:
-    ``markov.exact_sum_distribution`` on the target's pattern chain.
-    Raises ``ValidationError`` when ``measure`` is not the target's."""
-    target.check_measure(measure)
-    chain, accept = target.chain
-    return exact_sum_distribution(chain, schedule, accept, N)

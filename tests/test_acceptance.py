@@ -47,7 +47,6 @@ from nonconv.schedules import QSchedule, logpow_cutoff, ratio_cutoff_index
 from nonconv.sevastyanov import pattern_chain_oracle, subshift_model_oracle
 from nonconv.subshift import (
     MarkovGibbsMeasure,
-    exact_sum_distribution_subshift,
     golden_mean_shift,
     pattern_chain,
 )
@@ -205,7 +204,7 @@ def test_a3_oracle_vs_monte_carlo(capsys):
     ]
     for i, (measure, sched, word, N) in enumerate(subs):
         target = make_target(measure, word, len(word))
-        dist = exact_sum_distribution_subshift(measure, sched, target, N)
+        dist = exact_sum_distribution(target.chain[0], sched, target.chain[1], N)
         lam = N * target.prob**sched.ell
         samples, N_used, _ = simulate_nonconventional_batch(
             measure, sched, target, lam, seed=600 + i, replicates=REPLICATES
@@ -310,7 +309,8 @@ def test_a6_factorization_conditions(capsys):
     targets = choose_target_sets(chain, ell=1, lam=1.0, n_grid=[8, 16, 32])
     mreport = check_conditions(
         pattern_chain_oracle(
-            stride2, lambda n: (*pattern_chain(targets.measure, targets.entries[n].words), n)
+            stride2,
+            lambda n: (*pattern_chain(targets.entries[n].measure, targets.entries[n].words), n),
         ),
         stride2,
         r=2,

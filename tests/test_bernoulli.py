@@ -16,7 +16,6 @@ from nonconv import (
     exact_distribution,
     linear_schedule,
     simulate_batch,
-    simulate_sum,
     tv_distance,
     verify_poisson_bound,
 )
@@ -24,13 +23,13 @@ from nonconv import bernoulli, markov
 from nonconv.errors import ResourceError, ValidationError
 from nonconv.schedules import (
     QSchedule,
-    _UnionFind,
     arithmetic_gap_schedule,
     exponential_gap_schedule,
     polynomial_schedule,
     table_schedule,
 )
 from nonconv.sevastyanov import bernoulli_model_oracle, check_conditions
+from scalar_reference import _UnionFind
 
 
 def _scheme(n, ell, p):
@@ -57,7 +56,7 @@ def test_single_term_is_bernoulli_power():
 
 def test_degenerate_p_near_one():
     scheme = _scheme(12, 2, 1 - 1e-9)
-    assert simulate_sum(scheme, seed=0) == 12
+    assert simulate_batch(scheme, 0, 1)[0] == 12
 
 
 def test_two_term_overlap_exact_values():

@@ -22,7 +22,6 @@ from nonconv import (
     linear_schedule,
     mixing_rate,
     simulate_arrival_batch,
-    simulate_arrival_sum,
     word_lift,
 )
 from nonconv.bernoulli import BernoulliScheme, exact_distribution, simulate_batch
@@ -45,7 +44,6 @@ from nonconv.subshift import (
     MarkovGibbsMeasure,
     SubshiftSFT,
     cylinder_prob,
-    exact_sum_distribution_subshift,
     full_shift,
     golden_mean_shift,
     make_target,
@@ -122,10 +120,10 @@ def test_mixing_rate_two_state_closed_form():
 def test_simulate_arrival_degenerate_sets():
     chain = FiniteMarkovChain(P_AB)
     sched = linear_schedule(2)
-    assert simulate_arrival_sum(chain, sched, {0, 1}, 9, seed=3) == 9
-    assert simulate_arrival_sum(chain, sched, set(), 9, seed=3) == 0
+    assert simulate_arrival_batch(chain, sched, {0, 1}, 9, 3, 1)[0] == 9
+    assert simulate_arrival_batch(chain, sched, set(), 9, 3, 1)[0] == 0
     with pytest.raises(ValidationError):
-        simulate_arrival_sum(chain, sched, {0, 5}, 9, seed=3)
+        simulate_arrival_batch(chain, sched, {0, 5}, 9, 3, 1)
 
 
 def test_simulate_arrival_iid_reduction():
@@ -320,7 +318,7 @@ def test_exact_laws_match_enumeration(case, data):
                          refine_seed=data.draw(st.integers(0, 9)), keep_fraction=0.5)
     if measure.sft.iota ** (H + target.m) <= 2**12:
         want = _word_enumeration_law(measure, sched, target.blocks, n)
-        got = exact_sum_distribution_subshift(measure, sched, target, n)
+        got = exact_sum_distribution(target.chain[0], sched, target.chain[1], n)
         assert max(abs(got.prob(j) - want[j]) for j in range(n + 1)) <= 1e-13
 
 
@@ -356,7 +354,7 @@ def test_exact_law_reach_under_the_budget():
         "linear ell = 2, 2-state chain":
             lambda N: exact_sum_distribution(chain, linear_schedule(2), {0}, N),
         "arithmetic_gap(2, 4, 0.5), 4-cylinder":
-            lambda N: exact_sum_distribution_subshift(um, a4, target, N),
+            lambda N: exact_sum_distribution(target.chain[0], a4, target.chain[1], N),
     }
     print()
     reach = {}
@@ -469,7 +467,7 @@ def test_choose_target_sets_tie_rule_on_the_circulant_chain():
     # at n = 100 the rotations a -> a + 1 (mod 3) of the heaviest fitting
     # 4-word tie bit for bit; the first of them from the last symbol wins
     rotations = [(0, 1, 0, 0), (1, 2, 1, 1), (2, 0, 2, 2)]
-    masses = {cylinder_prob(seq.measure, w) for w in rotations}
+    masses = {cylinder_prob(seq.entries[100].measure, w) for w in rotations}
     assert len(masses) == 1 and seq.entries[100].mass in masses
     assert seq.entries[100].words == ((0, 1, 0, 0),)
     for n, entry in seq.entries.items():
@@ -483,7 +481,7 @@ def test_choose_target_sets_reaches_long_words_within_the_cell_budget(monkeypatc
     assert [len(seq.entries[n].words[0]) for n in (10**5, 10**6)] == [8, 9]
     for n, entry in seq.entries.items():
         assert abs(entry.realized_lambda - 1.0) <= 0.2
-        pattern, _ = pattern_chain(seq.measure, entry.words)
+        pattern, _ = pattern_chain(entry.measure, entry.words)
         assert pattern.M <= 9 * len(entry.words) + 3
     monkeypatch.setattr("nonconv.markov._ENGINE_CELL_BUDGET", 3**8)
     choose_target_sets(chain, ell=1, lam=1.0, n_grid=[10**5])  # 3^8 cells fit
@@ -509,7 +507,7 @@ def test_pattern_chain_b_equals_word_lift_b(P, n):
     base = FiniteMarkovChain(P)
     seq = choose_target_sets(base, ell=1, lam=1.0, n_grid=[n])
     words = seq.entries[n].words
-    chain, accept = pattern_chain(seq.measure, words)
+    chain, accept = pattern_chain(seq.entries[n].measure, words)
     k = len(words[0])
     lifted, lift_words = word_lift(base, k)
     pos = {w: i for i, w in enumerate(lift_words)}
@@ -526,7 +524,7 @@ def test_pattern_chain_count_law_equals_word_lift_law(n, sched, N):
     base = FiniteMarkovChain(P_AB)
     seq = choose_target_sets(base, ell=1, lam=1.0, n_grid=[n])
     words = seq.entries[n].words
-    chain, accept = pattern_chain(seq.measure, words)
+    chain, accept = pattern_chain(seq.entries[n].measure, words)
     lifted, lift_words = word_lift(base, len(words[0]))
     lifted_accept = {lift_words.index(w) for w in words}
     want = exact_sum_distribution(lifted, sched, lifted_accept, N)
@@ -954,7 +952,7 @@ def test_engine_count_law_matches_exact_oracles(monkeypatch, case):
         lam = N * target.prob**sched.ell
         draws, N_used, _ = simulate_nonconventional_batch(measure, sched, target, lam, 1, 10)
         assert N_used == N
-        exact = exact_sum_distribution_subshift(measure, sched, target, N)
+        exact = exact_sum_distribution(target.chain[0], sched, target.chain[1], N)
     if case == "markov-empty":
         # nothing can arrive: the sampler returns zeros without an engine
         assert seen == [] and not draws.any()

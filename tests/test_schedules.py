@@ -14,19 +14,17 @@ from nonconv import (
     ScheduleError,
     ValidationError,
     arithmetic_gap_schedule,
-    classify_tuple,
-    cluster_partition,
     exponential_gap_schedule,
     linear_schedule,
     logpow_cutoff,
     polynomial_schedule,
     ratio_cutoff_index,
-    rho,
     table_schedule,
 )
 from nonconv.cli import validate_config
 from nonconv.schedules import COLUMN_CELL_BUDGET, _loggap, _loggap_runs
 from nonconv.sevastyanov import _clustered_partners, _runs
+from scalar_reference import classify_tuple, cluster_partition, rho
 
 
 def test_evaluate_linear():

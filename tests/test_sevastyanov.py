@@ -26,11 +26,10 @@ from nonconv import (
     uniform_measure,
 )
 from nonconv.errors import ResourceError, ValidationError
-from nonconv.schedules import QSchedule, classify_tuple
-from nonconv.rng import derive_rng
+from nonconv.schedules import QSchedule
+from nonconv.rng import STREAM_SEVASTYANOV, derive_rng
 from nonconv.sevastyanov import (
     StageResult,
-    _STREAM_SEVASTYANOV,
     _BCache,
     _clustered_partners,
     _group_rows,
@@ -47,6 +46,7 @@ from nonconv.sevastyanov import (
     subshift_model_oracle,
 )
 from nonconv.subshift import full_shift, make_target, pattern_chain, sample_clear_word
+from scalar_reference import classify_tuple
 
 
 def _bern_factory(ell=2, lam=1.0):
@@ -308,7 +308,7 @@ def _per_index_sampled_stage(stage, q, n, threshold, cutoff, seed, pair_samples,
     enumerates its own clustered partners and makes two oracle calls, its
     partners' and its drawn far pairs'."""
     N = stage.term_count
-    rng = derive_rng(seed, _STREAM_SEVASTYANOV)
+    rng = derive_rng(seed, STREAM_SEVASTYANOV)
     cache = _BCache(stage, q)
     b1 = _singles(cache, _runs(q), N)
     suffix = np.concatenate([np.cumsum(b1[::-1])[::-1][1:], [0.0]])
@@ -606,7 +606,8 @@ def test_markov_oracle_adapter():
     sched = linear_schedule(1)
     targets = choose_target_sets(chain, ell=1, lam=1.0, n_grid=[8, 16])
     factory = pattern_chain_oracle(
-        sched, lambda n: (*pattern_chain(targets.measure, targets.entries[n].words), n)
+        sched,
+        lambda n: (*pattern_chain(targets.entries[n].measure, targets.entries[n].words), n),
     )
     report = check_conditions(factory, sched, r=2, n_grid=[8, 16], rare_params=(0, 1))
     for n in (8, 16):
@@ -622,7 +623,8 @@ def test_markov_oracle_starts_stationary_whatever_the_chain_starts_from():
     assert not np.allclose(chain.nu, chain.mu)
     targets = choose_target_sets(chain, ell=1, lam=1.0, n_grid=[16])
     stage = pattern_chain_oracle(
-        linear_schedule(1), lambda n: (*pattern_chain(targets.measure, targets.entries[n].words), n)
+        linear_schedule(1),
+        lambda n: (*pattern_chain(targets.entries[n].measure, targets.entries[n].words), n),
     )(16)
     mass = targets.entries[16].mass
     for t in (0, 1, 7, 1000):

@@ -42,6 +42,7 @@ from nonconv.markov import (
     _HitEngine,
     _key_shift,
     exact_b,
+    exact_sum_distribution,
     sample_counts,
     simulate_arrival_batch,
     word_lift,
@@ -49,11 +50,7 @@ from nonconv.markov import (
 from nonconv.rng import derive_rng
 from nonconv.schedules import arithmetic_gap_schedule, polynomial_schedule, table_schedule
 from nonconv.sevastyanov import subshift_model_oracle
-from nonconv.subshift import (
-    exact_sum_distribution_subshift,
-    pattern_chain,
-    replicate_count,
-)
+from nonconv.subshift import pattern_chain, replicate_count
 
 
 def _golden_measure():
@@ -276,7 +273,7 @@ def test_simulate_matches_exact_small_case():
     sched = linear_schedule(2)
     target = make_target(gm, (0, 1), n=2)
     N = 4
-    dist = exact_sum_distribution_subshift(gm, sched, target, N)
+    dist = exact_sum_distribution(target.chain[0], sched, target.chain[1], N)
     reps = 200_000
     samples, N_used, lam_real = simulate_nonconventional_batch(
         gm, sched, target, lam=N * target.prob**2, seed=21, replicates=reps
@@ -543,7 +540,7 @@ def test_target_builds_its_pattern_chain_once(monkeypatch):
     target = make_target(measure, (1, 0), 2)
     simulate_nonconventional_batch(measure, sched, target, 1.0, 1, 50)
     hitting_time_batch(measure, sched, target, 2, 50, lam_cap=1.0)
-    exact_sum_distribution_subshift(measure, sched, target, 5)
+    exact_sum_distribution(target.chain[0], sched, target.chain[1], 5)
     stage = subshift_model_oracle(measure, sched, 1.0, lambda n: target)(target.n)
     assert stage.b([3]) == pytest.approx(target.prob**2)
     assert calls == [target.blocks]
@@ -647,8 +644,6 @@ def test_measure_argument_must_be_the_targets():
             simulate_nonconventional_batch(other, sched, target, 1.0, 1, 50)
         with pytest.raises(ValidationError, match="target's measure"):
             hitting_time_batch(other, sched, target, 2, 50, lam_cap=1.0)
-        with pytest.raises(ValidationError, match="target's measure"):
-            exact_sum_distribution_subshift(other, sched, target, 5)
         stage = subshift_model_oracle(other, sched, 1.0, lambda n: target)
         with pytest.raises(ValidationError, match="target's measure"):
             stage(target.n)
@@ -656,9 +651,6 @@ def test_measure_argument_must_be_the_targets():
     assert same is not um
     counts, _, _ = simulate_nonconventional_batch(same, sched, target, 1.0, 1, 50)
     assert np.array_equal(counts, simulate_nonconventional_batch(um, sched, target, 1.0, 1, 50)[0])
-    assert exact_sum_distribution_subshift(same, sched, target, 5).pmf == (
-        exact_sum_distribution_subshift(um, sched, target, 5).pmf
-    )
 
 
 def test_hit_sampling_memory_per_hit(monkeypatch):
