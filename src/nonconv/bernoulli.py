@@ -27,7 +27,6 @@ from .sevastyanov import _pair_classes, _runs
 @dataclass(frozen=True)
 class BernoulliScheme:
     n: int
-    ell: int
     p: float
     schedule: QSchedule
 
@@ -36,17 +35,17 @@ class BernoulliScheme:
             raise ValidationError(f"n must be >= 1, got {self.n}")
         if not 0.0 < self.p < 1.0:
             raise ValidationError(f"p must be in (0,1), got {self.p}")
-        if self.schedule.ell != self.ell:
-            raise ValidationError(
-                f"schedule has ell={self.schedule.ell}, scheme expects {self.ell}"
-            )
 
     @classmethod
-    def from_lambda(cls, n: int, ell: int, lam: float, schedule: QSchedule) -> "BernoulliScheme":
+    def from_lambda(cls, n: int, lam: float, schedule: QSchedule) -> "BernoulliScheme":
         """Choose p = (lam/n)^(1/ell) so the realized mean n p^ell equals lam."""
         if lam <= 0 or lam >= n:
             raise ValidationError(f"need 0 < lam < n, got lam={lam}, n={n}")
-        return cls(n=n, ell=ell, p=(lam / n) ** (1.0 / ell), schedule=schedule)
+        return cls(n=n, p=(lam / n) ** (1.0 / schedule.ell), schedule=schedule)
+
+    @property
+    def ell(self) -> int:
+        return self.schedule.ell
 
     @property
     def lambda_n(self) -> float:

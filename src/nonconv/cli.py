@@ -204,14 +204,11 @@ def _section_faults(section: str, value) -> list[str]:
     if not isinstance(value, dict):
         return [f"{section} must be a mapping, got {value!r}"]
     keys, faults = _SECTIONS[section], []
-    noun, field = f"{section} key", f"{section}."
-    if section == "budgets":  # budget faults have their own wording
-        noun, field = "budget", "budget "
     for key, val in value.items():
         if key not in keys:
-            faults.append(f"unknown {noun} {key!r}")
+            faults.append(f"unknown {section} key {key!r}")
         elif not keys[key][0](val):
-            faults.append(f"{field}{key} must be {keys[key][1]}, got {val!r}")
+            faults.append(f"{section}.{key} must be {keys[key][1]}, got {val!r}")
     return faults
 
 
@@ -350,9 +347,9 @@ class _RunContext:
     def bernoulli_scheme(self, n: int):
         from .bernoulli import BernoulliScheme
 
-        return self._once(("scheme", n), lambda: BernoulliScheme.from_lambda(
-            n, self.schedule.ell, self.lam, self.schedule
-        ))
+        return self._once(
+            ("scheme", n), lambda: BernoulliScheme.from_lambda(n, self.lam, self.schedule)
+        )
 
     def bernoulli_exact(self, n: int):
         """The exact law of S_n, computed once for every table that needs it."""
@@ -453,12 +450,12 @@ def table_pmf_vs_poisson(ctx: _RunContext):
         targets = ctx.markov_targets()
         for n in ctx.n_grid:
             if ctx.replicates > 0:
-                chain, accept = targets.entries[n].chain
+                chain, accept = targets[n].chain
                 samples = simulate_arrival_batch(
                     chain, ctx.schedule, accept, n, ctx.seed, ctx.replicates
                 )
                 emp = empirical_distribution(samples)
-                rows += _pmf_rows(n, emp, targets.entries[n].realized_lambda, "empirical")
+                rows += _pmf_rows(n, emp, targets[n].realized_lambda, "empirical")
     else:
         from .subshift import simulate_nonconventional_batch
 
@@ -529,10 +526,10 @@ def table_sevastyanov_report(ctx: _RunContext):
     rp = sv["rare_params"]
     rare_params = _auto_rare_params(ctx) if rp == "auto" else tuple(rp)
     if ctx.model == "bernoulli":
-        factory = bernoulli_model_oracle(ctx.schedule.ell, ctx.lam, ctx.schedule)
+        factory = bernoulli_model_oracle(ctx.lam, ctx.schedule)
     elif ctx.model == "markov":
         targets = ctx.markov_targets()
-        factory = pattern_chain_oracle(ctx.schedule, lambda n: (*targets.entries[n].chain, n))
+        factory = pattern_chain_oracle(ctx.schedule, lambda n: (*targets[n].chain, n))
     else:
         factory = subshift_model_oracle(
             ctx.subshift_measure(), ctx.schedule, ctx.lam, ctx.subshift_target

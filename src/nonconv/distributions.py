@@ -17,13 +17,12 @@ class CountDistribution:
     """Probability mass function over nonnegative counts.
 
     ``tail_mass`` is the probability above the largest stored count (for
-    truncated laws).  ``kind`` is "exact" or "empirical"; empirical
-    distributions carry their sample size so consumers can build CIs.
+    truncated laws).  An empirical law carries its ``sample_size`` (at
+    least 1) so consumers can build CIs; an exact law has none.
     """
 
     pmf: dict[int, float]
     tail_mass: float = 0.0
-    kind: str = "exact"
     sample_size: int | None = None
 
     def __post_init__(self):
@@ -39,8 +38,8 @@ class CountDistribution:
         total = sum(self.pmf.values()) + self.tail_mass
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"total mass {total} not within 1e-9 of 1")
-        if self.kind == "empirical" and self.sample_size is None:
-            raise ValidationError("empirical distribution must carry sample_size")
+        if self.sample_size is not None and self.sample_size < 1:
+            raise ValidationError(f"sample_size must be >= 1, got {self.sample_size}")
 
     def prob(self, k: int) -> float:
         return self.pmf.get(k, 0.0)
@@ -74,7 +73,7 @@ class PoissonLaw:
         kmax = self.truncation_point()
         pmf = {k: self.pmf(k) for k in range(kmax + 1)}
         tail = max(0.0, 1.0 - sum(pmf.values()))
-        return CountDistribution(pmf=pmf, tail_mass=tail, kind="exact")
+        return CountDistribution(pmf=pmf, tail_mass=tail)
 
 
 def tv_distance(d1: CountDistribution, d2: CountDistribution) -> float:
@@ -110,13 +109,15 @@ def poisson_shift_bound(lam: float, lam_n: float) -> float:
 
 
 def empirical_distribution(samples) -> CountDistribution:
-    """Relative-frequency pmf of an integer sample."""
+    """Relative-frequency pmf of a sample of whole nonnegative counts."""
     arr = np.asarray(samples)
     if arr.size == 0:
         raise ValidationError("empty sample")
+    if arr.dtype.kind not in "iu" and not np.all(np.isfinite(arr) & (arr == np.floor(arr))):
+        raise ValidationError("counts must be whole numbers")
     if np.any(arr < 0):
         raise ValidationError("counts must be nonnegative")
     counts = np.bincount(arr.astype(np.int64))
     n = int(arr.size)
     pmf = {int(k): float(c) / n for k, c in enumerate(counts) if c > 0}
-    return CountDistribution(pmf=pmf, kind="empirical", sample_size=n)
+    return CountDistribution(pmf=pmf, sample_size=n)

@@ -933,13 +933,6 @@ class TargetSet:
         return pattern_chain(self.measure, self.words)
 
 
-@dataclass(frozen=True)
-class TargetSetSequence:
-    lam: float
-    ell: int
-    entries: dict[int, TargetSet]
-
-
 def lex_words(adjacency, starts, length: int):
     """Yield, in lexicographic order, the words of ``length`` symbols that
     begin with a symbol in ``starts`` and step only along nonzero entries
@@ -1000,8 +993,8 @@ def choose_target_sets(
     n_grid,
     tolerance: float = 0.2,
     max_lift: int = 12,
-) -> TargetSetSequence:
-    """Pick sets Gamma_n of k-words with n * mu(Gamma_n)^ell close to lam.
+) -> dict[int, TargetSet]:
+    """Pick sets Gamma_n of k-words with n * mu(Gamma_n)^ell close to lam, by n.
 
     A small alphabet cannot realize arbitrarily small masses, so Gamma_n is
     assembled greedily from the k-word cylinders, raising k up to
@@ -1055,4 +1048,4 @@ def choose_target_sets(
         # unravel_index reads the most significant digit, w_(k-1), first
         words = sorted(tuple(int(a) for a in np.unravel_index(i, (M,) * k)[::-1]) for i in chosen)
         entries[n] = TargetSet(measure, tuple(words), float(total), float(realized))
-    return TargetSetSequence(lam=lam, ell=ell, entries=entries)
+    return entries

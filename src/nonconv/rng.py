@@ -17,7 +17,6 @@ STREAM_MARKOV = 2
 STREAM_SUBSHIFT = 3
 STREAM_HITTING = 4
 STREAM_SAMPLE_POINT = 5
-STREAM_TARGET_REFINE = 6
 STREAM_SEVASTYANOV = 7
 
 

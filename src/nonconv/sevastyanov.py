@@ -597,7 +597,7 @@ def report_rows(report: ConditionReport, lam: float, tolerances: Tolerances = To
 # Model adapters
 # ---------------------------------------------------------------------------
 
-def bernoulli_model_oracle(ell: int, lam: float, schedule: QSchedule):
+def bernoulli_model_oracle(lam: float, schedule: QSchedule):
     """Stage factory for the i.i.d. 0-1 array with p = (lam/n)^(1/ell).
 
     b is p to the number of distinct sites the terms touch.
@@ -605,7 +605,7 @@ def bernoulli_model_oracle(ell: int, lam: float, schedule: QSchedule):
     from .bernoulli import BernoulliScheme
 
     def factory(n: int) -> StageOracle:
-        p = BernoulliScheme.from_lambda(n, ell, lam, schedule).p
+        p = BernoulliScheme.from_lambda(n, lam, schedule).p
 
         def b_at(pos):  # p to the number of distinct positions in each row
             return p ** (1 + np.count_nonzero(np.diff(pos, axis=1), axis=1))

@@ -41,13 +41,7 @@ from .errors import CertificationError, ResourceError, ValidationError
 from .markov import FiniteMarkovChain, envelope_fit, lex_words
 from .markov import sample_counts, sample_first
 from .markov import word_lift  # noqa: F401  the benchmark's traced run wraps this name
-from .rng import (
-    STREAM_HITTING,
-    STREAM_SAMPLE_POINT,
-    STREAM_SUBSHIFT,
-    STREAM_TARGET_REFINE,
-    derive_rng,
-)
+from .rng import STREAM_HITTING, STREAM_SAMPLE_POINT, STREAM_SUBSHIFT, derive_rng
 from .schedules import QSchedule, logpow_cutoff
 
 _CLEAR_WORD_TRIES = 10_000  # words drawn by sample_clear_word before it gives up
@@ -196,7 +190,6 @@ class PsiMixingCertificate:
     C: float
     beta: float
     spectral_beta: float
-    worst_pair: tuple | None  # (a, b, g) of the first largest error; None if all are 0
     envelope: tuple[float, ...]  # max relative error per effective gap 1..gap_max
 
 
@@ -217,17 +210,11 @@ def psi_mixing_check(measure: MarkovGibbsMeasure, gap_max: int) -> PsiMixingCert
         errs[g - 1] = np.abs(Qg / measure.pi[None, :] - 1.0)
         Qg = Qg @ measure.Q
     envelope = tuple(errs.max(axis=(1, 2)))
-    worst_pair = None
-    if errs.any():
-        g, a, b = np.unravel_index(np.argmax(errs), errs.shape)
-        worst_pair = (int(a), int(b), int(g) + 1)
     eigs = np.sort(np.abs(np.linalg.eigvals(measure.Q)))[::-1]
     lam2 = eigs[1] if len(eigs) > 1 else 0.0
     spectral_beta = math.inf if lam2 < 1e-14 else -math.log(lam2)
     C, beta = envelope_fit(envelope)
-    return PsiMixingCertificate(
-        C=C, beta=beta, spectral_beta=spectral_beta, worst_pair=worst_pair, envelope=envelope,
-    )
+    return PsiMixingCertificate(C=C, beta=beta, spectral_beta=spectral_beta, envelope=envelope)
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +334,11 @@ def make_target(
     n: int,
     s: float = 0.0,
     eps: float = 0.25,
-    refine_seed: int | None = None,
-    keep_fraction: float = 1.0,
 ) -> CylinderTarget:
     """Build B_n from the first n symbols of omega_star.
 
     With s = 0 the target is the plain n-cylinder.  With s > 0 it is the
-    union of all admissible extensions to length n + floor(s ln n); a seeded
-    rule keeps a fraction of them when keep_fraction < 1 (at least one).
+    union of all admissible extensions to length n + floor(s ln n).
     """
     w = tuple(int(a) for a in omega_star)
     if len(w) < n:
@@ -363,21 +347,8 @@ def make_target(
         raise ValidationError("omega_star prefix is not admissible")
     prefix = w[:n]
     m = n + int(s * math.log(n)) if n > 1 else n
-    if m == n:
-        blocks = [prefix]
-    else:
-        blocks = [
-            prefix + ext[1:]
-            for ext in measure.sft.words(m - n + 1)
-            if ext[0] == prefix[-1]
-        ]
-        if keep_fraction < 1.0:
-            if refine_seed is None:
-                raise ValidationError("keep_fraction < 1 requires refine_seed")
-            rng = derive_rng(refine_seed, STREAM_TARGET_REFINE)
-            keep = max(1, int(round(keep_fraction * len(blocks))))
-            chosen = rng.choice(len(blocks), size=keep, replace=False)
-            blocks = [blocks[i] for i in sorted(chosen)]
+    # the admissible extensions of the prefix to length m (the prefix alone when m = n)
+    blocks = [prefix + ext[1:] for ext in measure.sft.words(m - n + 1) if ext[0] == prefix[-1]]
     a_n = logpow_cutoff(n, eps)
     clear = short_return_check(measure.sft, prefix, a_n)
     return CylinderTarget(

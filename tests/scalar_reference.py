@@ -7,15 +7,19 @@ chain of indices (a proximity cluster with more than one element), or when
 its least index is at most the cutoff.  This module spells the same rule
 out one tuple at a time, with the proximity metric ``rho``, a union-find
 over the tuple and its cluster partition, so the tests can check the
-vectorized rule against it.
+vectorized rule against it.  ``thin_target`` keeps a seeded share of a
+cylinder target's blocks, for tests that want targets of several blocks
+but not all extensions.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from itertools import combinations
 
 from nonconv.errors import ValidationError
+from nonconv.rng import derive_rng
 from nonconv.schedules import QSchedule
 
 
@@ -110,3 +114,15 @@ def classify_tuple(schedule: QSchedule, indices, threshold: int, cutoff: int):
     l_flag = sum(1 for c in part.clusters if min(c) <= cutoff)
     rare = any(len(c) > 1 for c in part.clusters) or min(part.tuple_) <= cutoff
     return RareSetClass(part.k, l_flag, int(cutoff)), rare
+
+
+def thin_target(target, seed: int, keep_fraction: float):
+    """``target`` with round(keep_fraction * its block count) of its blocks
+    (at least one), drawn without replacement from stream (seed, 6), kept in
+    their order."""
+    if keep_fraction >= 1.0:
+        return target
+    blocks = target.blocks
+    keep = max(1, int(round(keep_fraction * len(blocks))))
+    chosen = derive_rng(seed, 6).choice(len(blocks), size=keep, replace=False)
+    return dataclasses.replace(target, blocks=tuple(blocks[i] for i in sorted(chosen)))

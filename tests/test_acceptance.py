@@ -88,7 +88,7 @@ def test_a1_tv_within_bound(capsys):
         sched = linear_schedule(ell)
         for n in (8, 12, 16, 24):
             report = verify_poisson_bound(
-                BernoulliScheme.from_lambda(n, ell, 1.0, sched), 1.0
+                BernoulliScheme.from_lambda(n, 1.0, sched), 1.0
             )
             margins.append(report.bound - report.tv_exact)
             ok = ok and report.holds
@@ -118,7 +118,7 @@ def test_a2_moment_term_identities(capsys):
             exponential_gap_schedule(ell),
             arithmetic_gap_schedule(ell, float(rng.uniform(0.5, 4.0)), 0.5),
         ][int(rng.integers(0, 3))]
-        terms = chen_stein_terms(BernoulliScheme(n=n, ell=ell, p=p, schedule=sched))
+        terms = chen_stein_terms(BernoulliScheme(n=n, p=p, schedule=sched))
         i1_true = n * p ** (2 * ell)
         worst_rel = max(worst_rel, abs(terms.I1 - i1_true) / i1_true)
         assert terms.I1 == pytest.approx(i1_true, rel=1e-12)
@@ -160,7 +160,7 @@ def test_a3_oracle_vs_monte_carlo(capsys):
         (5, 2, 0.50, arithmetic_gap_schedule(2, 1.0, 0.5)),
     ]
     for i, (n, ell, p, sched) in enumerate(bern):
-        scheme = BernoulliScheme(n=n, ell=ell, p=p, schedule=sched)
+        scheme = BernoulliScheme(n=n, p=p, schedule=sched)
         dist = exact_distribution(scheme)
         samples = simulate_batch(scheme, seed=400 + i, replicates=REPLICATES)
         ok, z = _bins_within_3sigma(dist, samples, REPLICATES)
@@ -310,7 +310,7 @@ def test_a6_factorization_conditions(capsys):
     mreport = check_conditions(
         pattern_chain_oracle(
             stride2,
-            lambda n: (*pattern_chain(targets.entries[n].measure, targets.entries[n].words), n),
+            lambda n: (*pattern_chain(targets[n].measure, targets[n].words), n),
         ),
         stride2,
         r=2,
@@ -453,7 +453,7 @@ def test_a8_determinism(capsys, tmp_path):
     assert np.array_equal(h1[0], h2[0]) and np.array_equal(h1[1], h2[1])
     checked.append("subshift:hitting")
 
-    scheme = BernoulliScheme.from_lambda(12, 2, 1.0, linear_schedule(2))
+    scheme = BernoulliScheme.from_lambda(12, 1.0, linear_schedule(2))
     assert np.array_equal(
         simulate_batch(scheme, 7, 20_000), simulate_batch(scheme, 7, 20_000)
     )

@@ -33,13 +33,13 @@ from scalar_reference import _UnionFind
 
 
 def _scheme(n, ell, p):
-    return BernoulliScheme(n=n, ell=ell, p=p, schedule=linear_schedule(ell))
+    return BernoulliScheme(n=n, p=p, schedule=linear_schedule(ell))
 
 
 def test_from_lambda_makes_lambda_exact():
     sched = linear_schedule(2)
     for n in (8, 12, 16):
-        scheme = BernoulliScheme.from_lambda(n, 2, 1.0, sched)
+        scheme = BernoulliScheme.from_lambda(n, 1.0, sched)
         assert scheme.p == pytest.approx((1.0 / n) ** 0.5, rel=1e-14)
         assert scheme.lambda_n == pytest.approx(1.0, rel=1e-12)
 
@@ -74,7 +74,7 @@ def test_disjoint_indices_give_binomial():
     rows = {l: (10 * l, 10 * l + 1) for l in range(1, 6)}
     from nonconv.schedules import table_schedule
 
-    scheme = BernoulliScheme(n=5, ell=2, p=0.25, schedule=table_schedule(rows))
+    scheme = BernoulliScheme(n=5, p=0.25, schedule=table_schedule(rows))
     dist = exact_distribution(scheme)
     q = 0.25**2
     for k in range(6):
@@ -109,7 +109,7 @@ def test_chen_stein_disjoint_schedule():
     from nonconv.schedules import table_schedule
 
     rows = {l: (10 * l, 10 * l + 1) for l in range(1, 5)}
-    terms = chen_stein_terms(BernoulliScheme(n=4, ell=2, p=0.3, schedule=table_schedule(rows)))
+    terms = chen_stein_terms(BernoulliScheme(n=4, p=0.3, schedule=table_schedule(rows)))
     assert terms.I2 == 0.0 and terms.I3 == 0.0
 
 
@@ -154,7 +154,7 @@ def _chen_stein_schemes(draw):
         steps[:, 0] = np.maximum(steps[:, 0], 1)  # q_1 strictly increasing
         rows = np.cumsum(np.cumsum(steps, axis=0), axis=1)  # rows increasing too
         sched = table_schedule(rows.tolist())
-    return BernoulliScheme(n=n, ell=ell, p=draw(st.floats(0.02, 0.98)), schedule=sched)
+    return BernoulliScheme(n=n, p=draw(st.floats(0.02, 0.98)), schedule=sched)
 
 
 @given(_chen_stein_schemes())
@@ -190,8 +190,8 @@ def test_chen_stein_terms_against_rationals():
 def test_chen_stein_terms_are_the_checkers_clustered_sums(n, ell, sched):
     """I2 and I3 are twice the checker's rare sums at threshold 0, cutoff 0,
     in exact mode and in sampled mode (stratum B, the pair classes)."""
-    terms = chen_stein_terms(BernoulliScheme.from_lambda(n, ell, 1.0, sched))
-    factory = bernoulli_model_oracle(ell, 1.0, sched)
+    terms = chen_stein_terms(BernoulliScheme.from_lambda(n, 1.0, sched))
+    factory = bernoulli_model_oracle(1.0, sched)
     pairs = math.comb(n, 2)
     for budget, mode in ((pairs, "exact"), (pairs - 1, "sampled")):
         stage = check_conditions(factory, sched, 2, [n], (0, 0), budget=budget).stage(n)
@@ -203,14 +203,14 @@ def test_chen_stein_terms_are_the_checkers_clustered_sums(n, ell, sched):
 def test_verify_poisson_bound_holds():
     sched = linear_schedule(2)
     for n in (8, 12, 16):
-        report = verify_poisson_bound(BernoulliScheme.from_lambda(n, 2, 1.0, sched), 1.0)
+        report = verify_poisson_bound(BernoulliScheme.from_lambda(n, 1.0, sched), 1.0)
         assert report.holds
         assert report.tv_exact <= report.bound + 1e-10
 
 
 def test_verify_poisson_bound_ell1_binomial():
     sched = linear_schedule(1)
-    scheme = BernoulliScheme.from_lambda(20, 1, 1.0, sched)
+    scheme = BernoulliScheme.from_lambda(20, 1.0, sched)
     report = verify_poisson_bound(scheme, 1.0)
     assert report.holds
     assert report.bound == pytest.approx(3 * scheme.p, rel=1e-12)
@@ -224,7 +224,7 @@ def test_verify_poisson_bound_single_term():
 
 
 def test_exact_b_is_site_count_power():
-    stage = bernoulli_model_oracle(2, 1.0, linear_schedule(2))(4)  # p = 1/2
+    stage = bernoulli_model_oracle(1.0, linear_schedule(2))(4)  # p = 1/2
     # tuple (1, 2) shares the site 2, so the union is {1, 2, 4}
     assert stage.b((1, 2)) == pytest.approx(0.5**3, rel=1e-12)
     assert stage.b((2, 1)) == stage.b((1, 2))
@@ -261,7 +261,7 @@ def test_frontier_budgets_refuse_before_any_dp(monkeypatch):
     # rows (l, l + 1, l + 40) form one component in which term l stays open
     # until site l + 40: 40 terms open at once, a DP of 2^40 states
     rows = [(l, l + 1, l + 40) for l in range(1, 81)]
-    wide = BernoulliScheme(n=80, ell=3, p=0.3, schedule=table_schedule(rows))
+    wide = BernoulliScheme(n=80, p=0.3, schedule=table_schedule(rows))
     tracemalloc.start()
     try:
         with pytest.raises(ResourceError, match="40 open terms at once needs .* over the budget"):
@@ -272,7 +272,7 @@ def test_frontier_budgets_refuse_before_any_dp(monkeypatch):
     assert peak < 2**20
     # the budget is read at call time: linear ell = 3 at n = 1024 needs 10
     # open terms at once, refused under a budget of 1024 floats
-    scheme = BernoulliScheme.from_lambda(1024, 3, 1.0, linear_schedule(3))
+    scheme = BernoulliScheme.from_lambda(1024, 1.0, linear_schedule(3))
     monkeypatch.setattr(markov, "LAW_CELL_BUDGET", 2**10)
     with pytest.raises(ResourceError, match="10 open terms at once .* over the budget of 1024"):
         exact_distribution(scheme)
@@ -283,16 +283,16 @@ def test_frontier_budgets_refuse_before_any_dp(monkeypatch):
 def test_exact_law_drops_subnormal_cells():
     # linear ell = 2 at n = 1024: P(S = k) falls below the smallest normal
     # float from k = 210 on, where a float no longer carries 12 digits
-    dist = exact_distribution(BernoulliScheme.from_lambda(1024, 2, 1.0, linear_schedule(2)))
+    dist = exact_distribution(BernoulliScheme.from_lambda(1024, 1.0, linear_schedule(2)))
     assert min(dist.pmf.values()) >= np.finfo(float).tiny
     assert max(dist.pmf) == 209
 
 
 def test_invalid_scheme_rejected():
     with pytest.raises(ValidationError):
-        BernoulliScheme(n=2, ell=2, p=1.5, schedule=linear_schedule(2))
+        BernoulliScheme(n=2, p=1.5, schedule=linear_schedule(2))
     with pytest.raises(ValidationError):
-        BernoulliScheme(n=0, ell=2, p=0.4, schedule=linear_schedule(2))
+        BernoulliScheme(n=0, p=0.4, schedule=linear_schedule(2))
 
 
 @given(
@@ -303,8 +303,8 @@ def test_invalid_scheme_rejected():
 @settings(max_examples=40, deadline=None)
 def test_exact_mean_equals_sum_of_b(n, ell, p):
     lam = n * p**ell
-    scheme = BernoulliScheme.from_lambda(n, ell, lam, linear_schedule(ell))
-    stage = bernoulli_model_oracle(ell, lam, linear_schedule(ell))(n)
+    scheme = BernoulliScheme.from_lambda(n, lam, linear_schedule(ell))
+    stage = bernoulli_model_oracle(lam, linear_schedule(ell))(n)
     dist = exact_distribution(scheme)
     mean_b = sum(stage.b((l,)) for l in range(1, n + 1))
     assert dist.mean() == pytest.approx(mean_b, abs=1e-10)
@@ -314,7 +314,7 @@ def test_exact_mean_equals_sum_of_b(n, ell, p):
 @settings(max_examples=30, deadline=None)
 def test_I1_exactness_property(n, p):
     for sched in (linear_schedule(2), exponential_gap_schedule(2)):
-        terms = chen_stein_terms(BernoulliScheme(n=n, ell=2, p=p, schedule=sched))
+        terms = chen_stein_terms(BernoulliScheme(n=n, p=p, schedule=sched))
         assert terms.I1 == pytest.approx(n * p**4, rel=1e-12)
         assert terms.I2 <= n * 4 * p**4 + 1e-15
         assert terms.I3 <= n * 4 * p**3 + 1e-15
@@ -324,7 +324,7 @@ def _tv_grid(ns):
     sched = linear_schedule(2)
     out = []
     for n in ns:
-        scheme = BernoulliScheme.from_lambda(n, 2, 1.0, sched)
+        scheme = BernoulliScheme.from_lambda(n, 1.0, sched)
         dist = exact_distribution(scheme)
         out.append(tv_distance(dist, PoissonLaw(1.0).distribution()))
     return out
@@ -447,7 +447,7 @@ def _small_schemes(draw):
                               min_size=n, max_size=n))
         rows = np.cumsum(np.cumsum(np.array(steps), axis=0), axis=1)
         sched = table_schedule(rows.tolist())
-    scheme = BernoulliScheme(n=n, ell=ell, p=draw(st.floats(0.02, 0.98)), schedule=sched)
+    scheme = BernoulliScheme(n=n, p=draw(st.floats(0.02, 0.98)), schedule=sched)
     assume(scheme.needed_indices.size <= 16)
     return scheme
 
@@ -473,7 +473,7 @@ def test_frontier_dp_matches_enumeration(scheme):
     ],
 )
 def test_frontier_dp_matches_rational_dp(n, ell, sched):
-    scheme = BernoulliScheme.from_lambda(n, ell, 1.0, sched)
+    scheme = BernoulliScheme.from_lambda(n, 1.0, sched)
     p = Fraction(scheme.p)  # the float p, exactly
     K = 40
     exact = _truncated_product(
@@ -496,7 +496,7 @@ def test_exact_tv_along_the_paper_schedules():
     print("\nschedule                              n      TV(S_n, Po(1))")
     tv = {}
     for sched, ell, n in grid:
-        scheme = BernoulliScheme.from_lambda(n, ell, 1.0, sched)
+        scheme = BernoulliScheme.from_lambda(n, 1.0, sched)
         dist = exact_distribution(scheme)
         assert abs(sum(dist.pmf.values()) - 1.0) <= 1e-12
         assert abs(dist.mean() - scheme.lambda_n) <= 1e-12

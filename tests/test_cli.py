@@ -115,8 +115,8 @@ def test_validate_rejects_booleans_as_numbers():
         "replicates must be an integer >= 0, got False",
     ]
     budgets = [
-        "budget enumeration must be a positive integer, got True",
-        "unknown budget 'component_cap'",  # the exact law has one cell budget, not a key
+        "budgets.enumeration must be a positive integer, got True",
+        "unknown budgets key 'component_cap'",  # the exact law has one cell budget, not a key
     ]
     assert validate_config(gap) == shared + [
         "schedule.ell must be an integer",
@@ -649,7 +649,7 @@ _BAD_FIELDS = {
                  ("schedule", "unknown schedule", "table schedule", "arithmetic_gap schedule",
                   "polynomial schedule")),
     "budgets": ([[1], {"nosuch": 1}, {"paths": 0}, {"paths": "many"}, {"enumeration": True}],
-                ("budget", "unknown budget")),
+                ("budgets", "unknown budgets key")),
     "sevastyanov": ([[2], {"r": 1}, {"rare_params": "sometimes"}, {"pair_samples": 0},
                      {"rare_param": [1, 2]}],
                     ("sevastyanov", "unknown sevastyanov key")),

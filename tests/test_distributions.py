@@ -38,10 +38,10 @@ def test_poisson_law_rejects_nonpositive():
 
 
 def test_tv_identity_and_disjoint():
-    d = CountDistribution(pmf={0: 0.5, 1: 0.5}, kind="exact")
+    d = CountDistribution(pmf={0: 0.5, 1: 0.5})
     assert tv_distance(d, d) == 0.0
-    m0 = CountDistribution(pmf={0: 1.0}, kind="exact")
-    m1 = CountDistribution(pmf={1: 1.0}, kind="exact")
+    m0 = CountDistribution(pmf={0: 1.0})
+    m1 = CountDistribution(pmf={1: 1.0})
     assert tv_distance(m0, m1) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -49,7 +49,7 @@ def test_tv_bernoulli_vs_poisson_oracle():
     # half the L1 sum including the Poisson tail above count 1, p = 0.1;
     # independent summation oracle gives 0.0095163 (to the shown digits)
     p = 0.1
-    bern = CountDistribution(pmf={0: 1 - p, 1: p}, kind="exact")
+    bern = CountDistribution(pmf={0: 1 - p, 1: p})
     tv = tv_distance(bern, PoissonLaw(p).distribution())
     oracle = 0.5 * (
         abs((1 - p) - math.exp(-p))
@@ -91,6 +91,22 @@ def test_empirical_distribution_counting():
         empirical_distribution([])
 
 
+def test_empirical_distribution_refuses_fractional_counts():
+    for bad in ([0.5, 1.7, 2.9], [1.0, math.nan], [math.inf]):
+        with pytest.raises(ValidationError, match="whole numbers"):
+            empirical_distribution(bad)
+    # whole floats and the samplers' int64 arrays count as before
+    assert empirical_distribution([1.0, 2.0]).pmf == {1: 0.5, 2: 0.5}
+    assert empirical_distribution(np.array([2, 0], dtype=np.int64)).pmf == {0: 0.5, 2: 0.5}
+
+
+def test_count_distribution_refuses_sample_size_below_one():
+    for bad in (-5, 0):
+        with pytest.raises(ValidationError, match="sample_size"):
+            CountDistribution(pmf={0: 1.0}, sample_size=bad)
+    assert CountDistribution(pmf={0: 1.0}, sample_size=1).sample_size == 1
+
+
 def test_empirical_poisson_draws_within_ci():
     rng = derive_rng(314, 99)
     d = empirical_distribution(rng.poisson(1.0, size=100_000).tolist())
@@ -101,7 +117,7 @@ def test_empirical_poisson_draws_within_ci():
 def _random_dist(draw_probs):
     total = sum(draw_probs)
     pmf = {k: p / total for k, p in enumerate(draw_probs) if p > 0}
-    return CountDistribution(pmf=pmf, kind="exact")
+    return CountDistribution(pmf=pmf)
 
 
 _probs = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).filter(

@@ -52,6 +52,7 @@ from nonconv.subshift import (
     simulate_nonconventional_batch,
     uniform_measure,
 )
+from scalar_reference import thin_target
 
 P_AB = [[0.7, 0.3], [0.1, 0.9]]  # a = 0.3, b = 0.1
 
@@ -300,7 +301,7 @@ def test_exact_laws_match_enumeration(case, data):
         assert max(abs(got.prob(k) - want[k]) for k in range(n + 1)) <= 1e-13
         assert max(got.pmf, default=0) <= n
     # the chain's stationary Markov measure, with a word-set target and a
-    # cylinder target refined by extensions (keep_fraction drops some)
+    # cylinder target refined by extensions (thin_target drops some)
     if chain.M < 2:
         return
     measure = MarkovGibbsMeasure(SubshiftSFT.from_matrix(chain.P > 0), chain.P)
@@ -314,8 +315,8 @@ def test_exact_laws_match_enumeration(case, data):
     got = exact_sum_distribution(pchain, sched, accept, n)
     assert max(abs(got.prob(j) - want[j]) for j in range(n + 1)) <= 1e-13
     prefix = data.draw(st.sampled_from(admissible), label="prefix")
-    target = make_target(measure, prefix + prefix, k, s=data.draw(st.sampled_from([0.0, 1.0])),
-                         refine_seed=data.draw(st.integers(0, 9)), keep_fraction=0.5)
+    target = make_target(measure, prefix + prefix, k, s=data.draw(st.sampled_from([0.0, 1.0])))
+    target = thin_target(target, data.draw(st.integers(0, 9)), 0.5)
     if measure.sft.iota ** (H + target.m) <= 2**12:
         want = _word_enumeration_law(measure, sched, target.blocks, n)
         got = exact_sum_distribution(target.chain[0], sched, target.chain[1], n)
@@ -394,7 +395,7 @@ def test_word_lift_refuses_before_enumerating(monkeypatch, M, k):
 def test_choose_target_sets_exact_split():
     chain = FiniteMarkovChain([[0.5, 0.5], [0.5, 0.5]])
     seq = choose_target_sets(chain, ell=1, lam=1.0, n_grid=[4])
-    entry = seq.entries[4]
+    entry = seq[4]
     assert entry.mass == pytest.approx(0.25, rel=1e-12)
     assert entry.realized_lambda == pytest.approx(1.0, rel=1e-12)
 
@@ -408,7 +409,7 @@ def test_choose_target_sets_infeasible_lambda():
 def test_choose_target_sets_band():
     chain = FiniteMarkovChain(P_AB)
     seq = choose_target_sets(chain, ell=1, lam=1.0, n_grid=[8, 16, 32], tolerance=0.2)
-    for n, entry in seq.entries.items():
+    for n, entry in seq.items():
         assert abs(entry.realized_lambda - 1.0) <= 0.2
 
 
@@ -455,7 +456,7 @@ def _reference_pick(P, n, lam=1.0, tolerance=0.2, max_k=12):
 def test_choose_target_sets_pins_the_words_the_lift_picked():
     seq = choose_target_sets(FiniteMarkovChain(P_AB), ell=1, lam=1.0, n_grid=list(_P_AB_PICKS))
     for n, (words, mass) in _P_AB_PICKS.items():
-        entry = seq.entries[n]
+        entry = seq[n]
         assert list(entry.words) == words
         assert abs(entry.mass - mass) <= 4e-16
         assert entry.realized_lambda == n * entry.mass
@@ -467,10 +468,10 @@ def test_choose_target_sets_tie_rule_on_the_circulant_chain():
     # at n = 100 the rotations a -> a + 1 (mod 3) of the heaviest fitting
     # 4-word tie bit for bit; the first of them from the last symbol wins
     rotations = [(0, 1, 0, 0), (1, 2, 1, 1), (2, 0, 2, 2)]
-    masses = {cylinder_prob(seq.entries[100].measure, w) for w in rotations}
-    assert len(masses) == 1 and seq.entries[100].mass in masses
-    assert seq.entries[100].words == ((0, 1, 0, 0),)
-    for n, entry in seq.entries.items():
+    masses = {cylinder_prob(seq[100].measure, w) for w in rotations}
+    assert len(masses) == 1 and seq[100].mass in masses
+    assert seq[100].words == ((0, 1, 0, 0),)
+    for n, entry in seq.items():
         assert (list(entry.words), entry.mass) == _reference_pick(P3, n)
 
 
@@ -478,8 +479,8 @@ def test_choose_target_sets_reaches_long_words_within_the_cell_budget(monkeypatc
     # the k-word lift refused n = 10^5 here: order 8 has 6561 > 4096 words
     chain = FiniteMarkovChain(P3)
     seq = choose_target_sets(chain, ell=1, lam=1.0, n_grid=[10**5, 10**6])
-    assert [len(seq.entries[n].words[0]) for n in (10**5, 10**6)] == [8, 9]
-    for n, entry in seq.entries.items():
+    assert [len(seq[n].words[0]) for n in (10**5, 10**6)] == [8, 9]
+    for n, entry in seq.items():
         assert abs(entry.realized_lambda - 1.0) <= 0.2
         pattern, _ = pattern_chain(entry.measure, entry.words)
         assert pattern.M <= 9 * len(entry.words) + 3
@@ -506,8 +507,8 @@ def _random_times(rng, k, n):
 def test_pattern_chain_b_equals_word_lift_b(P, n):
     base = FiniteMarkovChain(P)
     seq = choose_target_sets(base, ell=1, lam=1.0, n_grid=[n])
-    words = seq.entries[n].words
-    chain, accept = pattern_chain(seq.entries[n].measure, words)
+    words = seq[n].words
+    chain, accept = pattern_chain(seq[n].measure, words)
     k = len(words[0])
     lifted, lift_words = word_lift(base, k)
     pos = {w: i for i, w in enumerate(lift_words)}
@@ -523,8 +524,8 @@ def test_pattern_chain_b_equals_word_lift_b(P, n):
 def test_pattern_chain_count_law_equals_word_lift_law(n, sched, N):
     base = FiniteMarkovChain(P_AB)
     seq = choose_target_sets(base, ell=1, lam=1.0, n_grid=[n])
-    words = seq.entries[n].words
-    chain, accept = pattern_chain(seq.entries[n].measure, words)
+    words = seq[n].words
+    chain, accept = pattern_chain(seq[n].measure, words)
     lifted, lift_words = word_lift(base, len(words[0]))
     lifted_accept = {lift_words.index(w) for w in words}
     want = exact_sum_distribution(lifted, sched, lifted_accept, N)
@@ -934,7 +935,7 @@ def test_engine_count_law_matches_exact_oracles(monkeypatch, case):
     monkeypatch.setattr(module, "sample_counts", capture)
     if model == "bernoulli":
         n, ell, p, sched = args
-        scheme = BernoulliScheme(n=n, ell=ell, p=p, schedule=sched)
+        scheme = BernoulliScheme(n=n, p=p, schedule=sched)
         draws = simulate_batch(scheme, 1, 10)
         exact = exact_distribution(scheme)
     elif model == "markov":

@@ -50,7 +50,7 @@ from scalar_reference import classify_tuple
 
 
 def _bern_factory(ell=2, lam=1.0):
-    return bernoulli_model_oracle(ell, lam, linear_schedule(ell))
+    return bernoulli_model_oracle(lam, linear_schedule(ell))
 
 
 def test_exact_stage_values_against_direct_enumeration():
@@ -387,7 +387,7 @@ def _sampled_cases(draw):
 def test_sampled_stage_matches_per_index_stratum_a(case, model, seed, pair_samples, ratio_samples):
     sched, N, threshold, cutoff = case
     if model == "bernoulli":
-        b_at = bernoulli_model_oracle(sched.ell, 1.0, sched)(N).b_at
+        b_at = bernoulli_model_oracle(1.0, sched)(N).b_at
     else:
         b_at = _subshift_b_at()
     stage = StageOracle(b_at=b_at, term_count=N, schedule=sched)
@@ -489,7 +489,7 @@ def test_sampled_mode_matches_exact_mode_on_multi_index_runs(model, n, rare_para
     # 256 terms of the subshift stage, so stratum B sums weighted classes
     sched = arithmetic_gap_schedule(2, 4.0, 0.5)
     if model == "bernoulli":
-        factory = bernoulli_model_oracle(2, 1.0, sched)
+        factory = bernoulli_model_oracle(1.0, sched)
     else:
         factory = _subshift_factory(sched)
     exact = check_conditions(factory, sched, r=2, n_grid=[n], rare_params=rare_params)
@@ -513,7 +513,7 @@ def test_sampled_invariant_stage_memory_is_bounded_by_runs():
     # class; pair arrays per index block would peak near 240 MiB here
     N = 2**20
     sched = arithmetic_gap_schedule(2, 4.0, 0.5)
-    factory = bernoulli_model_oracle(2, 1.0, sched)
+    factory = bernoulli_model_oracle(1.0, sched)
     tracemalloc.start()
     try:
         report = check_conditions(factory, sched, r=2, n_grid=[N], rare_params=(8, 2))
@@ -607,12 +607,12 @@ def test_markov_oracle_adapter():
     targets = choose_target_sets(chain, ell=1, lam=1.0, n_grid=[8, 16])
     factory = pattern_chain_oracle(
         sched,
-        lambda n: (*pattern_chain(targets.entries[n].measure, targets.entries[n].words), n),
+        lambda n: (*pattern_chain(targets[n].measure, targets[n].words), n),
     )
     report = check_conditions(factory, sched, r=2, n_grid=[8, 16], rare_params=(0, 1))
     for n in (8, 16):
         stage = report.stage(n)
-        assert stage.sum_b == pytest.approx(targets.entries[n].realized_lambda, rel=0.05)
+        assert stage.sum_b == pytest.approx(targets[n].realized_lambda, rel=0.05)
 
 
 def test_markov_oracle_starts_stationary_whatever_the_chain_starts_from():
@@ -624,9 +624,9 @@ def test_markov_oracle_starts_stationary_whatever_the_chain_starts_from():
     targets = choose_target_sets(chain, ell=1, lam=1.0, n_grid=[16])
     stage = pattern_chain_oracle(
         linear_schedule(1),
-        lambda n: (*pattern_chain(targets.entries[n].measure, targets.entries[n].words), n),
+        lambda n: (*pattern_chain(targets[n].measure, targets[n].words), n),
     )(16)
-    mass = targets.entries[16].mass
+    mass = targets[16].mass
     for t in (0, 1, 7, 1000):
         assert stage.b_at(np.array([[t]]))[0] == pytest.approx(mass, rel=1e-14)
         shifted, at_zero = stage.b_at(np.array([[t, t + 2], [0, 2]]))

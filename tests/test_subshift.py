@@ -51,6 +51,7 @@ from nonconv.rng import derive_rng
 from nonconv.schedules import arithmetic_gap_schedule, polynomial_schedule, table_schedule
 from nonconv.sevastyanov import subshift_model_oracle
 from nonconv.subshift import pattern_chain, replicate_count
+from scalar_reference import thin_target
 
 
 def _golden_measure():
@@ -257,7 +258,7 @@ def test_make_target_refinement():
     assert target.m == 6 + extra
     assert len(target.blocks) == 2**extra
     assert target.prob == pytest.approx(2.0**-6, rel=1e-12)
-    partial = make_target(um, w, n=6, s=1.0, refine_seed=4, keep_fraction=0.5)
+    partial = thin_target(target, 4, 0.5)
     assert len(partial.blocks) == max(1, round(0.5 * 2**extra))
 
 
@@ -501,8 +502,8 @@ def test_resumed_sampler_keeps_each_parked_hit():
     # limits emits the hits of one whole-horizon call only if each hit past
     # a limit is kept for the next call rather than drawn again
     measure = _golden_measure()
-    target = make_target(measure, sample_clear_word(measure, 7, 0.25, seed=3), 7,
-                         s=2.0, refine_seed=5, keep_fraction=0.6)
+    target = make_target(measure, sample_clear_word(measure, 7, 0.25, seed=3), 7, s=2.0)
+    target = thin_target(target, 5, 0.6)
     engine = _HitEngine(*pattern_chain(measure, target.blocks), 4000)
     assert len(engine.gap_tables) > 1
     for seed in range(5):
@@ -739,8 +740,7 @@ def _pattern_cases(draw):
     assume(sft.iota**m <= 1024)
     word = sample_point(measure, n, draw(st.integers(0, 10**6)))
     keep = draw(st.sampled_from([0.6, 0.3, 1.0]))
-    target = make_target(measure, word, n, s=s, refine_seed=draw(st.integers(0, 99)),
-                         keep_fraction=keep)
+    target = thin_target(make_target(measure, word, n, s=s), draw(st.integers(0, 99)), keep)
     horizon = draw(st.integers(1, 1500))
     ell = draw(st.integers(1, 2))
     step = st.one_of(st.integers(1, 4), st.integers(5, 40), st.integers(300, 900))
@@ -788,7 +788,7 @@ def test_hit_engine_reports_dropped_mass(case):
     else:
         measure = _golden_measure()
         word = sample_clear_word(measure, 7, 0.25, seed=3)
-        target = make_target(measure, word, 7, s=2.0, refine_seed=5, keep_fraction=0.6)
+        target = thin_target(make_target(measure, word, 7, s=2.0), 5, 0.6)
         assert len(target.blocks) > 1
         horizon = 10**6
     engine = _HitEngine(*pattern_chain(measure, target.blocks), horizon)
